@@ -13,21 +13,14 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .cipher import PlainImage
-from .errors import DimensionError, DivergenceError
-from .maps import MapParams, generate_sequence, step
+from .errors import DimensionError, DivergenceError, TrajectoryCollapseError
+from .maps import MapParams, generate_sequence, orbit
 
 PEAK = 255.0
 CHI2_BINS = 256
 
 # chi-square critical value, df=255, alpha=0.05 (frozen from the inverse CDF)
 CHI2_CRIT_DF255_P05 = 293.25
-
-
-@dataclass(frozen=True)
-class BifurcationPoint:
-    r: float
-    x: float
-    diverged: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,13 +92,16 @@ def quality_report(plain: PlainImage, cipher: PlainImage) -> QualityReport:
     )
 
 
-def _r_grid(r_min: float, r_max: float, r_step: float) -> list[float]:
+def _r_grid(r_min: float, r_max: float, r_step: float) -> np.ndarray:
     if r_min > r_max:
         raise ValueError("r_min must be <= r_max")
     if r_step <= 0:
         raise ValueError("r_step must be positive")
     count = int(math.floor((r_max - r_min) / r_step + 1e-9)) + 1
-    return [r_min + k * r_step for k in range(count)]
+    return r_min + np.arange(count) * r_step
+
+
+Sweep = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def bifurcation_sweep(
@@ -115,27 +111,26 @@ def bifurcation_sweep(
     r_step: float,
     transient: int,
     samples: int,
-) -> list[BifurcationPoint]:
+) -> Sweep:
     """Post-transient x samples for each r on the grid.
 
-    Output stays rectangular: a divergent r contributes `samples` flagged
-    rows with x = NaN instead of aborting the sweep.
+    Returns flat `(r, x, diverged)` arrays, `samples` rows per r in grid
+    order. Output stays rectangular: a divergent r contributes `samples`
+    flagged rows with x = NaN instead of aborting the sweep.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    points: list[BifurcationPoint] = []
-    for r in _r_grid(r_min, r_max, r_step):
+    grid = _r_grid(r_min, r_max, r_step)
+    xs = np.empty((grid.size, samples))
+    diverged = np.zeros((grid.size, samples), dtype=bool)
+    for k, r in enumerate(grid.tolist()):
         p = replace(params, r=r, transient=transient)
         try:
-            seq = generate_sequence(p, samples)
+            xs[k] = generate_sequence(p, samples).xs
         except DivergenceError:
-            points.extend(
-                BifurcationPoint(r=r, x=math.nan, diverged=True)
-                for _ in range(samples)
-            )
-            continue
-        points.extend(BifurcationPoint(r=r, x=float(x)) for x in seq.xs)
-    return points
+            xs[k] = math.nan
+            diverged[k] = True
+    return np.repeat(grid, samples), xs.reshape(-1), diverged.reshape(-1)
 
 
 StepFn = Callable[[float, float], tuple[float, float]]
@@ -167,6 +162,8 @@ def lyapunov_from_step(
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DivergenceError(i)
         d1 = math.hypot(cx - x, cy - y)
+        if d1 == 0.0:
+            raise TrajectoryCollapseError(i)
         acc += math.log(d1 / d0)
         scale = d0 / d1
         cx = x + (cx - x) * scale
@@ -178,8 +175,10 @@ def lyapunov_exponent(params: MapParams, steps: int) -> float:
     """Lyapunov estimate for one of the two built-in maps."""
     if steps < 1000:
         raise ValueError("steps must be >= 1000")
+    states = orbit(params, params.x0, params.y0)
+    next(states)  # start the generator so that it accepts sent states
     return lyapunov_from_step(
-        lambda x, y: step((x, y), params),
+        lambda x, y: states.send((x, y)),
         (params.x0, params.y0),
         steps,
         transient=params.transient,
@@ -203,8 +202,10 @@ def _write_rows(path, header: list[str], rows: Iterable[list[str]]) -> None:
         writer.writerows(rows)
 
 
-def write_bifurcation_csv(path, points: list[BifurcationPoint]) -> None:
-    _write_rows(path, ["r", "x"], ([_fmt(p.r), _fmt(p.x)] for p in points))
+def write_bifurcation_csv(path, sweep: Sweep) -> None:
+    r, x, _ = sweep
+    rows = ([_fmt(a), _fmt(b)] for a, b in zip(r.tolist(), x.tolist()))
+    _write_rows(path, ["r", "x"], rows)
 
 
 def write_phase_csv(path, points: np.ndarray) -> None:

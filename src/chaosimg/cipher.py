@@ -21,8 +21,10 @@ from .maps import (
     MapParams,
     default_map1,
     default_map2,
-    generate_sequence,
+    draw,
+    draw_xs,
     permutation_from_sequence,
+    post_transient,
     quantize_to_bytes,
 )
 
@@ -93,12 +95,6 @@ class HalfSchedule:
     xor2: np.ndarray
     perm1: np.ndarray
     reperms: tuple  # three PermutationVectors applied in order
-
-
-@dataclass(frozen=True)
-class KeySchedule:
-    half1: HalfSchedule
-    half2: HalfSchedule
 
 
 @dataclass(frozen=True)
@@ -207,32 +203,32 @@ def inverse_permute(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 def _half_schedule(params: MapParams, half_len: int) -> HalfSchedule:
     # one continuous post-transient run of 4*half_len iterates:
-    # segment 1 -> keystreams + first permutation, segments 2-4 -> re-perms
-    seq = generate_sequence(params, 4 * half_len)
-    L = half_len
+    # segment 1 -> keystreams + first permutation (x and y),
+    # segments 2-4 -> re-perms (x only)
+    states = post_transient(params)
+    seq = draw(states, half_len)
     return HalfSchedule(
-        xor1=quantize_to_bytes(seq.xs[:L]),
-        xor2=quantize_to_bytes(seq.ys[:L]),
-        perm1=permutation_from_sequence(seq.xs[:L]),
+        xor1=quantize_to_bytes(seq.xs),
+        xor2=quantize_to_bytes(seq.ys),
+        perm1=permutation_from_sequence(seq.xs),
         reperms=tuple(
-            permutation_from_sequence(seq.xs[k * L:(k + 1) * L]) for k in (1, 2, 3)
+            permutation_from_sequence(draw_xs(states, half_len)) for _ in range(3)
         ),
     )
 
 
-def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
+def build_key_schedule(
+    keys: KeyMaterial, half_len: int
+) -> tuple[HalfSchedule, HalfSchedule]:
+    """Schedules of the two half-slots: Map 1 drives the first, Map 2 the second."""
     if half_len < 1:
         raise ValueError("half_len must be >= 1")
-    return KeySchedule(
-        half1=_half_schedule(keys.map1, half_len),
-        half2=_half_schedule(keys.map2, half_len),
-    )
+    return _half_schedule(keys.map1, half_len), _half_schedule(keys.map2, half_len)
 
 
 def encrypt(image: PlainImage, keys: KeyMaterial) -> CipherEnvelope:
     p1, p2, pad = split_halves(flatten(image))
-    ks = build_key_schedule(keys, p1.size)
-    s1, s2 = ks.half1, ks.half2
+    s1, s2 = build_key_schedule(keys, p1.size)
 
     d1 = diffuse_xor(p1, s1.xor1)
     d2 = diffuse_xor(p2, s2.xor1)
@@ -253,8 +249,7 @@ def decrypt(envelope: CipherEnvelope, keys: KeyMaterial) -> PlainImage:
     if body.size != envelope.dims.pixel_count + envelope.pad or body.size % 2:
         raise MalformedEnvelopeError("body length inconsistent with dims and pad")
     half = body.size // 2
-    ks = build_key_schedule(keys, half)
-    s1, s2 = ks.half1, ks.half2
+    s1, s2 = build_key_schedule(keys, half)
 
     c1, c2 = body[:half], body[half:]
     for k in (2, 1, 0):

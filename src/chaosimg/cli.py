@@ -5,7 +5,9 @@
     chaosimg metrics --a plain.pgm --b cipher.pgm
     chaosimg analyze bifurcate|lyapunov|phase|histogram ... --out data.csv
 
-Exit codes: 0 success, 1 IO/format failure, 2 validation failure.
+Exit codes: 0 success; 2 for a bad key file (including one that is not
+UTF-8) or an invalid value (ValueError); 1 for any other chaosimg error or
+an OS error (missing file, malformed image or envelope).
 """
 
 from __future__ import annotations
@@ -35,52 +37,27 @@ def _load_image(path):
         return netpbm.read_image(fh.read())
 
 
-def _cmd_encrypt(args) -> int:
-    try:
-        keys = load_key_file(args.key)
-    except KeyFileError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    try:
-        image = _load_image(args.infile)
-        envelope = encrypt(image, keys)
-        with open(args.outfile, "wb") as fh:
-            fh.write(envelope.to_bytes())
-    except (ChaosImgError, OSError) as exc:
-        return _fail(str(exc), EXIT_IO)
-    return EXIT_OK
+def _cmd_encrypt(args) -> None:
+    keys = load_key_file(args.key)
+    envelope = encrypt(_load_image(args.infile), keys)
+    with open(args.outfile, "wb") as fh:
+        fh.write(envelope.to_bytes())
 
 
-def _cmd_decrypt(args) -> int:
-    try:
-        keys = load_key_file(args.key)
-    except KeyFileError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    try:
-        with open(args.infile, "rb") as fh:
-            envelope = CipherEnvelope.from_bytes(fh.read())
-        image = decrypt(envelope, keys)
-        with open(args.outfile, "wb") as fh:
-            fh.write(netpbm.write_image(image))
-    except (ChaosImgError, OSError) as exc:
-        return _fail(str(exc), EXIT_IO)
-    return EXIT_OK
+def _cmd_decrypt(args) -> None:
+    keys = load_key_file(args.key)
+    with open(args.infile, "rb") as fh:
+        envelope = CipherEnvelope.from_bytes(fh.read())
+    image = decrypt(envelope, keys)
+    with open(args.outfile, "wb") as fh:
+        fh.write(netpbm.write_image(image))
 
 
-def _cmd_metrics(args) -> int:
-    try:
-        img_a = _load_image(args.a)
-        img_b = _load_image(args.b)
-        mse_value = analysis.mse(img_a, img_b)
-    except (ChaosImgError, OSError) as exc:
-        return _fail(str(exc), EXIT_IO)
+def _cmd_metrics(args) -> None:
+    mse_value = analysis.mse(_load_image(args.a), _load_image(args.b))
     psnr_value = analysis.psnr(mse_value)
     print(f"mse={mse_value:.3f}")
     print("psnr=inf" if math.isinf(psnr_value) else f"psnr={psnr_value:.3f}")
-    return EXIT_OK
 
 
 def _map_params(args) -> MapParams:
@@ -96,32 +73,24 @@ def _map_params(args) -> MapParams:
     )
 
 
-def _cmd_analyze(args) -> int:
-    try:
-        if args.analysis == "bifurcate":
-            if args.r_min > args.r_max or args.r_step <= 0:
-                return _fail("require r-min <= r-max and r-step > 0", EXIT_VALIDATION)
-            points = analysis.bifurcation_sweep(
-                _map_params(args), args.r_min, args.r_max, args.r_step,
-                transient=args.transient, samples=args.samples,
-            )
-            analysis.write_bifurcation_csv(args.out, points)
-        elif args.analysis == "lyapunov":
-            if args.r is None:
-                return _fail("lyapunov requires --r", EXIT_VALIDATION)
-            lam = analysis.lyapunov_exponent(_map_params(args), steps=args.steps)
-            analysis.write_lyapunov_csv(args.out, [(args.r, lam)])
-        elif args.analysis == "phase":
-            points = analysis.phase_points(_map_params(args), count=args.count)
-            analysis.write_phase_csv(args.out, points)
-        else:  # histogram
-            hist = analysis.histogram(_load_image(args.infile))
-            analysis.write_histogram_csv(args.out, hist)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
-    except (ChaosImgError, OSError) as exc:
-        return _fail(str(exc), EXIT_IO)
-    return EXIT_OK
+def _cmd_analyze(args) -> None:
+    if args.analysis == "bifurcate":
+        sweep = analysis.bifurcation_sweep(
+            _map_params(args), args.r_min, args.r_max, args.r_step,
+            transient=args.transient, samples=args.samples,
+        )
+        analysis.write_bifurcation_csv(args.out, sweep)
+    elif args.analysis == "lyapunov":
+        if args.r is None:
+            raise ValueError("lyapunov requires --r")
+        lam = analysis.lyapunov_exponent(_map_params(args), steps=args.steps)
+        analysis.write_lyapunov_csv(args.out, [(args.r, lam)])
+    elif args.analysis == "phase":
+        points = analysis.phase_points(_map_params(args), count=args.count)
+        analysis.write_phase_csv(args.out, points)
+    else:  # histogram
+        hist = analysis.histogram(_load_image(args.infile))
+        analysis.write_histogram_csv(args.out, hist)
 
 
 def _add_map_flags(parser: argparse.ArgumentParser) -> None:
@@ -189,8 +158,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except (KeyFileError, ValueError) as exc:
+        return _fail(str(exc), EXIT_VALIDATION)
+    except (ChaosImgError, OSError) as exc:
+        return _fail(str(exc), EXIT_IO)
+    return EXIT_OK
 
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

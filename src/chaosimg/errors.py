@@ -17,6 +17,17 @@ class DivergenceError(ChaosImgError):
         self.iteration = iteration
 
 
+class TrajectoryCollapseError(ChaosImgError, ValueError):
+    """A Lyapunov companion trajectory merged with the reference one."""
+
+    def __init__(self, step: int):
+        super().__init__(
+            f"companion trajectory collapsed onto the reference at step {step};"
+            " the Lyapunov exponent is undefined"
+        )
+        self.step = step
+
+
 class PermutationError(ChaosImgError):
     """Permutation vector is not a bijection or length-mismatched."""
 

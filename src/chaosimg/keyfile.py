@@ -87,19 +87,3 @@ def load_key_file(path) -> KeyMaterial:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_key_text(fh.read())
 
-
-def format_key_material(keys: KeyMaterial) -> str:
-    """Render KeyMaterial back to the key-file text format."""
-    m1, m2 = keys.map1, keys.map2
-    lines = [
-        f"map1.r={m1.r!r}",
-        f"map1.x0={m1.x0!r}",
-        f"map1.y0={m1.y0!r}",
-        f"map2.r={m2.r!r}",
-        f"map2.a={m2.a!r}",
-        f"map2.b={m2.b!r}",
-        f"map2.x0={m2.x0!r}",
-        f"map2.y0={m2.y0!r}",
-        f"transient={m1.transient}",
-    ]
-    return "\n".join(lines) + "\n"

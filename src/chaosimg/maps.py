@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import deque
+from collections.abc import Generator, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -74,34 +78,58 @@ class ChaoticSequence:
         return len(self.xs)
 
 
-def wrap_angle(v: float) -> float:
-    """Reduce v into [-pi, pi) modulo 2*pi."""
-    return (v + math.pi) % TWO_PI - math.pi
+def orbit(
+    params: MapParams, x: float, y: float
+) -> Generator[tuple[float, float], tuple[float, float] | None, None]:
+    """Successive states of the selected map after (x, y), without end.
+
+    The one place either map formula is written. Sending a state restarts
+    the orbit from it, so `g.send(s)` returns the state after `s`. Raises
+    DivergenceError(i) when a state becomes non-finite, `i` counting the
+    iterations since the last (re)start.
+    """
+    sin, cos, tanh, isfinite = math.sin, math.cos, math.tanh, math.isfinite
+    map1 = params.map_id is MapId.MAP1
+    r, ar, b, pi = params.r, params.a * params.r, params.b, math.pi
+    i = 0
+    while True:
+        if map1:
+            x, y = sin(x) + cos(y), y - r * tanh(x)
+        else:
+            x, y = (x + y * y - ar + pi) % TWO_PI - pi, (b * x * x + pi) % TWO_PI - pi
+        if not (isfinite(x) and isfinite(y)):
+            raise DivergenceError(i)
+        i += 1
+        sent = yield x, y
+        if sent is not None:
+            (x, y), i = sent, 0
 
 
-def _check_state(x: float, y: float) -> None:
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise InvalidStateError(f"non-finite state ({x}, {y})")
+def post_transient(params: MapParams) -> Iterator[tuple[float, float]]:
+    """The orbit from (x0, y0) with its first `transient` states consumed."""
+    states = orbit(params, params.x0, params.y0)
+    deque(islice(states, params.transient), maxlen=0)
+    return states
 
 
-def step_map1(state: tuple[float, float], params: MapParams) -> tuple[float, float]:
-    """One simultaneous update of Map 1."""
-    x, y = state
-    _check_state(x, y)
-    return math.sin(x) + math.cos(y), y - params.r * math.tanh(x)
+def draw(states: Iterator[tuple[float, float]], length: int) -> ChaoticSequence:
+    """The next `length` states of an orbit."""
+    flat = chain.from_iterable(islice(states, length))
+    xy = np.fromiter(flat, float, 2 * length).reshape(length, 2)
+    return ChaoticSequence(xs=xy[:, 0], ys=xy[:, 1])
 
 
-def step_map2(state: tuple[float, float], params: MapParams) -> tuple[float, float]:
-    """One simultaneous update of Map 2, with the [-pi, pi) reduction."""
-    x, y = state
-    _check_state(x, y)
-    return wrap_angle(x + y * y - params.a * params.r), wrap_angle(params.b * x * x)
+def draw_xs(states: Iterator[tuple[float, float]], length: int) -> np.ndarray:
+    """The x of the next `length` states of an orbit; y is not stored."""
+    return np.fromiter(map(itemgetter(0), islice(states, length)), float, length)
 
 
 def step(state: tuple[float, float], params: MapParams) -> tuple[float, float]:
-    if params.map_id is MapId.MAP1:
-        return step_map1(state, params)
-    return step_map2(state, params)
+    """One simultaneous update of the selected map."""
+    x, y = state
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidStateError(f"non-finite state ({x}, {y})")
+    return next(orbit(params, x, y))
 
 
 def generate_sequence(params: MapParams, length: int) -> ChaoticSequence:
@@ -114,34 +142,7 @@ def generate_sequence(params: MapParams, length: int) -> ChaoticSequence:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    xs = np.empty(length)
-    ys = np.empty(length)
-    x, y = params.x0, params.y0
-    transient = params.transient
-    total = transient + length
-    # hot loop: bind everything locally
-    sin, cos, tanh, isfinite = math.sin, math.cos, math.tanh, math.isfinite
-    if params.map_id is MapId.MAP1:
-        r = params.r
-        for i in range(total):
-            x, y = sin(x) + cos(y), y - r * tanh(x)
-            if not (isfinite(x) and isfinite(y)):
-                raise DivergenceError(i)
-            if i >= transient:
-                xs[i - transient] = x
-                ys[i - transient] = y
-    else:
-        ar = params.a * params.r
-        b = params.b
-        pi = math.pi
-        for i in range(total):
-            x, y = (x + y * y - ar + pi) % TWO_PI - pi, (b * x * x + pi) % TWO_PI - pi
-            if not (isfinite(x) and isfinite(y)):
-                raise DivergenceError(i)
-            if i >= transient:
-                xs[i - transient] = x
-                ys[i - transient] = y
-    return ChaoticSequence(xs=xs, ys=ys)
+    return draw(post_transient(params), length)
 
 
 def quantize_to_bytes(values) -> np.ndarray:

@@ -134,19 +134,22 @@ class TestAdjacentCorrelation:
 
 class TestBifurcation:
     def test_degenerate_grid(self):
-        pts = bifurcation_sweep(default_map1(), 17.0, 17.0, 1.0, transient=100, samples=7)
-        assert len(pts) == 7
-        assert all(p.r == 17.0 and not p.diverged for p in pts)
+        r, x, diverged = bifurcation_sweep(
+            default_map1(), 17.0, 17.0, 1.0, transient=100, samples=7
+        )
+        assert len(r) == len(x) == len(diverged) == 7
+        assert (r == 17.0).all() and not diverged.any()
 
     def test_row_count(self):
-        pts = bifurcation_sweep(
+        r, x, diverged = bifurcation_sweep(
             default_map1(), 1.0, 10.0, 1.0, transient=10, samples=200
         )
-        assert len(pts) == 10 * 200
+        assert len(r) == len(x) == len(diverged) == 10 * 200
 
     def test_chaotic_band_not_collapsed(self):
-        pts = bifurcation_sweep(default_map1(), 17.0, 17.0, 1.0, transient=1000, samples=200)
-        xs = np.array([p.x for p in pts])
+        _, xs, _ = bifurcation_sweep(
+            default_map1(), 17.0, 17.0, 1.0, transient=1000, samples=200
+        )
         bins = np.histogram(xs, bins=100, range=(-2, 2))[0]
         assert (bins > 0).sum() >= 50
 
@@ -219,7 +222,7 @@ class TestQualityReportAndCsv:
         assert rows[0] == ["r", "x"]
         assert len(rows) == 4
         # 12 significant digits
-        assert rows[1][1] == f"{pts[0].x:.12g}"
+        assert rows[1][1] == f"{pts[1][0]:.12g}"
 
         ph = phase_points(default_map2(), 3)
         phf = tmp_path / "phase.csv"

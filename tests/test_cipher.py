@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from chaosimg.analysis import lyapunov_exponent
 from chaosimg.cipher import (
     CipherEnvelope,
     ImageDims,
+    KeyMaterial,
     PlainImage,
     build_key_schedule,
     decrypt,
@@ -22,6 +26,7 @@ from chaosimg.errors import (
     MalformedEnvelopeError,
     PermutationError,
 )
+from chaosimg.maps import MapId, MapParams, default_map1, default_map2
 from conftest import random_image
 
 # frozen from the straight-line hand-trace oracle (run before the build):
@@ -29,6 +34,56 @@ from conftest import random_image
 GOLDEN_PLAIN = np.array([[1, 2], [3, 4]], dtype=np.uint8)
 GOLDEN_BODY = bytes([156, 253, 31, 163])
 GOLDEN_ENVELOPE = bytes.fromhex("4353453101010000000200000002009cfd1fa3")
+
+# SHA-256 of encrypt(...).to_bytes(), recorded from the pure-Python keystream
+# path; a faster map kernel must reproduce them bit for bit. The images use
+# integer arithmetic only, so they do not depend on libm.
+GOLDEN_DIGESTS = {
+    "gray256/default": "88b4e3dd298bdb05527a05d875973c35f689cc116ff40a4812d4b322c98f7804",
+    "rgb512/default": "c687e4aa36bc5556e881e06c5526145bd1a913f50ada4fc83869a97635dda239",
+    "gray64x48/k1": "32c495d1a39e3f3ae4ef14bf491854d79c7bf3d8c0455678f21f2c0b34b2738c",
+    "gray64x48/k2": "d80c00a9997a7764c77f35081e31d191f21d8661ca9b6cef8938b9e0b12ec307",
+    "gray64x48/k3": "b4dd443b64c60d7493cde0d0d3fedb585cf80999956d607f76903913c4ae521a",
+}
+
+# map1 (r, x0, y0), map2 (r, a, b, x0, y0), transient
+GOLDEN_KEY_SETS = {
+    "k1": ((16.75, 0.12, 0.09), (2.33, 0.52, 0.28, 0.11, 0.15), 1000),
+    "k2": ((17.5, 0.25, 0.04), (2.41, 0.47, 0.33, 0.06, 0.19), 700),
+    "k3": ((15.0, 0.31, 0.27), (2.2, 0.6, 0.26, 0.29, 0.03), 1200),
+}
+
+
+def gray256():
+    """Gradient with a bright disc and a mid-gray block, like a scan."""
+    i, j = np.mgrid[0:256, 0:256]
+    img = 20 + (i + j) // 4
+    img[(i - 128) ** 2 + (j - 128) ** 2 < 48 ** 2] = 230
+    img[32:64, 32:128] = 90
+    return img.astype(np.uint8)
+
+
+def rgb512():
+    i, j = np.mgrid[0:512, 0:512]
+    return np.stack(
+        [(3 * i + j) & 255, (i ^ j) & 255, ((i * j) >> 6) & 255]
+    ).astype(np.uint8)
+
+
+def gray64x48():
+    i, j = np.mgrid[0:64, 0:48]
+    return ((5 * i + 11 * j + i * j) & 255).astype(np.uint8)
+
+
+def golden_keys(spec):
+    (r1, x1, y1), (r2, a, b, x2, y2), transient = spec
+    return KeyMaterial(
+        map1=MapParams(MapId.MAP1, r1, x0=x1, y0=y1, transient=transient),
+        map2=MapParams(MapId.MAP2, r2, a=a, b=b, x0=x2, y0=y2, transient=transient),
+    )
+
+
+GOLDEN_IMAGES = {"gray256": gray256, "rgb512": rgb512, "gray64x48": gray64x48}
 
 
 class TestFlatten:
@@ -131,8 +186,7 @@ class TestPermute:
 
 class TestKeySchedule:
     def test_structure(self):
-        ks = build_key_schedule(default_keys(), 8)
-        for half in (ks.half1, ks.half2):
+        for half in build_key_schedule(default_keys(), 8):
             assert half.xor1.size == half.xor2.size == 8
             assert sorted(half.perm1) == list(range(8))
             assert len(half.reperms) == 3
@@ -140,18 +194,18 @@ class TestKeySchedule:
                 assert sorted(rp) == list(range(8))
 
     def test_deterministic(self):
-        a = build_key_schedule(default_keys(), 16)
-        b = build_key_schedule(default_keys(), 16)
-        assert np.array_equal(a.half1.xor1, b.half1.xor1)
-        assert np.array_equal(a.half2.xor2, b.half2.xor2)
-        assert np.array_equal(a.half1.perm1, b.half1.perm1)
+        a1, a2 = build_key_schedule(default_keys(), 16)
+        b1, b2 = build_key_schedule(default_keys(), 16)
+        assert np.array_equal(a1.xor1, b1.xor1)
+        assert np.array_equal(a2.xor2, b2.xor2)
+        assert np.array_equal(a1.perm1, b1.perm1)
 
     def test_seed_sensitivity(self):
         keys = default_keys()
         nudged = type(keys)(map1=perturbed(keys.map1, "x0"), map2=keys.map2)
-        a = build_key_schedule(keys, 4096)
-        b = build_key_schedule(nudged, 4096)
-        frac = np.mean(a.half1.xor1 != b.half1.xor1)
+        a1, _ = build_key_schedule(keys, 4096)
+        b1, _ = build_key_schedule(nudged, 4096)
+        frac = np.mean(a1.xor1 != b1.xor1)
         assert frac > 0.5
 
 
@@ -191,6 +245,22 @@ class TestEncryptDecrypt:
         img = random_image(rng, max_side=16)
         keys = default_keys()
         assert encrypt(img, keys).to_bytes() == encrypt(img, keys).to_bytes()
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
+    def test_ciphertext_digest(self, name):
+        image, key_set = name.split("/")
+        if key_set == "default":
+            keys = default_keys()
+        else:
+            keys = golden_keys(GOLDEN_KEY_SETS[key_set])
+        env = encrypt(PlainImage.from_array(GOLDEN_IMAGES[image]()), keys)
+        assert hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS[name]
+
+    def test_lyapunov_exact(self):
+        assert repr(lyapunov_exponent(default_map1(), steps=5000)) == "0.9034388567141849"
+        assert repr(lyapunov_exponent(default_map2(), steps=5000)) == "0.5127690037197709"
 
 
 class TestEnvelopeFormat:

@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaosimg
 from chaosimg.cipher import PlainImage
 from chaosimg.cli import main
 from chaosimg.errors import KeyFileError
@@ -75,6 +80,14 @@ class TestEncryptDecryptCommands:
                      "--out", str(tmp_path / "c.cse")])
         assert code == 2
         assert "map2.b" in capsys.readouterr().err
+
+    def test_non_utf8_key_file_exit_2(self, tmp_path, golden_pgm, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe" + DEFAULT_KEY_TEXT.encode())
+        code = main(["encrypt", "--key", str(bad), "--in", str(golden_pgm),
+                     "--out", str(tmp_path / "c.cse")])
+        assert code == 2
+        assert "utf-8" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path, keyfile, golden_pgm):
         out1, out2 = tmp_path / "c1.cse", tmp_path / "c2.cse"
@@ -178,6 +191,15 @@ class TestAnalyzeCommand:
         assert rows[0] == ["r", "lambda"] and len(rows) == 2
         assert float(rows[1][1]) > 0
 
+    def test_lyapunov_collapse_exit_2(self, tmp_path, capsys):
+        # at r = 1e308 the a*r offset swallows x + y^2, so both trajectories
+        # land on the same state and their distance is exactly 0
+        code = main(["analyze", "lyapunov", "--map", "2", "--r", "1e308",
+                     "--out", str(tmp_path / "l.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "collapsed" in err and "undefined" in err
+
     def test_phase_rows(self, tmp_path):
         out = tmp_path / "p.csv"
         code = main(["analyze", "phase", "--map", "2", "--count", "10",
@@ -206,3 +228,16 @@ class TestAnalyzeCommand:
         main(["encrypt", "--key", str(keyfile), "--in", str(golden_pgm),
               "--out", str(tmp_path / "c.cse")])
         assert golden_pgm.read_bytes() == before
+
+
+def test_module_entry_point(tmp_path, golden_pgm):
+    src = str(Path(chaosimg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chaosimg.cli", "metrics",
+         "--a", str(golden_pgm), "--b", str(golden_pgm)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "mse=0.000" in proc.stdout

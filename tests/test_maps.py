@@ -13,49 +13,46 @@ from chaosimg.maps import (
     permutation_from_sequence,
     quantize_to_bytes,
     step,
-    step_map1,
-    step_map2,
-    wrap_angle,
 )
 
 
 class TestStepMap1:
     def test_origin_with_r_zero(self):
         p = MapParams(map_id=MapId.MAP1, r=0.0)
-        assert step_map1((0.0, 0.0), p) == (1.0, 0.0)
+        assert step((0.0, 0.0), p) == (1.0, 0.0)
 
     def test_fixed_point(self):
         # (0, pi/2) is a fixed point of the real map; in doubles pi/2 is not
         # representable, so x' = cos(float(pi/2)) lands within one ulp of 0
         p = default_map1()
-        x, y = step_map1((0.0, math.pi / 2), p)
+        x, y = step((0.0, math.pi / 2), p)
         assert y == math.pi / 2  # tanh(0) = 0 keeps y bit-exact
         assert abs(x) < 1e-15
 
     def test_default_seed_step(self):
         # frozen from direct arithmetic: sin(0.1)+cos(0.1), 0.1-17*tanh(0.1)
-        x, y = step_map1((0.1, 0.1), default_map1())
+        x, y = step((0.1, 0.1), default_map1())
         assert x == pytest.approx(1.094837581924854, abs=1e-12)
         assert y == pytest.approx(-1.594355908624249, abs=1e-12)
 
     def test_rejects_nonfinite_state(self):
         with pytest.raises(InvalidStateError):
-            step_map1((math.nan, 0.0), default_map1())
+            step((math.nan, 0.0), default_map1())
 
 
 class TestStepMap2:
     def test_origin_fixed_when_offset_zero(self):
         p = MapParams(map_id=MapId.MAP2, r=5.0, a=0.0, b=0.0)
-        assert step_map2((0.0, 0.0), p) == (0.0, 0.0)
+        assert step((0.0, 0.0), p) == (0.0, 0.0)
 
     def test_default_seed_step_no_wrap(self):
-        x, y = step_map2((0.1, 0.1), default_map2())
+        x, y = step((0.1, 0.1), default_map2())
         assert x == pytest.approx(-1.065, abs=1e-12)
         assert y == pytest.approx(0.003, abs=1e-15)
 
     def test_wrap_applied_to_large_update(self):
         # raw x' = 3 + 9 - 1.175 = 10.825 -> minus 2*2pi
-        x, y = step_map2((3.0, 3.0), default_map2())
+        x, y = step((3.0, 3.0), default_map2())
         assert x == pytest.approx(10.825 - 4 * math.pi, abs=1e-12)
         assert y == pytest.approx(2.7, abs=1e-12)
 
@@ -63,16 +60,23 @@ class TestStepMap2:
         p = default_map2()
         s = (0.1, 0.1)
         for _ in range(1000):
-            s = step_map2(s, p)
+            s = step(s, p)
             assert -math.pi <= s[0] < math.pi
             assert -math.pi <= s[1] < math.pi
 
     def test_rejects_nonfinite_state(self):
         with pytest.raises(InvalidStateError):
-            step_map2((0.0, math.inf), default_map2())
+            step((0.0, math.inf), default_map2())
 
 
 def test_wrap_angle_half_open_interval():
+    # Map 2 with r = a = b = 0 sends (v, 0) to (wrap(v), 0), where wrap(v) is
+    # (v + pi) % 2pi - pi, the reduction into [-pi, pi)
+    p = MapParams(map_id=MapId.MAP2, r=0.0, a=0.0, b=0.0)
+
+    def wrap_angle(v):
+        return step((v, 0.0), p)[0]
+
     assert wrap_angle(math.pi) == -math.pi
     assert wrap_angle(-math.pi) == -math.pi
     assert wrap_angle(0.0) == 0.0
