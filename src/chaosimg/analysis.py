@@ -22,6 +22,9 @@ CHI2_BINS = 256
 # chi-square critical value, df=255, alpha=0.05 (frozen from the inverse CDF)
 CHI2_CRIT_DF255_P05 = 293.25
 
+# most float values a bifurcation sweep or a phase run may hold
+MAX_VALUES = 10_000_000
+
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -92,12 +95,25 @@ def quality_report(plain: PlainImage, cipher: PlainImage) -> QualityReport:
     )
 
 
-def _r_grid(r_min: float, r_max: float, r_step: float) -> np.ndarray:
+def _check_size(values: float, what: str) -> None:
+    if not values <= MAX_VALUES:
+        raise ValueError(
+            f"{what} would hold {values:,} values; the limit is {MAX_VALUES:,}"
+        )
+
+
+def _r_grid(r_min: float, r_max: float, r_step: float, samples: int) -> np.ndarray:
+    """The r grid, sized before anything is allocated: its `samples` values
+    per r must stay within MAX_VALUES."""
+    if not all(map(math.isfinite, (r_min, r_max, r_step))):
+        raise ValueError("r_min, r_max and r_step must be finite")
     if r_min > r_max:
         raise ValueError("r_min must be <= r_max")
     if r_step <= 0:
         raise ValueError("r_step must be positive")
-    count = int(math.floor((r_max - r_min) / r_step + 1e-9)) + 1
+    steps = (r_max - r_min) / r_step + 1e-9
+    count = int(steps) + 1 if math.isfinite(steps) else math.inf
+    _check_size(count * samples, "bifurcation sweep")
     return r_min + np.arange(count) * r_step
 
 
@@ -120,7 +136,7 @@ def bifurcation_sweep(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    grid = _r_grid(r_min, r_max, r_step)
+    grid = _r_grid(r_min, r_max, r_step, samples)
     xs = np.empty((grid.size, samples))
     diverged = np.zeros((grid.size, samples), dtype=bool)
     for k, r in enumerate(grid.tolist()):
@@ -187,6 +203,7 @@ def lyapunov_exponent(params: MapParams, steps: int) -> float:
 
 def phase_points(params: MapParams, count: int) -> np.ndarray:
     """Post-transient (x, y) iterate pairs for scatter plotting; shape (count, 2)."""
+    _check_size(2 * count, "phase run")
     seq = generate_sequence(params, count)
     return np.column_stack([seq.xs, seq.ys])
 

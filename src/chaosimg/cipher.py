@@ -21,10 +21,8 @@ from .maps import (
     MapParams,
     default_map1,
     default_map2,
-    draw,
-    draw_xs,
+    fill,
     permutation_from_sequence,
-    post_transient,
     quantize_to_bytes,
 )
 
@@ -89,12 +87,20 @@ def default_keys() -> KeyMaterial:
 
 @dataclass(frozen=True)
 class HalfSchedule:
-    """Key material for one half-slot: two keystreams and four permutations."""
+    """Key material for one half-slot: two keystreams and four permutations.
+
+    Each permutation is checked here, once, and made read-only, so that
+    encrypt and decrypt can apply them without checking again.
+    """
 
     xor1: np.ndarray
     xor2: np.ndarray
     perm1: np.ndarray
     reperms: tuple  # three PermutationVectors applied in order
+
+    def __post_init__(self):
+        for perm in (self.perm1, *self.reperms):
+            _check_perm(self.xor1, perm).flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -185,36 +191,38 @@ def _check_perm(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return perm
 
 
-def permute(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Gather: out[i] = data[perm[i]]."""
-    data = np.asarray(data, dtype=np.uint8)
-    perm = _check_perm(data, perm)
-    return data[perm]
-
-
-def inverse_permute(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Scatter: out[perm[i]] = data[i]; inverse of permute."""
-    data = np.asarray(data, dtype=np.uint8)
-    perm = _check_perm(data, perm)
+def _scatter(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
     out = np.empty_like(data)
     out[perm] = data
     return out
 
 
+def permute(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Gather: out[i] = data[perm[i]]."""
+    data = np.asarray(data, dtype=np.uint8)
+    return data[_check_perm(data, perm)]
+
+
+def inverse_permute(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Scatter: out[perm[i]] = data[i]; inverse of permute."""
+    data = np.asarray(data, dtype=np.uint8)
+    return _scatter(data, _check_perm(data, perm))
+
+
 def _half_schedule(params: MapParams, half_len: int) -> HalfSchedule:
-    # one continuous post-transient run of 4*half_len iterates:
+    # one continuous post-transient run of 4*half_len iterates, filled one
+    # segment at a time into the same buffer:
     # segment 1 -> keystreams + first permutation (x and y),
     # segments 2-4 -> re-perms (x only)
-    states = post_transient(params)
-    seq = draw(states, half_len)
-    return HalfSchedule(
-        xor1=quantize_to_bytes(seq.xs),
-        xor2=quantize_to_bytes(seq.ys),
-        perm1=permutation_from_sequence(seq.xs),
-        reperms=tuple(
-            permutation_from_sequence(draw_xs(states, half_len)) for _ in range(3)
-        ),
-    )
+    xs, ys = np.empty(half_len), np.empty(half_len)
+    state = fill(params, (params.x0, params.y0), xs, ys, skip=params.transient)
+    xor1, xor2 = quantize_to_bytes(xs), quantize_to_bytes(ys)
+    del ys
+    perms = [permutation_from_sequence(xs)]
+    for k in range(1, 4):
+        state = fill(params, state, xs, start=params.transient + k * half_len)
+        perms.append(permutation_from_sequence(xs))
+    return HalfSchedule(xor1=xor1, xor2=xor2, perm1=perms[0], reperms=tuple(perms[1:]))
 
 
 def build_key_schedule(
@@ -232,14 +240,14 @@ def encrypt(image: PlainImage, keys: KeyMaterial) -> CipherEnvelope:
 
     d1 = diffuse_xor(p1, s1.xor1)
     d2 = diffuse_xor(p2, s2.xor1)
-    q1 = permute(d1, s1.perm1)
-    q2 = permute(d2, s2.perm1)
+    q1 = d1[s1.perm1]
+    q2 = d2[s2.perm1]
     # swap moves the data between slots; each slot keeps its own map's keys
     c1 = diffuse_xor(q2, s1.xor2)
     c2 = diffuse_xor(q1, s2.xor2)
     for k in range(3):
-        c1 = permute(c1, s1.reperms[k])
-        c2 = permute(c2, s2.reperms[k])
+        c1 = c1[s1.reperms[k]]
+        c2 = c2[s2.reperms[k]]
     body = np.concatenate([c1, c2]).tobytes()
     return CipherEnvelope(dims=image.dims, pad=pad, body=body)
 
@@ -253,12 +261,12 @@ def decrypt(envelope: CipherEnvelope, keys: KeyMaterial) -> PlainImage:
 
     c1, c2 = body[:half], body[half:]
     for k in (2, 1, 0):
-        c1 = inverse_permute(c1, s1.reperms[k])
-        c2 = inverse_permute(c2, s2.reperms[k])
+        c1 = _scatter(c1, s1.reperms[k])
+        c2 = _scatter(c2, s2.reperms[k])
     q2 = diffuse_xor(c1, s1.xor2)
     q1 = diffuse_xor(c2, s2.xor2)
-    p1 = diffuse_xor(inverse_permute(q1, s1.perm1), s1.xor1)
-    p2 = diffuse_xor(inverse_permute(q2, s2.perm1), s2.xor1)
+    p1 = diffuse_xor(_scatter(q1, s1.perm1), s1.xor1)
+    p2 = diffuse_xor(_scatter(q2, s2.perm1), s2.xor1)
     vec = np.concatenate([p1, p2])
     if envelope.pad:
         vec = vec[:-1]

@@ -1,0 +1,123 @@
+"""Build and load the compiled map kernel, `_kernel.c`.
+
+At first use the source is compiled with the system C compiler into a
+private cache directory and loaded with ctypes. The library is named by
+the SHA-256 of the source, the flags and the platform, so a changed
+source builds a new one; a build writes a temporary file and renames it
+into place, so concurrent first runs are safe.
+
+Without a compiler, or when the build or the cache directory fails,
+`fill_function()` returns None and `maps.fill` iterates `maps.orbit` in
+Python instead. Both give the same bytes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import importlib
+import os
+import shutil
+import stat
+import tempfile
+from collections.abc import Iterator
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+# -ffp-contract=off: no fused multiply-add, which would round differently
+# from CPython's separate multiply and add; no -ffast-math and no -march
+FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+# chaos_fill(map, r, ar, b, state, skip, xs, ys, n) -> long long
+_ARGTYPES = [ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+             ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p,
+             ctypes.c_longlong]
+
+
+def _sha256(data: bytes) -> str:
+    # CPython's own SHA-256 module first: importing hashlib loads OpenSSL,
+    # which alone costs every process more than the rest of the lookup
+    for module in ("_sha2", "_sha256"):
+        with contextlib.suppress(ImportError):
+            return importlib.import_module(module).sha256(data).hexdigest()
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
+def _compiler() -> str | None:
+    return shutil.which("cc")
+
+
+def _cache_dirs() -> Iterator[Path]:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    yield Path(base, "chaosimg")
+    yield Path(tempfile.gettempdir(), f"chaosimg-{os.getuid()}")
+
+
+def _private(directory: Path) -> bool:
+    """Create `directory` if missing; True if it is a real directory owned
+    by this user with mode 0700."""
+    try:
+        directory.parent.mkdir(parents=True, exist_ok=True)
+        with contextlib.suppress(FileExistsError):
+            directory.mkdir(mode=0o700)
+        st = os.lstat(directory)
+    except OSError:
+        return False
+    return (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
+            and stat.S_IMODE(st.st_mode) == 0o700)
+
+
+def _build(source: bytes, target: Path) -> bool:
+    cc = _compiler()
+    if cc is None:
+        return False
+    import subprocess
+
+    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=target.parent)
+    os.close(fd)
+    try:
+        done = subprocess.run([cc, *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                              input=source, capture_output=True, timeout=120)
+        if done.returncode != 0:
+            return False
+        os.replace(tmp, target)
+        return True
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
+@functools.cache
+def fill_function():
+    """The kernel's `chaos_fill` as a ctypes function, or None if the
+    kernel cannot be built or loaded here."""
+    if not hasattr(os, "getuid"):
+        return None
+    import sysconfig
+
+    try:
+        source = SOURCE.read_bytes()
+    except OSError:
+        return None
+    tag = _sha256(b"\0".join(
+        [source, " ".join(FLAGS).encode(), sysconfig.get_platform().encode()]
+    ))
+    directory = next(filter(_private, _cache_dirs()), None)
+    if directory is None:
+        return None
+    path = directory / f"kernel-{tag[:32]}.so"
+    if not path.exists() and not _build(source, path):
+        return None
+    try:
+        fn = ctypes.CDLL(str(path)).chaos_fill
+    except (OSError, AttributeError):
+        return None
+    fn.restype, fn.argtypes = ctypes.c_longlong, _ARGTYPES
+    return fn

@@ -12,16 +12,18 @@ by construction and y enters only through the 2*pi-periodic cosine).
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import math
 from collections import deque
-from collections.abc import Generator, Iterator
+from collections.abc import Generator
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
 
+from . import kernel
 from .errors import DivergenceError, InvalidStateError
 
 TWO_PI = 2.0 * math.pi
@@ -83,7 +85,8 @@ def orbit(
 ) -> Generator[tuple[float, float], tuple[float, float] | None, None]:
     """Successive states of the selected map after (x, y), without end.
 
-    The one place either map formula is written. Sending a state restarts
+    The reference definition of both maps: `_kernel.c` repeats them in C
+    and is tested bit for bit against this oracle. Sending a state restarts
     the orbit from it, so `g.send(s)` returns the state after `s`. Raises
     DivergenceError(i) when a state becomes non-finite, `i` counting the
     iterations since the last (re)start.
@@ -105,23 +108,64 @@ def orbit(
             (x, y), i = sent, 0
 
 
-def post_transient(params: MapParams) -> Iterator[tuple[float, float]]:
-    """The orbit from (x0, y0) with its first `transient` states consumed."""
-    states = orbit(params, params.x0, params.y0)
-    deque(islice(states, params.transient), maxlen=0)
-    return states
+def fill(
+    params: MapParams,
+    state: tuple[float, float],
+    xs: np.ndarray,
+    ys: np.ndarray | None = None,
+    skip: int = 0,
+    start: int = 0,
+) -> tuple[float, float]:
+    """Iterate the map from `state`, discard `skip` states, and write the x
+    (and, if `ys` is given, the y) of the next len(xs) states into the
+    buffers. Returns the last state, from which a further fill continues.
+
+    The buffers are writeable C-contiguous float64 arrays of equal length
+    >= 1, and `skip + len(xs)` is below 2**63. Runs the compiled kernel when it is available and `orbit`
+    otherwise; both give the same bytes. Raises DivergenceError(start + i)
+    when iteration i after `state` is non-finite, so a caller that resumes
+    an orbit passes the number of iterations already made as `start`.
+    """
+    if len(xs) < 1 or (ys is not None and len(ys) != len(xs)):
+        raise ValueError("fill needs buffers of equal length >= 1")
+    if not 0 <= skip < 2**63 - len(xs):  # the kernel counts in 64 bits
+        raise ValueError(f"transient or skip out of range: {skip}")
+    fn = kernel.fill_function()
+    if fn is None:
+        try:
+            return _fill_orbit(params, state, xs, ys, skip)
+        except DivergenceError as exc:
+            raise DivergenceError(start + exc.iteration) from None
+    last = (ctypes.c_double * 2)(*state)
+    map_number = 1 if params.map_id is MapId.MAP1 else 2
+    bad = fn(map_number, params.r, params.a * params.r, params.b, last, skip,
+             _address(xs), None if ys is None else _address(ys), len(xs))
+    if bad >= 0:
+        raise DivergenceError(start + bad)
+    return last[0], last[1]
 
 
-def draw(states: Iterator[tuple[float, float]], length: int) -> ChaoticSequence:
-    """The next `length` states of an orbit."""
-    flat = chain.from_iterable(islice(states, length))
-    xy = np.fromiter(flat, float, 2 * length).reshape(length, 2)
-    return ChaoticSequence(xs=xy[:, 0], ys=xy[:, 1])
+def _address(buf: np.ndarray) -> int:
+    if buf.dtype != np.float64 or not (buf.flags.c_contiguous and buf.flags.writeable):
+        raise ValueError("fill buffers must be writeable C-contiguous float64 arrays")
+    return buf.ctypes.data
 
 
-def draw_xs(states: Iterator[tuple[float, float]], length: int) -> np.ndarray:
-    """The x of the next `length` states of an orbit; y is not stored."""
-    return np.fromiter(map(itemgetter(0), islice(states, length)), float, length)
+def _fill_orbit(params, state, xs, ys, skip) -> tuple[float, float]:
+    """`fill` in Python: the kernel's oracle and its fallback."""
+    states = orbit(params, *state)
+    deque(islice(states, skip), maxlen=0)
+    n = len(xs) - 1  # the last state is drawn on its own, to return it
+    if ys is None:
+        xs[:n] = np.fromiter(map(itemgetter(0), islice(states, n)), float, n)
+    else:
+        xy = np.fromiter(chain.from_iterable(islice(states, n)), float, 2 * n)
+        xs[:n], ys[:n] = xy[0::2], xy[1::2]
+    x, y = next(states)
+    xs[n] = x
+    if ys is not None:
+        ys[n] = y
+    return x, y
 
 
 def step(state: tuple[float, float], params: MapParams) -> tuple[float, float]:
@@ -142,7 +186,9 @@ def generate_sequence(params: MapParams, length: int) -> ChaoticSequence:
     """
     if length < 1:
         raise ValueError("length must be >= 1")
-    return draw(post_transient(params), length)
+    xs, ys = np.empty(length), np.empty(length)
+    fill(params, (params.x0, params.y0), xs, ys, skip=params.transient)
+    return ChaoticSequence(xs=xs, ys=ys)
 
 
 def quantize_to_bytes(values) -> np.ndarray:
@@ -160,10 +206,19 @@ def quantize_to_bytes(values) -> np.ndarray:
 
 
 def permutation_from_sequence(values) -> np.ndarray:
-    """Index permutation that sorts `values` ascending, ties kept stable."""
+    """Index permutation that sorts `values` ascending, ties kept stable.
+
+    Without ties the ascending order is unique, so the faster unstable sort
+    gives the same permutation; the stable sort runs only when the sorted
+    values hold an equal neighbour pair.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("empty input")
     if not np.all(np.isfinite(arr)):
         raise InvalidStateError("non-finite value in permutation input")
-    return np.argsort(arr, kind="stable")
+    perm = np.argsort(arr)
+    ordered = arr[perm]
+    if np.any(ordered[1:] == ordered[:-1]):
+        perm = np.argsort(arr, kind="stable")
+    return perm

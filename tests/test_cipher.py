@@ -6,6 +6,7 @@ import pytest
 from chaosimg.analysis import lyapunov_exponent
 from chaosimg.cipher import (
     CipherEnvelope,
+    HalfSchedule,
     ImageDims,
     KeyMaterial,
     PlainImage,
@@ -199,6 +200,16 @@ class TestKeySchedule:
         assert np.array_equal(a1.xor1, b1.xor1)
         assert np.array_equal(a2.xor2, b2.xor2)
         assert np.array_equal(a1.perm1, b1.perm1)
+
+    def test_permutations_checked_and_read_only(self):
+        half, _ = build_key_schedule(default_keys(), 8)
+        for perm in (half.perm1, *half.reperms):
+            assert not perm.flags.writeable
+        bad = np.array([0, 0, 1, 2, 3, 4, 5, 6])
+        with pytest.raises(PermutationError):
+            HalfSchedule(half.xor1, half.xor2, half.perm1, (half.perm1, bad, half.perm1))
+        with pytest.raises(PermutationError):
+            HalfSchedule(half.xor1, half.xor2, half.perm1[:4], half.reperms)
 
     def test_seed_sensitivity(self):
         keys = default_keys()

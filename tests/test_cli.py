@@ -89,6 +89,14 @@ class TestEncryptDecryptCommands:
         assert code == 2
         assert "utf-8" in capsys.readouterr().err
 
+    def test_transient_beyond_64_bits_exit_2(self, tmp_path, golden_pgm, capsys):
+        p = tmp_path / "k.txt"
+        p.write_text(DEFAULT_KEY_TEXT.replace("transient=1000", f"transient={2**64}"))
+        code = main(["encrypt", "--key", str(p), "--in", str(golden_pgm),
+                     "--out", str(tmp_path / "c.cse")])
+        assert code == 2
+        assert "transient" in capsys.readouterr().err
+
     def test_deterministic_output(self, tmp_path, keyfile, golden_pgm):
         out1, out2 = tmp_path / "c1.cse", tmp_path / "c2.cse"
         main(["encrypt", "--key", str(keyfile), "--in", str(golden_pgm), "--out", str(out1)])
@@ -182,6 +190,25 @@ class TestAnalyzeCommand:
                      "--r-max", "2", "--r-step", "0", "--out", str(tmp_path / "b.csv")])
         assert code == 2
 
+    def test_bifurcate_too_large_exit_2(self, tmp_path, capsys):
+        # 2e16 r values: refused before the grid is allocated
+        out = tmp_path / "b.csv"
+        code = main(["analyze", "bifurcate", "--map", "1", "--r-min", "0",
+                     "--r-max", "20", "--r-step", "1e-15", "--samples", "10",
+                     "--out", str(out)])
+        assert code == 2
+        assert "limit is 10,000,000" in capsys.readouterr().err
+        assert not out.exists()
+        code = main(["analyze", "bifurcate", "--map", "1", "--r-min", "0",
+                     "--r-max", "1", "--r-step", "1", "--samples", "5000001",
+                     "--out", str(out)])
+        assert code == 2
+        # (r_max - r_min) / r_step overflows to inf
+        code = main(["analyze", "bifurcate", "--map", "1", "--r-min=-1e308",
+                     "--r-max", "1e308", "--r-step", "1", "--samples", "1",
+                     "--out", str(out)])
+        assert code == 2
+
     def test_lyapunov_positive_at_r17(self, tmp_path):
         out = tmp_path / "l.csv"
         code = main(["analyze", "lyapunov", "--map", "1", "--r", "17.0",
@@ -207,6 +234,14 @@ class TestAnalyzeCommand:
         assert code == 0
         rows = list(csv.reader(out.open()))
         assert rows[0] == ["x", "y"] and len(rows) == 11
+
+    def test_phase_too_large_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        code = main(["analyze", "phase", "--map", "2", "--count", "5000001",
+                     "--out", str(out)])
+        assert code == 2
+        assert "limit is 10,000,000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_histogram_of_encrypted_image(self, tmp_path, keyfile):
         rng = np.random.default_rng(22)

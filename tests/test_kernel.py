@@ -1,0 +1,157 @@
+"""The compiled map kernel against its pure-Python oracle, `maps.orbit`."""
+
+import hashlib
+import os
+import shutil
+import stat
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chaosimg import kernel, maps
+from chaosimg.cipher import KeyMaterial, PlainImage, build_key_schedule, default_keys, encrypt
+from chaosimg.errors import DivergenceError
+from chaosimg.maps import MapId, MapParams, default_map2, fill, orbit
+from test_cipher import GOLDEN_DIGESTS, GOLDEN_IMAGES, GOLDEN_KEY_SETS, golden_keys
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    if kernel.fill_function() is None:
+        pytest.skip("the kernel cannot be built here")
+
+
+@pytest.fixture
+def python_only(monkeypatch, tmp_path):
+    """No compiler and an empty cache: `fill` runs on `orbit`."""
+    monkeypatch.setattr(kernel, "_compiler", lambda: None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    kernel.fill_function.cache_clear()
+    assert kernel.fill_function() is None
+    yield
+    kernel.fill_function.cache_clear()
+
+
+def outcome(run, params, transient, length, with_ys):
+    """Buffers and last state as bytes, or the divergence index."""
+    xs = np.empty(length)
+    ys = np.empty(length) if with_ys else None
+    try:
+        last = run(params, (params.x0, params.y0), xs, ys, transient)
+    except DivergenceError as exc:
+        return ("diverged", exc.iteration)
+    return xs.tobytes(), ys.tobytes() if with_ys else None, np.array(last).tobytes()
+
+
+moderate = st.floats(-100, 100)
+finite = st.one_of(moderate, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    map_id=st.sampled_from(MapId),
+    r=finite, a=finite, b=finite, x0=finite, y0=finite,
+    transient=st.integers(0, 50),
+    length=st.integers(1, 2000),
+    with_ys=st.booleans(),
+)
+def test_kernel_matches_oracle(compiled, map_id, r, a, b, x0, y0, transient, length, with_ys):
+    params = MapParams(map_id, r, a=a, b=b, x0=x0, y0=y0, transient=transient)
+    assert outcome(fill, params, transient, length, with_ys) == outcome(
+        maps._fill_orbit, params, transient, length, with_ys
+    )
+
+
+def test_default_orbits_match_oracle(compiled):
+    for params in (maps.default_map1(), default_map2()):
+        a = outcome(fill, params, params.transient, 20000, True)
+        assert a == outcome(maps._fill_orbit, params, params.transient, 20000, True)
+
+
+def first_divergence(params):
+    states = orbit(params, params.x0, params.y0)
+    i = 0
+    try:
+        while True:
+            next(states)
+            i += 1
+    except DivergenceError as exc:
+        assert exc.iteration == i
+        return i
+
+
+# (r, transient, half_len): Map 1 at r = 1e308 diverges at iteration 2 and
+# at r = 1e307 at iteration 253, here in segment 1, in the transient, and in
+# re-permutation segments 2, 3 and 4
+DIVERGING = [
+    (1e308, 0, 5), (1e308, 5, 4), (1e308, 0, 2), (1e308, 0, 1), (1e307, 0, 64),
+    (1e307, 100, 60),
+]
+
+
+@pytest.mark.parametrize("path", ["compiled", "python_only"])
+@pytest.mark.parametrize("r, transient, half_len", DIVERGING)
+def test_divergence_index_counts_from_seed(request, path, r, transient, half_len):
+    request.getfixturevalue(path)
+    params = MapParams(MapId.MAP1, r, transient=transient)
+    keys = KeyMaterial(map1=params, map2=default_map2())
+    with pytest.raises(DivergenceError) as info:
+        build_key_schedule(keys, half_len)
+    assert info.value.iteration == first_divergence(params)
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
+def test_fallback_reproduces_golden_digests(python_only, name):
+    image, key_set = name.split("/")
+    keys = default_keys() if key_set == "default" else golden_keys(GOLDEN_KEY_SETS[key_set])
+    env = encrypt(PlainImage.from_array(GOLDEN_IMAGES[image]()), keys)
+    assert hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+def test_kernel_active_when_a_compiler_is_on_path():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert kernel.fill_function() is not None
+
+
+def test_cache_is_private_and_reused(compiled, monkeypatch, tmp_path):
+    shared = tmp_path / "xdg" / "chaosimg"
+    shared.mkdir(parents=True, mode=0o755)
+    shared.chmod(0o755)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(shared.parent))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    try:
+        kernel.fill_function.cache_clear()
+        assert kernel.fill_function() is not None  # built in the fallback dir
+        assert list(shared.iterdir()) == []
+        private = tmp_path / "tmp" / f"chaosimg-{os.getuid()}"
+        assert stat.S_IMODE(private.stat().st_mode) == 0o700
+        [lib] = private.iterdir()  # no temporary file left behind
+        assert lib.name.startswith("kernel-") and lib.suffix == ".so"
+        monkeypatch.setattr(kernel, "_compiler", lambda: None)
+        kernel.fill_function.cache_clear()
+        assert kernel.fill_function() is not None  # loaded, not built
+    finally:
+        kernel.fill_function.cache_clear()
+
+
+def test_sha256_matches_hashlib():
+    assert kernel._sha256(b"chaos") == hashlib.sha256(b"chaos").hexdigest()
+
+
+def test_fill_rejects_bad_arguments(compiled):
+    params = default_map2()
+    for skip in (-1, 2**63, 2**64 + 5):  # 2**64 + 5 would wrap to 5 in C
+        with pytest.raises(ValueError):
+            fill(params, (0.1, 0.1), np.empty(4), skip=skip)
+    with pytest.raises(ValueError):
+        fill(params, (0.1, 0.1), np.empty(0))
+    with pytest.raises(ValueError):
+        fill(params, (0.1, 0.1), np.empty(4), np.empty(3))
+    with pytest.raises(ValueError):
+        fill(params, (0.1, 0.1), np.empty(8)[::2])
+    with pytest.raises(ValueError):
+        fill(params, (0.1, 0.1), np.empty(4, dtype=np.float32))

@@ -175,6 +175,13 @@ class TestPermutationFromSequence:
         assert sorted(perm) == list(range(1000))
         assert np.all(np.diff(vals[perm]) >= 0)
 
+    def test_ties_take_the_stable_order(self):
+        rng = np.random.default_rng(10)
+        for vals in (rng.integers(0, 50, 5000).astype(float),
+                     np.array([0.0, -0.0] * 100), rng.uniform(-1, 1, 5000)):
+            assert np.array_equal(permutation_from_sequence(vals),
+                                  np.argsort(vals, kind="stable"))
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             permutation_from_sequence([])
