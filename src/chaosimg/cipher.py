@@ -1,11 +1,16 @@
-"""Split-half permutation-diffusion cipher over a flattened image byte vector.
+"""Permutation-diffusion cipher over a flattened image byte vector.
 
-Encryption pipeline (each half is driven by its own map):
-  flatten (column-major, channel-planar) -> split into halves P1/P2
-  -> XOR with the x-derived keystream -> permute with argsort of x
-  -> swap the halves (keys stay with their slot) -> XOR with the y-derived
-  keystream -> three further re-permutations -> concatenate.
-Decryption is the exact mirror and restores the plain image byte-for-byte.
+The image is flattened (column-major, channel-planar) and zero-padded to an
+even length 2N. Map 1 drives slot 0 (the first N bytes) and Map 2 slot 1;
+the key schedule lays both maps' keys out over the whole vector, so that
+encryption is one chain:
+
+    v = ((v ^ X1)[P0] ^ X2)[P1][P2][P3]
+
+X1 and X2 are the x- and y-derived keystreams, and P0..P3 gather from the
+whole vector. P0 carries the half swap of the split-half scheme: each slot
+gathers through the other map's first argsort, from the other slot.
+Decryption is the scatter mirror and restores the plain image byte-for-byte.
 """
 
 from __future__ import annotations
@@ -86,34 +91,19 @@ def default_keys() -> KeyMaterial:
 
 
 @dataclass(frozen=True)
-class HalfSchedule:
-    """Key material for one half-slot: two keystreams and four permutations.
-
-    Each permutation is checked here, once, and made read-only, so that
-    encrypt and decrypt can apply them without checking again.
-    """
-
-    xor1: np.ndarray
-    xor2: np.ndarray
-    perm1: np.ndarray
-    reperms: tuple  # three PermutationVectors applied in order
-
-    def __post_init__(self):
-        for perm in (self.perm1, *self.reperms):
-            _check_perm(self.xor1, perm).flags.writeable = False
-
-
-@dataclass(frozen=True)
 class CipherEnvelope:
     dims: ImageDims
     pad: int
     body: bytes
 
     def __post_init__(self):
-        if self.pad not in (0, 1):
-            raise MalformedEnvelopeError(f"pad must be 0 or 1, got {self.pad}")
-        if len(self.body) != self.dims.pixel_count + self.pad:
-            raise MalformedEnvelopeError("body length does not match dims + pad")
+        count = self.dims.pixel_count
+        if self.pad != count % 2:
+            raise MalformedEnvelopeError(f"pad {self.pad} is wrong for {count} pixels")
+        if len(self.body) != count + self.pad:
+            raise MalformedEnvelopeError(
+                f"body length {len(self.body)} != expected {count + self.pad}"
+            )
 
     def to_bytes(self) -> bytes:
         d = self.dims
@@ -133,15 +123,7 @@ class CipherEnvelope:
             raise MalformedEnvelopeError(f"unsupported version {version}")
         if depth not in (1, 3):
             raise MalformedEnvelopeError(f"bad depth byte {depth}")
-        if pad not in (0, 1):
-            raise MalformedEnvelopeError(f"bad pad byte {pad}")
-        body = data[_HEADER.size:]
-        expected = depth * height * width + pad
-        if len(body) != expected:
-            raise MalformedEnvelopeError(
-                f"body length {len(body)} != expected {expected}"
-            )
-        return cls(dims=ImageDims(depth, height, width), pad=pad, body=bytes(body))
+        return cls(dims=ImageDims(depth, height, width), pad=pad, body=bytes(data[_HEADER.size:]))
 
 
 def flatten(image: PlainImage) -> np.ndarray:
@@ -154,18 +136,6 @@ def unflatten(vec: np.ndarray, dims: ImageDims) -> PlainImage:
     return PlainImage(dims=dims, pixels=px.transpose(0, 2, 1))
 
 
-def split_halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Split into equal halves, zero-padding one byte if the length is odd."""
-    v = np.asarray(v, dtype=np.uint8)
-    if v.size == 0:
-        raise ValueError("empty input vector")
-    pad = v.size % 2
-    if pad:
-        v = np.concatenate([v, np.zeros(1, dtype=np.uint8)])
-    half = v.size // 2
-    return v[:half].copy(), v[half:].copy(), pad
-
-
 def diffuse_xor(data: np.ndarray, keystream: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=np.uint8)
     keystream = np.asarray(keystream, dtype=np.uint8)
@@ -176,101 +146,120 @@ def diffuse_xor(data: np.ndarray, keystream: np.ndarray) -> np.ndarray:
     return data ^ keystream
 
 
-def _check_perm(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    perm = np.asarray(perm)
-    if perm.size != data.size:
-        raise PermutationError(
-            f"length mismatch: data {data.size}, perm {perm.size}"
-        )
-    seen = np.zeros(perm.size, dtype=bool)
-    if perm.size and (perm.min() < 0 or perm.max() >= perm.size):
-        raise PermutationError("permutation index out of range")
-    seen[perm] = True
+def _check_perm(size: int, parts) -> tuple:
+    """Check that the index arrays `parts`, laid end to end, are a bijection
+    over range(size), and return them as arrays."""
+    parts = tuple(np.asarray(p) for p in parts)
+    length = sum(p.size for p in parts)
+    if length != size:
+        raise PermutationError(f"length mismatch: data {size}, perm {length}")
+    seen = np.zeros(size, dtype=bool)
+    for p in parts:
+        if p.size and (p.min() < 0 or p.max() >= size):
+            raise PermutationError("permutation index out of range")
+        seen[p] = True
     if not seen.all():
         raise PermutationError("permutation is not a bijection")
-    return perm
+    return parts
 
 
-def _scatter(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
+def _gather(data: np.ndarray, parts) -> np.ndarray:
+    """data[parts[0]], data[parts[1]], ... laid end to end."""
+    return np.concatenate([data[p] for p in parts])
+
+
+def _scatter(data: np.ndarray, parts) -> np.ndarray:
+    """Inverse of _gather: each part receives the next run of data."""
     out = np.empty_like(data)
-    out[perm] = data
+    start = 0
+    for p in parts:
+        out[p] = data[start:start + p.size]
+        start += p.size
     return out
 
 
 def permute(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Gather: out[i] = data[perm[i]]."""
     data = np.asarray(data, dtype=np.uint8)
-    return data[_check_perm(data, perm)]
+    return _gather(data, _check_perm(data.size, (perm,)))
 
 
 def inverse_permute(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Scatter: out[perm[i]] = data[i]; inverse of permute."""
     data = np.asarray(data, dtype=np.uint8)
-    return _scatter(data, _check_perm(data, perm))
+    return _scatter(data, _check_perm(data.size, (perm,)))
 
 
-def _half_schedule(params: MapParams, half_len: int) -> HalfSchedule:
-    # one continuous post-transient run of 4*half_len iterates, filled one
-    # segment at a time into the same buffer:
-    # segment 1 -> keystreams + first permutation (x and y),
-    # segments 2-4 -> re-perms (x only)
-    xs, ys = np.empty(half_len), np.empty(half_len)
-    state = fill(params, (params.x0, params.y0), xs, ys, skip=params.transient)
-    xor1, xor2 = quantize_to_bytes(xs), quantize_to_bytes(ys)
-    del ys
-    perms = [permutation_from_sequence(xs)]
-    for k in range(1, 4):
-        state = fill(params, state, xs, start=params.transient + k * half_len)
-        perms.append(permutation_from_sequence(xs))
-    return HalfSchedule(xor1=xor1, xor2=xor2, perm1=perms[0], reperms=tuple(perms[1:]))
+@dataclass(frozen=True)
+class KeySchedule:
+    """Key material for a padded vector of 2N bytes.
+
+    `xor1` and `xor2` are keystreams of 2N bytes: Map 1's in slot 0 (the
+    first N bytes), Map 2's in slot 1. `perms` holds P0..P3, each a pair of
+    per-slot index arrays that gather from the whole vector. Each
+    permutation is checked here, once, as a bijection over 2N and made
+    read-only, so that encrypt and decrypt apply them without checking again.
+    """
+
+    xor1: np.ndarray
+    xor2: np.ndarray
+    perms: tuple
+
+    def __post_init__(self):
+        for perm in self.perms:
+            for part in _check_perm(self.xor1.size, perm):
+                part.flags.writeable = False
 
 
-def build_key_schedule(
-    keys: KeyMaterial, half_len: int
-) -> tuple[HalfSchedule, HalfSchedule]:
-    """Schedules of the two half-slots: Map 1 drives the first, Map 2 the second."""
+def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
+    """The schedule of a padded vector of 2 * half_len bytes.
+
+    Each map makes one continuous post-transient run of 4 * half_len
+    iterates, filled one segment at a time into the same buffer. Segment 1
+    gives the map's slot of both keystreams (x and y) and its first argsort;
+    segments 2-4 (x only) give its re-permutations. The half swap is folded
+    into P0: slot 0 gathers through Map 2's first argsort from slot 1, and
+    slot 1 through Map 1's from slot 0.
+    """
     if half_len < 1:
         raise ValueError("half_len must be >= 1")
-    return _half_schedule(keys.map1, half_len), _half_schedule(keys.map2, half_len)
+    n = half_len
+    xor1, xor2 = np.empty(2 * n, dtype=np.uint8), np.empty(2 * n, dtype=np.uint8)
+    sorts = []
+    for slot, params in enumerate((keys.map1, keys.map2)):
+        xs, ys = np.empty(n), np.empty(n)
+        state = fill(params, (params.x0, params.y0), xs, ys, skip=params.transient)
+        xor1[slot * n:(slot + 1) * n] = quantize_to_bytes(xs)
+        xor2[slot * n:(slot + 1) * n] = quantize_to_bytes(ys)
+        del ys
+        sorts.append([permutation_from_sequence(xs)])
+        for k in range(1, 4):
+            state = fill(params, state, xs, start=params.transient + k * n)
+            sorts[slot].append(permutation_from_sequence(xs))
+    (a0, *a), (b0, *b) = sorts
+    for perm in (b0, *b):
+        perm += n  # Map 2's argsorts index slot 1
+    return KeySchedule(xor1=xor1, xor2=xor2, perms=((b0, a0), *zip(a, b)))
 
 
 def encrypt(image: PlainImage, keys: KeyMaterial) -> CipherEnvelope:
-    p1, p2, pad = split_halves(flatten(image))
-    s1, s2 = build_key_schedule(keys, p1.size)
-
-    d1 = diffuse_xor(p1, s1.xor1)
-    d2 = diffuse_xor(p2, s2.xor1)
-    q1 = d1[s1.perm1]
-    q2 = d2[s2.perm1]
-    # swap moves the data between slots; each slot keeps its own map's keys
-    c1 = diffuse_xor(q2, s1.xor2)
-    c2 = diffuse_xor(q1, s2.xor2)
-    for k in range(3):
-        c1 = c1[s1.reperms[k]]
-        c2 = c2[s2.reperms[k]]
-    body = np.concatenate([c1, c2]).tobytes()
-    return CipherEnvelope(dims=image.dims, pad=pad, body=body)
+    flat = flatten(image)
+    pad = flat.size % 2
+    v = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)])
+    s = build_key_schedule(keys, v.size // 2)
+    v = diffuse_xor(_gather(diffuse_xor(v, s.xor1), s.perms[0]), s.xor2)
+    for perm in s.perms[1:]:
+        v = _gather(v, perm)
+    return CipherEnvelope(dims=image.dims, pad=pad, body=v.tobytes())
 
 
 def decrypt(envelope: CipherEnvelope, keys: KeyMaterial) -> PlainImage:
-    body = np.frombuffer(envelope.body, dtype=np.uint8)
-    if body.size != envelope.dims.pixel_count + envelope.pad or body.size % 2:
-        raise MalformedEnvelopeError("body length inconsistent with dims and pad")
-    half = body.size // 2
-    s1, s2 = build_key_schedule(keys, half)
-
-    c1, c2 = body[:half], body[half:]
-    for k in (2, 1, 0):
-        c1 = _scatter(c1, s1.reperms[k])
-        c2 = _scatter(c2, s2.reperms[k])
-    q2 = diffuse_xor(c1, s1.xor2)
-    q1 = diffuse_xor(c2, s2.xor2)
-    p1 = diffuse_xor(_scatter(q1, s1.perm1), s1.xor1)
-    p2 = diffuse_xor(_scatter(q2, s2.perm1), s2.xor1)
-    vec = np.concatenate([p1, p2])
-    if envelope.pad:
-        vec = vec[:-1]
-    return unflatten(vec, envelope.dims)
+    v = np.frombuffer(envelope.body, dtype=np.uint8)
+    s = build_key_schedule(keys, v.size // 2)
+    for perm in reversed(s.perms[1:]):
+        v = _scatter(v, perm)
+    v = diffuse_xor(_scatter(diffuse_xor(v, s.xor2), s.perms[0]), s.xor1)
+    return unflatten(v[:envelope.dims.pixel_count], envelope.dims)
 
 
 def perturbed(params: MapParams, field: str, delta: float = 1e-10) -> MapParams:

@@ -15,16 +15,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from . import analysis, netpbm
 from .cipher import CipherEnvelope, decrypt, encrypt
 from .errors import ChaosImgError, KeyFileError
 from .keyfile import load_key_file
-from .maps import MapId, MapParams
+from .maps import MapParams, default_map1, default_map2
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
+_MAP_FLOATS = ("r", "a", "b", "x0", "y0")  # MapParams fields settable by flag
 
 
 def _fail(message: str, code: int) -> int:
@@ -61,23 +63,17 @@ def _cmd_metrics(args) -> None:
 
 
 def _map_params(args) -> MapParams:
-    map_id = MapId.MAP1 if args.map == 1 else MapId.MAP2
-    return MapParams(
-        map_id=map_id,
-        r=args.r if args.r is not None else (17.0 if map_id is MapId.MAP1 else 2.35),
-        a=args.a,
-        b=args.b,
-        x0=args.x0,
-        y0=args.y0,
-        transient=args.transient,
-    )
+    params = default_map1() if args.map == 1 else default_map2()
+    given = {k: getattr(args, k) for k in (*_MAP_FLOATS, "transient")}
+    return replace(params, **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_analyze(args) -> None:
     if args.analysis == "bifurcate":
+        params = _map_params(args)
         sweep = analysis.bifurcation_sweep(
-            _map_params(args), args.r_min, args.r_max, args.r_step,
-            transient=args.transient, samples=args.samples,
+            params, args.r_min, args.r_max, args.r_step,
+            transient=params.transient, samples=args.samples,
         )
         analysis.write_bifurcation_csv(args.out, sweep)
     elif args.analysis == "lyapunov":
@@ -94,13 +90,11 @@ def _cmd_analyze(args) -> None:
 
 
 def _add_map_flags(parser: argparse.ArgumentParser) -> None:
+    """Map selection; an omitted parameter keeps the map's default."""
     parser.add_argument("--map", type=int, choices=(1, 2), default=1)
-    parser.add_argument("--r", type=float, default=None)
-    parser.add_argument("--a", type=float, default=0.5)
-    parser.add_argument("--b", type=float, default=0.3)
-    parser.add_argument("--x0", type=float, default=0.1)
-    parser.add_argument("--y0", type=float, default=0.1)
-    parser.add_argument("--transient", type=int, default=1000)
+    for name in _MAP_FLOATS:
+        parser.add_argument(f"--{name}", type=float)
+    parser.add_argument("--transient", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -60,27 +60,16 @@ def parse_key_text(text: str) -> KeyMaterial:
         transient = int(values["transient"])
     except ValueError:
         raise KeyFileError(f"key 'transient': not an integer: {values['transient']!r}")
-    if transient < 0:
-        raise KeyFileError("key 'transient': must be non-negative")
 
-    return KeyMaterial(
-        map1=MapParams(
-            map_id=MapId.MAP1,
-            r=parsed["map1.r"],
-            x0=parsed["map1.x0"],
-            y0=parsed["map1.y0"],
-            transient=transient,
-        ),
-        map2=MapParams(
-            map_id=MapId.MAP2,
-            r=parsed["map2.r"],
-            a=parsed["map2.a"],
-            b=parsed["map2.b"],
-            x0=parsed["map2.x0"],
-            y0=parsed["map2.y0"],
-            transient=transient,
-        ),
-    )
+    def map_params(map_id: MapId) -> MapParams:
+        prefix = f"map{map_id.value}."
+        fields = {k[len(prefix):]: v for k, v in parsed.items() if k.startswith(prefix)}
+        return MapParams(map_id, transient=transient, **fields)
+
+    try:  # MapParams bounds the transient
+        return KeyMaterial(map1=map_params(MapId.MAP1), map2=map_params(MapId.MAP2))
+    except ValueError as exc:
+        raise KeyFileError(str(exc)) from None
 
 
 def load_key_file(path) -> KeyMaterial:

@@ -27,6 +27,7 @@ from . import kernel
 from .errors import DivergenceError, InvalidStateError
 
 TWO_PI = 2.0 * math.pi
+MAX_TRANSIENT = 10_000_000  # bounds the burn-in work an untrusted key can ask for
 
 
 class MapId(enum.Enum):
@@ -40,7 +41,7 @@ class MapParams:
 
     `a` and `b` are Map 2 parameters and are ignored by Map 1.
     `transient` is the number of burn-in iterations discarded before any
-    output is drawn.
+    output is drawn, at most MAX_TRANSIENT.
     """
 
     map_id: MapId
@@ -52,8 +53,10 @@ class MapParams:
     transient: int = 1000
 
     def __post_init__(self):
-        if self.transient < 0:
-            raise ValueError("transient must be non-negative")
+        if not 0 <= self.transient <= MAX_TRANSIENT:
+            raise ValueError(
+                f"transient must be in [0, {MAX_TRANSIENT:,}], got {self.transient}"
+            )
         for name in ("r", "a", "b", "x0", "y0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"parameter {name} must be finite")
@@ -195,14 +198,22 @@ def quantize_to_bytes(values) -> np.ndarray:
     """Map reals to bytes: mod(round(1e12 * v), 256).
 
     Round is half-away-from-zero and the modulo is mathematical (result in
-    [0, 256)), so e.g. -1e-12 quantizes to 255.
+    [0, 256)), so e.g. -1e-12 quantizes to 255. From |1e12 * v| >= 2**61 on,
+    every float is a multiple of 512 and so quantizes to 0; a product that
+    overflows to inf does too.
     """
     arr = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InvalidStateError("non-finite value in quantizer input")
-    scaled = arr * 1e12
-    rounded = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    return (rounded % 256.0).astype(np.uint8)
+    out = np.abs(arr, out=np.empty_like(arr))
+    with np.errstate(over="ignore"):
+        out *= 1e12
+    out += 0.5
+    np.floor(out, out=out)
+    out[out >= 2.0**61] = 0.0
+    np.copysign(out, arr, out=out)
+    np.remainder(out, 256.0, out=out)
+    return out.astype(np.uint8)
 
 
 def permutation_from_sequence(values) -> np.ndarray:

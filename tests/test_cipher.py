@@ -1,14 +1,17 @@
 import hashlib
+from collections import namedtuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaosimg.analysis import lyapunov_exponent
 from chaosimg.cipher import (
     CipherEnvelope,
-    HalfSchedule,
     ImageDims,
     KeyMaterial,
+    KeySchedule,
     PlainImage,
     build_key_schedule,
     decrypt,
@@ -19,15 +22,23 @@ from chaosimg.cipher import (
     inverse_permute,
     permute,
     perturbed,
-    split_halves,
     unflatten,
 )
 from chaosimg.errors import (
     DimensionError,
+    DivergenceError,
     MalformedEnvelopeError,
     PermutationError,
 )
-from chaosimg.maps import MapId, MapParams, default_map1, default_map2
+from chaosimg.maps import (
+    MapId,
+    MapParams,
+    default_map1,
+    default_map2,
+    fill,
+    permutation_from_sequence,
+    quantize_to_bytes,
+)
 from conftest import random_image
 
 # frozen from the straight-line hand-trace oracle (run before the build):
@@ -87,6 +98,72 @@ def golden_keys(spec):
 GOLDEN_IMAGES = {"gray256": gray256, "rgb512": rgb512, "gray64x48": gray64x48}
 
 
+Half = namedtuple("Half", "xor1 xor2 perm1 reperms")
+
+
+def reference_half(params, half_len):
+    """One half-slot's keys, as the split-half pipeline derived them."""
+    xs, ys = np.empty(half_len), np.empty(half_len)
+    state = fill(params, (params.x0, params.y0), xs, ys, skip=params.transient)
+    xor1, xor2 = quantize_to_bytes(xs), quantize_to_bytes(ys)
+    perms = [permutation_from_sequence(xs)]
+    for k in range(1, 4):
+        state = fill(params, state, xs, start=params.transient + k * half_len)
+        perms.append(permutation_from_sequence(xs))
+    return Half(xor1, xor2, perms[0], perms[1:])
+
+
+def reference_encrypt(image, keys):
+    """The split-half pipeline, each stage written once per half: the oracle
+    of the single-vector `encrypt`."""
+    v = flatten(image)
+    pad = v.size % 2
+    v = np.concatenate([v, np.zeros(pad, dtype=np.uint8)])
+    half = v.size // 2
+    p1, p2 = v[:half], v[half:]
+    s1 = reference_half(keys.map1, half)
+    s2 = reference_half(keys.map2, half)
+    q1 = (p1 ^ s1.xor1)[s1.perm1]
+    q2 = (p2 ^ s2.xor1)[s2.perm1]
+    # swap moves the data between slots; each slot keeps its own map's keys
+    c1 = q2 ^ s1.xor2
+    c2 = q1 ^ s2.xor2
+    for k in range(3):
+        c1 = c1[s1.reperms[k]]
+        c2 = c2[s2.reperms[k]]
+    body = np.concatenate([c1, c2]).tobytes()
+    return CipherEnvelope(dims=image.dims, pad=pad, body=body)
+
+
+finite = st.one_of(st.floats(-100, 100), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    depth=st.sampled_from([1, 3]),
+    height=st.integers(1, 17),
+    width=st.integers(1, 13),
+    seed=st.integers(0, 2**32 - 1),
+    map1=st.tuples(finite, finite, finite),
+    map2=st.tuples(finite, finite, finite, finite, finite),
+    transient=st.integers(0, 50),
+)
+def test_encrypt_matches_split_half_reference(depth, height, width, seed, map1, map2, transient):
+    rng = np.random.default_rng(seed)
+    img = PlainImage.from_array(rng.integers(0, 256, (depth, height, width), dtype=np.uint8))
+    keys = golden_keys((map1, map2, transient))
+    try:
+        expected = reference_encrypt(img, keys)
+    except DivergenceError as exc:
+        with pytest.raises(DivergenceError) as info:
+            encrypt(img, keys)
+        assert info.value.iteration == exc.iteration
+        return
+    env = encrypt(img, keys)
+    assert env.to_bytes() == expected.to_bytes()
+    assert np.array_equal(decrypt(env, keys).pixels, img.pixels)
+
+
 class TestFlatten:
     def test_column_major_2x2(self):
         img = PlainImage.from_array(GOLDEN_PLAIN)
@@ -111,21 +188,32 @@ class TestFlatten:
 
 
 class TestSplitHalves:
+    """The vector is zero-padded to an even length and split into two slots."""
+
+    def round_trip(self, row):
+        img = PlainImage.from_array(np.array([row], dtype=np.uint8))
+        env = encrypt(img, default_keys())
+        assert env.body == reference_encrypt(img, default_keys()).body
+        assert np.array_equal(decrypt(env, default_keys()).pixels, img.pixels)
+        return env
+
     def test_even(self):
-        p1, p2, pad = split_halves(np.array([1, 2, 3, 4], dtype=np.uint8))
-        assert list(p1) == [1, 2] and list(p2) == [3, 4] and pad == 0
+        env = self.round_trip([1, 2, 3, 4])
+        assert env.pad == 0 and len(env.body) == 4
 
     def test_odd_zero_pads(self):
-        p1, p2, pad = split_halves(np.array([1, 2, 3], dtype=np.uint8))
-        assert list(p1) == [1, 2] and list(p2) == [3, 0] and pad == 1
+        env = self.round_trip([1, 2, 3])
+        assert env.pad == 1 and len(env.body) == 4
 
     def test_single_byte(self):
-        p1, p2, pad = split_halves(np.array([9], dtype=np.uint8))
-        assert list(p1) == [9] and list(p2) == [0] and pad == 1
+        env = self.round_trip([9])
+        assert env.pad == 1 and len(env.body) == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            split_halves(np.array([], dtype=np.uint8))
+            build_key_schedule(default_keys(), 0)
+        with pytest.raises(DimensionError):
+            PlainImage.from_array(np.zeros((0, 0), dtype=np.uint8))
 
 
 class TestDiffuseXor:
@@ -187,36 +275,36 @@ class TestPermute:
 
 class TestKeySchedule:
     def test_structure(self):
-        for half in build_key_schedule(default_keys(), 8):
-            assert half.xor1.size == half.xor2.size == 8
-            assert sorted(half.perm1) == list(range(8))
-            assert len(half.reperms) == 3
-            for rp in half.reperms:
-                assert sorted(rp) == list(range(8))
+        s = build_key_schedule(default_keys(), 8)
+        assert s.xor1.size == s.xor2.size == 16
+        assert len(s.perms) == 4
+        for perm in s.perms:
+            assert sorted(np.concatenate(perm)) == list(range(16))
 
     def test_deterministic(self):
-        a1, a2 = build_key_schedule(default_keys(), 16)
-        b1, b2 = build_key_schedule(default_keys(), 16)
-        assert np.array_equal(a1.xor1, b1.xor1)
-        assert np.array_equal(a2.xor2, b2.xor2)
-        assert np.array_equal(a1.perm1, b1.perm1)
+        a = build_key_schedule(default_keys(), 16)
+        b = build_key_schedule(default_keys(), 16)
+        assert np.array_equal(a.xor1, b.xor1)
+        assert np.array_equal(a.xor2, b.xor2)
+        for pa, pb in zip(a.perms, b.perms):
+            assert np.array_equal(np.concatenate(pa), np.concatenate(pb))
 
     def test_permutations_checked_and_read_only(self):
-        half, _ = build_key_schedule(default_keys(), 8)
-        for perm in (half.perm1, *half.reperms):
-            assert not perm.flags.writeable
-        bad = np.array([0, 0, 1, 2, 3, 4, 5, 6])
+        s = build_key_schedule(default_keys(), 8)
+        for perm in s.perms:
+            assert not any(part.flags.writeable for part in perm)
+        bad = (np.array([0, 0, 1, 2, 3, 4, 5, 6]), s.perms[1][1])
         with pytest.raises(PermutationError):
-            HalfSchedule(half.xor1, half.xor2, half.perm1, (half.perm1, bad, half.perm1))
+            KeySchedule(s.xor1, s.xor2, (s.perms[0], bad, *s.perms[2:]))
         with pytest.raises(PermutationError):
-            HalfSchedule(half.xor1, half.xor2, half.perm1[:4], half.reperms)
+            KeySchedule(s.xor1, s.xor2, ((s.perms[0][0][:4], s.perms[0][1]), *s.perms[1:]))
 
     def test_seed_sensitivity(self):
         keys = default_keys()
         nudged = type(keys)(map1=perturbed(keys.map1, "x0"), map2=keys.map2)
-        a1, _ = build_key_schedule(keys, 4096)
-        b1, _ = build_key_schedule(nudged, 4096)
-        frac = np.mean(a1.xor1 != b1.xor1)
+        a = build_key_schedule(keys, 4096)
+        b = build_key_schedule(nudged, 4096)
+        frac = np.mean(a.xor1[:4096] != b.xor1[:4096])
         assert frac > 0.5
 
 
@@ -309,6 +397,13 @@ class TestEnvelopeFormat:
             CipherEnvelope.from_bytes(bytes(bad_ver))
         with pytest.raises(MalformedEnvelopeError):
             CipherEnvelope(dims=ImageDims(1, 2, 2), pad=2, body=bytes(6))
+
+    def test_pad_must_match_pixel_count(self):
+        # 2x2 gray: even pixel count, so pad 1 is wrong even with a body of 5
+        raw = bytearray(GOLDEN_ENVELOPE + b"\x00")
+        raw[14] = 1
+        with pytest.raises(MalformedEnvelopeError):
+            CipherEnvelope.from_bytes(bytes(raw))
 
     def test_bad_dims(self):
         with pytest.raises(DimensionError):

@@ -2,16 +2,19 @@ import csv
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chaosimg
+from chaosimg.analysis import phase_points, write_phase_csv
 from chaosimg.cipher import PlainImage
 from chaosimg.cli import main
 from chaosimg.errors import KeyFileError
 from chaosimg.keyfile import parse_key_text
+from chaosimg.maps import default_map2
 from chaosimg.netpbm import read_image, write_image
 from conftest import DEFAULT_KEY_TEXT
 
@@ -95,6 +98,15 @@ class TestEncryptDecryptCommands:
         code = main(["encrypt", "--key", str(p), "--in", str(golden_pgm),
                      "--out", str(tmp_path / "c.cse")])
         assert code == 2
+        assert "transient" in capsys.readouterr().err
+
+    def test_huge_transient_exit_2_at_once(self, tmp_path, golden_pgm, capsys):
+        p = tmp_path / "k.txt"
+        p.write_text(DEFAULT_KEY_TEXT.replace("transient=1000", f"transient={10**12}"))
+        start = time.monotonic()
+        code = main(["encrypt", "--key", str(p), "--in", str(golden_pgm),
+                     "--out", str(tmp_path / "c.cse")])
+        assert code == 2 and time.monotonic() - start < 5
         assert "transient" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path, keyfile, golden_pgm):
@@ -242,6 +254,18 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "limit is 10,000,000" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_phase_transient_bounded_exit_2(self, tmp_path, capsys):
+        code = main(["analyze", "phase", "--map", "2", "--transient", "10000001",
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "transient" in capsys.readouterr().err
+
+    def test_map_flags_default_to_the_map_defaults(self, tmp_path):
+        out, ref = tmp_path / "p.csv", tmp_path / "ref.csv"
+        assert main(["analyze", "phase", "--map", "2", "--count", "50", "--out", str(out)]) == 0
+        write_phase_csv(ref, phase_points(default_map2(), 50))
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_histogram_of_encrypted_image(self, tmp_path, keyfile):
         rng = np.random.default_rng(22)

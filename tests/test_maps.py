@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from chaosimg.errors import InvalidStateError
 from chaosimg.maps import (
+    MAX_TRANSIENT,
     MapId,
     MapParams,
     default_map1,
@@ -157,6 +159,20 @@ class TestQuantize:
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidStateError):
             quantize_to_bytes([1.0, math.nan])
+
+    def test_overflowing_product_quantizes_to_zero(self):
+        # 1e12 * v overflows to inf here; from 2**61 on every float is 0 mod 256
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(quantize_to_bytes([1e297, -1e297, 1.7e296])) == [0, 0, 0]
+            assert list(quantize_to_bytes([2.0**61 / 1e12, -(2.0**62) / 1e12])) == [0, 0]
+
+
+def test_transient_bounded():
+    assert MapParams(MapId.MAP1, 17.0, transient=MAX_TRANSIENT).transient == MAX_TRANSIENT
+    for bad in (-1, MAX_TRANSIENT + 1, 10**12):
+        with pytest.raises(ValueError, match="transient"):
+            MapParams(MapId.MAP1, 17.0, transient=bad)
 
 
 class TestPermutationFromSequence:
