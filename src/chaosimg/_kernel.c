@@ -1,11 +1,11 @@
-/* Compiled loop of the two chaotic maps; `maps.orbit` is its oracle.
+/* Compiled loop of the two chaotic maps; `maps.step_function` is its oracle.
  *
  * Every operation mirrors CPython float semantics, so the bytes match the
  * pure-Python path bit for bit:
  *   - sin, cos and tanh are the libm functions that `math` calls;
  *   - `py_mod` is CPython's float `%` (float_rem): fmod, then a sign fix,
  *     then a zero result takes the sign of the divisor;
- *   - each expression keeps the evaluation order of `orbit`.
+ *   - each expression keeps the evaluation order of `step_function`.
  * Build with -ffp-contract=off and without -ffast-math: a fused multiply-add
  * or a reassociated sum rounds differently and changes the orbit.
  */

@@ -8,13 +8,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .cipher import PlainImage
 from .errors import DimensionError, DivergenceError, TrajectoryCollapseError
-from .maps import MapParams, generate_sequence, orbit
+from .maps import MapParams, StepFn, fill, generate_sequence, step_function
 
 PEAK = 255.0
 CHI2_BINS = 256
@@ -22,7 +22,8 @@ CHI2_BINS = 256
 # chi-square critical value, df=255, alpha=0.05 (frozen from the inverse CDF)
 CHI2_CRIT_DF255_P05 = 293.25
 
-# most float values a bifurcation sweep or a phase run may hold
+# most float values a bifurcation sweep or a phase run may hold, and most
+# steps of a Lyapunov estimate
 MAX_VALUES = 10_000_000
 
 
@@ -95,11 +96,9 @@ def quality_report(plain: PlainImage, cipher: PlainImage) -> QualityReport:
     )
 
 
-def _check_size(values: float, what: str) -> None:
-    if not values <= MAX_VALUES:
-        raise ValueError(
-            f"{what} would hold {values:,} values; the limit is {MAX_VALUES:,}"
-        )
+def _check_size(count: float, what: str) -> None:
+    if not count <= MAX_VALUES:
+        raise ValueError(f"{count:,} {what} requested; the limit is {MAX_VALUES:,}")
 
 
 def _r_grid(r_min: float, r_max: float, r_step: float, samples: int) -> np.ndarray:
@@ -113,7 +112,7 @@ def _r_grid(r_min: float, r_max: float, r_step: float, samples: int) -> np.ndarr
         raise ValueError("r_step must be positive")
     steps = (r_max - r_min) / r_step + 1e-9
     count = int(steps) + 1 if math.isfinite(steps) else math.inf
-    _check_size(count * samples, "bifurcation sweep")
+    _check_size(count * samples, "bifurcation sweep values")
     return r_min + np.arange(count) * r_step
 
 
@@ -149,35 +148,30 @@ def bifurcation_sweep(
     return np.repeat(grid, samples), xs.reshape(-1), diverged.reshape(-1)
 
 
-StepFn = Callable[[float, float], tuple[float, float]]
-
-
 def lyapunov_from_step(
     step_fn: StepFn,
     state0: tuple[float, float],
     steps: int,
-    transient: int = 0,
     d0: float = 1e-8,
 ) -> float:
     """Largest Lyapunov exponent by two-trajectory renormalization.
 
     A companion trajectory offset by d0 is advanced alongside the reference
     and rescaled back to distance d0 after every step; the estimate is the
-    mean of ln(d1/d0).
+    mean of ln(d1/d0). Raises DivergenceError(i) when d1 after step i is
+    not finite, as it is when either trajectory is.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x, y = state0
-    for _ in range(transient):
-        x, y = step_fn(x, y)
     cx, cy = x + d0, y
     acc = 0.0
     for i in range(steps):
         x, y = step_fn(x, y)
         cx, cy = step_fn(cx, cy)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise DivergenceError(i)
         d1 = math.hypot(cx - x, cy - y)
+        if not math.isfinite(d1):
+            raise DivergenceError(i)
         if d1 == 0.0:
             raise TrajectoryCollapseError(i)
         acc += math.log(d1 / d0)
@@ -188,22 +182,24 @@ def lyapunov_from_step(
 
 
 def lyapunov_exponent(params: MapParams, steps: int) -> float:
-    """Lyapunov estimate for one of the two built-in maps."""
+    """Lyapunov estimate for one of the two built-in maps, from (x0, y0)
+    after `transient` iterations. The transient runs through `fill`; a
+    DivergenceError counts its iteration from (x0, y0)."""
     if steps < 1000:
         raise ValueError("steps must be >= 1000")
-    states = orbit(params, params.x0, params.y0)
-    next(states)  # start the generator so that it accepts sent states
-    return lyapunov_from_step(
-        lambda x, y: states.send((x, y)),
-        (params.x0, params.y0),
-        steps,
-        transient=params.transient,
-    )
+    _check_size(steps, "Lyapunov steps")
+    state = (params.x0, params.y0)
+    if params.transient:
+        state = fill(params, state, np.empty(1), skip=params.transient - 1)
+    try:
+        return lyapunov_from_step(step_function(params), state, steps)
+    except DivergenceError as exc:
+        raise DivergenceError(params.transient + exc.iteration) from None
 
 
 def phase_points(params: MapParams, count: int) -> np.ndarray:
     """Post-transient (x, y) iterate pairs for scatter plotting; shape (count, 2)."""
-    _check_size(2 * count, "phase run")
+    _check_size(2 * count, "phase run values")
     seq = generate_sequence(params, count)
     return np.column_stack([seq.xs, seq.ys])
 

@@ -77,10 +77,9 @@ def _cmd_analyze(args) -> None:
         )
         analysis.write_bifurcation_csv(args.out, sweep)
     elif args.analysis == "lyapunov":
-        if args.r is None:
-            raise ValueError("lyapunov requires --r")
-        lam = analysis.lyapunov_exponent(_map_params(args), steps=args.steps)
-        analysis.write_lyapunov_csv(args.out, [(args.r, lam)])
+        params = _map_params(args)
+        lam = analysis.lyapunov_exponent(params, steps=args.steps)
+        analysis.write_lyapunov_csv(args.out, [(params.r, lam)])
     elif args.analysis == "phase":
         points = analysis.phase_points(_map_params(args), count=args.count)
         analysis.write_phase_csv(args.out, points)

@@ -15,11 +15,8 @@ from __future__ import annotations
 import ctypes
 import enum
 import math
-from collections import deque
-from collections.abc import Generator
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import chain, islice
-from operator import itemgetter
 
 import numpy as np
 
@@ -83,32 +80,22 @@ class ChaoticSequence:
         return len(self.xs)
 
 
-def orbit(
-    params: MapParams, x: float, y: float
-) -> Generator[tuple[float, float], tuple[float, float] | None, None]:
-    """Successive states of the selected map after (x, y), without end.
+StepFn = Callable[[float, float], tuple[float, float]]
+
+
+def step_function(params: MapParams) -> StepFn:
+    """One simultaneous update of the selected map, as a plain
+    `(x, y) -> (x', y')` function that checks nothing.
 
     The reference definition of both maps: `_kernel.c` repeats them in C
-    and is tested bit for bit against this oracle. Sending a state restarts
-    the orbit from it, so `g.send(s)` returns the state after `s`. Raises
-    DivergenceError(i) when a state becomes non-finite, `i` counting the
-    iterations since the last (re)start.
+    and is tested bit for bit against this oracle.
     """
-    sin, cos, tanh, isfinite = math.sin, math.cos, math.tanh, math.isfinite
-    map1 = params.map_id is MapId.MAP1
-    r, ar, b, pi = params.r, params.a * params.r, params.b, math.pi
-    i = 0
-    while True:
-        if map1:
-            x, y = sin(x) + cos(y), y - r * tanh(x)
-        else:
-            x, y = (x + y * y - ar + pi) % TWO_PI - pi, (b * x * x + pi) % TWO_PI - pi
-        if not (isfinite(x) and isfinite(y)):
-            raise DivergenceError(i)
-        i += 1
-        sent = yield x, y
-        if sent is not None:
-            (x, y), i = sent, 0
+    sin, cos, tanh, pi, two_pi = math.sin, math.cos, math.tanh, math.pi, TWO_PI
+    r, ar, b = params.r, params.a * params.r, params.b
+    if params.map_id is MapId.MAP1:
+        return lambda x, y: (sin(x) + cos(y), y - r * tanh(x))
+    return lambda x, y: ((x + y * y - ar + pi) % two_pi - pi,
+                         (b * x * x + pi) % two_pi - pi)
 
 
 def fill(
@@ -124,10 +111,11 @@ def fill(
     buffers. Returns the last state, from which a further fill continues.
 
     The buffers are writeable C-contiguous float64 arrays of equal length
-    >= 1, and `skip + len(xs)` is below 2**63. Runs the compiled kernel when it is available and `orbit`
-    otherwise; both give the same bytes. Raises DivergenceError(start + i)
-    when iteration i after `state` is non-finite, so a caller that resumes
-    an orbit passes the number of iterations already made as `start`.
+    >= 1, and `skip + len(xs)` is below 2**63. Runs the compiled kernel
+    when it is available and a Python loop over `step_function` otherwise;
+    both give the same bytes. Raises DivergenceError(start + i) when
+    iteration i after `state` is non-finite, so a caller that resumes an
+    orbit passes the number of iterations already made as `start`.
     """
     if len(xs) < 1 or (ys is not None and len(ys) != len(xs)):
         raise ValueError("fill needs buffers of equal length >= 1")
@@ -135,10 +123,7 @@ def fill(
         raise ValueError(f"transient or skip out of range: {skip}")
     fn = kernel.fill_function()
     if fn is None:
-        try:
-            return _fill_orbit(params, state, xs, ys, skip)
-        except DivergenceError as exc:
-            raise DivergenceError(start + exc.iteration) from None
+        return _fill_orbit(params, state, xs, ys, skip, start)
     last = (ctypes.c_double * 2)(*state)
     map_number = 1 if params.map_id is MapId.MAP1 else 2
     bad = fn(map_number, params.r, params.a * params.r, params.b, last, skip,
@@ -154,29 +139,30 @@ def _address(buf: np.ndarray) -> int:
     return buf.ctypes.data
 
 
-def _fill_orbit(params, state, xs, ys, skip) -> tuple[float, float]:
+def _fill_orbit(params, state, xs, ys, skip, start=0) -> tuple[float, float]:
     """`fill` in Python: the kernel's oracle and its fallback."""
-    states = orbit(params, *state)
-    deque(islice(states, skip), maxlen=0)
-    n = len(xs) - 1  # the last state is drawn on its own, to return it
-    if ys is None:
-        xs[:n] = np.fromiter(map(itemgetter(0), islice(states, n)), float, n)
-    else:
-        xy = np.fromiter(chain.from_iterable(islice(states, n)), float, 2 * n)
-        xs[:n], ys[:n] = xy[0::2], xy[1::2]
-    x, y = next(states)
-    xs[n] = x
-    if ys is not None:
-        ys[n] = y
+    advance, isfinite = step_function(params), math.isfinite
+    x, y = state
+    out_x, out_y = memoryview(xs), memoryview(np.empty(len(xs)) if ys is None else ys)
+    for i in range(-skip, len(xs)):  # the transient runs at i < 0
+        x, y = advance(x, y)
+        if not (isfinite(x) and isfinite(y)):
+            raise DivergenceError(start + skip + i)
+        if i >= 0:
+            out_x[i], out_y[i] = x, y
     return x, y
 
 
 def step(state: tuple[float, float], params: MapParams) -> tuple[float, float]:
-    """One simultaneous update of the selected map."""
+    """One simultaneous update of the selected map, from a finite state;
+    raises DivergenceError(0) when the result is non-finite."""
     x, y = state
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidStateError(f"non-finite state ({x}, {y})")
-    return next(orbit(params, x, y))
+    x, y = step_function(params)(x, y)
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DivergenceError(0)
+    return x, y
 
 
 def generate_sequence(params: MapParams, length: int) -> ChaoticSequence:

@@ -13,6 +13,7 @@ from .cipher import ImageDims, PlainImage
 from .errors import NetpbmError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+MAX_NUMBER = 2**32 - 1  # the envelope stores height and width as uint32
 
 
 def _skip_space(data: bytes, pos: int) -> int:
@@ -38,7 +39,10 @@ def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
         raise NetpbmError(f"missing {what} token", start)
     if not token.isdigit():
         raise NetpbmError(f"non-numeric {what} token {token!r}", start)
-    return int(token), pos
+    digits = token.lstrip(b"0") or b"0"  # sized first: int() refuses > 4300 digits
+    if len(digits) > len(str(MAX_NUMBER)) or int(digits) > MAX_NUMBER:
+        raise NetpbmError(f"{what} is above {MAX_NUMBER:,}", start)
+    return int(digits), pos
 
 
 def read_image(data: bytes) -> PlainImage:

@@ -1,9 +1,12 @@
 import csv
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chaosimg import analysis
 from chaosimg.analysis import (
     CHI2_CRIT_DF255_P05,
     adjacent_correlation,
@@ -22,8 +25,8 @@ from chaosimg.analysis import (
     write_phase_csv,
 )
 from chaosimg.cipher import PlainImage, decrypt, default_keys, encrypt
-from chaosimg.errors import DimensionError
-from chaosimg.maps import default_map1, default_map2
+from chaosimg.errors import DimensionError, DivergenceError
+from chaosimg.maps import default_map1, default_map2, generate_sequence, step_function
 from conftest import structured_image
 
 
@@ -167,7 +170,6 @@ class TestLyapunov:
             lambda x, y: ((2 * x) % 1.0, (2 * y) % 1.0),
             (0.1234, 0.567),
             steps=20000,
-            transient=100,
         )
         assert lam == pytest.approx(math.log(2.0), abs=1e-2)
 
@@ -183,6 +185,46 @@ class TestLyapunov:
         a = lyapunov_exponent(default_map1(), steps=10_000)
         b = lyapunov_exponent(default_map1(), steps=20_000)
         assert abs(b - a) / abs(a) < 0.05
+
+    def test_divergence_in_transient_counts_like_generate_sequence(self):
+        p = replace(default_map1(), r=1e307, transient=1000)
+        with pytest.raises(DivergenceError) as seq_info:
+            generate_sequence(p, 1)
+        with pytest.raises(DivergenceError) as lyap_info:
+            lyapunov_exponent(p, steps=1000)
+        assert lyap_info.value.iteration == seq_info.value.iteration == 253
+
+    def test_divergence_after_transient_counts_from_the_seed(self, monkeypatch):
+        # each step calls the function twice, so call 6 is the reference at step 3
+        calls = itertools.count()
+        monkeypatch.setattr(analysis, "step_function",
+                            lambda p: lambda x, y: (x if next(calls) < 6 else math.inf, y))
+        with pytest.raises(DivergenceError) as info:
+            lyapunov_exponent(replace(default_map2(), transient=50), steps=1000)
+        assert info.value.iteration == 50 + 3
+
+    def test_divergence_of_the_companion_is_named(self):
+        # the reference stays at 0 while the companion overflows to inf
+        with pytest.raises(DivergenceError) as info:
+            lyapunov_from_step(lambda x, y: (x * 1e200 * 1e200, y), (0.0, 0.0), steps=10)
+        assert info.value.iteration == 0
+
+    def test_transient_runs_outside_the_step_function(self, monkeypatch):
+        calls = 0
+
+        def counting(params):
+            advance = step_function(params)
+
+            def counted(x, y):
+                nonlocal calls
+                calls += 1
+                return advance(x, y)
+
+            return counted
+
+        monkeypatch.setattr(analysis, "step_function", counting)
+        lyapunov_exponent(replace(default_map2(), transient=10**6), steps=1000)
+        assert calls == 2 * 1000
 
 
 class TestPhasePoints:

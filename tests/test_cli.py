@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 
 import chaosimg
-from chaosimg.analysis import phase_points, write_phase_csv
+from chaosimg.analysis import (
+    lyapunov_exponent,
+    phase_points,
+    write_lyapunov_csv,
+    write_phase_csv,
+)
 from chaosimg.cipher import PlainImage
 from chaosimg.cli import main
 from chaosimg.errors import KeyFileError
@@ -122,6 +127,14 @@ class TestEncryptDecryptCommands:
         assert main(["decrypt", "--key", str(keyfile), "--in", str(env),
                      "--out", str(out)]) == 0
         assert out.read_bytes() == golden_pgm.read_bytes()
+
+    def test_netpbm_number_too_long_exit_1(self, tmp_path, keyfile, capsys):
+        src = tmp_path / "huge.pgm"
+        src.write_bytes(b"P5 " + b"9" * 5000 + b" 1 255\n")
+        code = main(["encrypt", "--key", str(keyfile), "--in", str(src),
+                     "--out", str(tmp_path / "c.cse")])
+        assert code == 1
+        assert "width is above 4,294,967,295" in capsys.readouterr().err
 
     def test_decrypt_bad_magic_exit_1(self, tmp_path, keyfile):
         env = tmp_path / "c.cse"
@@ -238,6 +251,24 @@ class TestAnalyzeCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "collapsed" in err and "undefined" in err
+
+    def test_lyapunov_steps_bounded_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "l.csv"
+        t0 = time.monotonic()
+        code = main(["analyze", "lyapunov", "--map", "2", "--r", "2.35",
+                     "--steps", "1000000000000", "--out", str(out)])
+        assert code == 2
+        assert time.monotonic() - t0 < 5
+        assert "limit is 10,000,000" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lyapunov_r_defaults_to_the_map_default(self, tmp_path):
+        out, ref = tmp_path / "l.csv", tmp_path / "ref.csv"
+        code = main(["analyze", "lyapunov", "--map", "2", "--steps", "1000",
+                     "--out", str(out)])
+        assert code == 0
+        write_lyapunov_csv(ref, [(2.35, lyapunov_exponent(default_map2(), 1000))])
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_phase_rows(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -47,6 +47,21 @@ class TestRead:
         with pytest.raises(NetpbmError, match="non-numeric"):
             read_image(b"P5\nxx 2\n255\n" + bytes(4))
 
+    def test_number_too_long_for_int(self):
+        # int() of more than 4300 digits raises a bare ValueError
+        with pytest.raises(NetpbmError, match="above 4,294,967,295") as exc:
+            read_image(b"P5 " + b"9" * 5000 + b" 1 255\n")
+        assert exc.value.offset == 3
+
+    def test_number_above_uint32(self):
+        with pytest.raises(NetpbmError, match="height is above") as exc:
+            read_image(b"P5 1 4294967296 255\n")
+        assert exc.value.offset == 5
+
+    def test_leading_zeros_allowed(self):
+        img = read_image(b"P5 " + b"0" * 5000 + b"1 1 255\n" + bytes([7]))
+        assert img.pixels.tolist() == [[[7]]]
+
     def test_does_not_read_past_raster(self):
         data = b"P5\n2 1\n255\n" + bytes([1, 2]) + b"trailing junk"
         img = read_image(data)
