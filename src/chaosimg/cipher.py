@@ -1,35 +1,27 @@
 """Permutation-diffusion cipher over a flattened image byte vector.
 
 The image is flattened (column-major, channel-planar) and zero-padded to an
-even length 2N. Map 1 drives slot 0 (the first N bytes) and Map 2 slot 1;
-the key schedule lays both maps' keys out over the whole vector, so that
-encryption is one chain:
+even length 2N. Map 1 keys slot 0 (the first N bytes) and Map 2 slot 1.
+The paper's split-half chain folds into one keystream XOR, one gather over
+the whole vector and one more XOR:
 
-    v = ((v ^ X1)[P0] ^ X2)[P1][P2][P3]
+    v = (v ^ X1)[R] ^ Y
 
-X1 and X2 are the x- and y-derived keystreams, and P0..P3 gather from the
-whole vector. P0 carries the half swap of the split-half scheme: each slot
-gathers through the other map's first argsort, from the other slot.
 Decryption is the scatter mirror and restores the plain image byte-for-byte.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernel
 from .errors import DimensionError, MalformedEnvelopeError, PermutationError
-from .maps import (
-    MapId,
-    MapParams,
-    default_map1,
-    default_map2,
-    fill,
-    permutation_from_sequence,
-    quantize_to_bytes,
-)
+from .maps import (MapId, MapParams, default_map1, default_map2, fill,
+                   permutation_from_sequence, quantize_to_bytes)
 
 ENVELOPE_MAGIC = b"CSE1"
 ENVELOPE_VERSION = 1
@@ -140,106 +132,110 @@ def diffuse_xor(data: np.ndarray, keystream: np.ndarray) -> np.ndarray:
     data = np.asarray(data, dtype=np.uint8)
     keystream = np.asarray(keystream, dtype=np.uint8)
     if data.shape != keystream.shape:
-        raise PermutationError(
-            f"length mismatch: data {data.size}, keystream {keystream.size}"
-        )
+        raise PermutationError(f"length mismatch: data {data.size}, keystream {keystream.size}")
     return data ^ keystream
 
 
-def _check_perm(size: int, parts) -> tuple:
-    """Check that the index arrays `parts`, laid end to end, are a bijection
-    over range(size), and return them as arrays."""
-    parts = tuple(np.asarray(p) for p in parts)
-    length = sum(p.size for p in parts)
-    if length != size:
-        raise PermutationError(f"length mismatch: data {size}, perm {length}")
+def _check_perm(size: int, perm) -> np.ndarray:
+    """`perm` as an array, checked to be a bijection over range(size)."""
+    perm = np.asarray(perm)
+    if perm.size != size:
+        raise PermutationError(f"length mismatch: data {size}, perm {perm.size}")
+    if size and (perm.min() < 0 or perm.max() >= size):
+        raise PermutationError("permutation index out of range")
     seen = np.zeros(size, dtype=bool)
-    for p in parts:
-        if p.size and (p.min() < 0 or p.max() >= size):
-            raise PermutationError("permutation index out of range")
-        seen[p] = True
+    seen[perm] = True
     if not seen.all():
         raise PermutationError("permutation is not a bijection")
-    return parts
+    return perm
 
 
-def _gather(data: np.ndarray, parts) -> np.ndarray:
-    """data[parts[0]], data[parts[1]], ... laid end to end."""
-    return np.concatenate([data[p] for p in parts])
-
-
-def _scatter(data: np.ndarray, parts) -> np.ndarray:
-    """Inverse of _gather: each part receives the next run of data."""
+def _scatter(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Inverse of the gather data[perm]: out[perm[i]] = data[i]."""
     out = np.empty_like(data)
-    start = 0
-    for p in parts:
-        out[p] = data[start:start + p.size]
-        start += p.size
+    out[perm] = data
     return out
 
 
 def permute(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Gather: out[i] = data[perm[i]]."""
     data = np.asarray(data, dtype=np.uint8)
-    return _gather(data, _check_perm(data.size, (perm,)))
+    return data[_check_perm(data.size, perm)]
 
 
 def inverse_permute(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Scatter: out[perm[i]] = data[i]; inverse of permute."""
     data = np.asarray(data, dtype=np.uint8)
-    return _scatter(data, _check_perm(data.size, (perm,)))
+    return _scatter(data, _check_perm(data.size, perm))
 
 
 @dataclass(frozen=True)
 class KeySchedule:
-    """Key material for a padded vector of 2N bytes.
-
-    `xor1` and `xor2` are keystreams of 2N bytes: Map 1's in slot 0 (the
-    first N bytes), Map 2's in slot 1. `perms` holds P0..P3, each a pair of
-    per-slot index arrays that gather from the whole vector. Each
-    permutation is checked here, once, as a bijection over 2N and made
-    read-only, so that encrypt and decrypt apply them without checking again.
-    """
+    """Keys for a padded vector of 2N bytes: encryption is `(v ^ xor1)[perm]
+    ^ xor2`. `perm` is checked here, once, as a bijection over 2N and made
+    read-only, so encrypt and decrypt do not check again."""
 
     xor1: np.ndarray
+    perm: np.ndarray
     xor2: np.ndarray
-    perms: tuple
 
     def __post_init__(self):
-        for perm in self.perms:
-            for part in _check_perm(self.xor1.size, perm):
-                part.flags.writeable = False
+        _check_perm(self.xor1.size, self.perm).flags.writeable = False
+
+
+def _map_keys(params: MapParams, n: int) -> tuple:
+    """One map's keys for its slot of n bytes, from 4n iterates after the
+    transient: segment 1's x- and y-bytes and argsort s0; the argsorts of
+    segments 2-4 composed into C = s1[s2][s3] (int32 when 2n allows); and
+    the y-bytes gathered through C. Returns (x_bytes, s0, C, y_bytes[C])."""
+    index = np.int32 if 2 * n < 2**31 else np.intp
+    xs, ys = np.empty(n), np.empty(n)
+    state = fill(params, (params.x0, params.y0), xs, ys, skip=params.transient)
+    x_bytes, y_bytes = quantize_to_bytes(xs), quantize_to_bytes(ys)
+    del ys
+    first = permutation_from_sequence(xs).astype(index, copy=False)
+    composed = np.arange(n, dtype=index)
+    for k in range(1, 4):
+        state = fill(params, state, xs, start=params.transient + k * n)
+        composed = composed[permutation_from_sequence(xs)]
+    return x_bytes, first, composed, y_bytes[composed]
+
+
+def _keys_into(results: list, params: MapParams, n: int) -> None:
+    try:
+        results.append(_map_keys(params, n))
+    except Exception as exc:  # raised again by the caller after the join
+        results.append(exc)
 
 
 def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
-    """The schedule of a padded vector of 2 * half_len bytes.
-
-    Each map makes one continuous post-transient run of 4 * half_len
-    iterates, filled one segment at a time into the same buffer. Segment 1
-    gives the map's slot of both keystreams (x and y) and its first argsort;
-    segments 2-4 (x only) give its re-permutations. The half swap is folded
-    into P0: slot 0 gathers through Map 2's first argsort from slot 1, and
-    slot 1 through Map 1's from slot 0.
-    """
+    """The schedule of a padded vector of 2N = 2 * half_len bytes. Gathers
+    compose (`v[P][Q] == v[P[Q]]`), so the split-half chain
+    `((v ^ X1)[P0] ^ X2)[P1][P2][P3]` (half swap in P0) is one gather
+    `R = concat(b0[A] + N, a0[B])` and one mask `Y = concat(yA, yB)`, from
+    Map 1's `_map_keys` (a0, A, yA) and Map 2's (b0, B, yB). With the kernel,
+    which releases the GIL as argsort does, Map 2 runs on a worker thread,
+    joined before this returns or raises; Map 1's error wins."""
     if half_len < 1:
         raise ValueError("half_len must be >= 1")
     n = half_len
-    xor1, xor2 = np.empty(2 * n, dtype=np.uint8), np.empty(2 * n, dtype=np.uint8)
-    sorts = []
-    for slot, params in enumerate((keys.map1, keys.map2)):
-        xs, ys = np.empty(n), np.empty(n)
-        state = fill(params, (params.x0, params.y0), xs, ys, skip=params.transient)
-        xor1[slot * n:(slot + 1) * n] = quantize_to_bytes(xs)
-        xor2[slot * n:(slot + 1) * n] = quantize_to_bytes(ys)
-        del ys
-        sorts.append([permutation_from_sequence(xs)])
-        for k in range(1, 4):
-            state = fill(params, state, xs, start=params.transient + k * n)
-            sorts[slot].append(permutation_from_sequence(xs))
-    (a0, *a), (b0, *b) = sorts
-    for perm in (b0, *b):
-        perm += n  # Map 2's argsorts index slot 1
-    return KeySchedule(xor1=xor1, xor2=xor2, perms=((b0, a0), *zip(a, b)))
+    if kernel.fill_function() is None:  # the Python loop holds the GIL
+        (x1, a0, a, y1), map2 = _map_keys(keys.map1, n), _map_keys(keys.map2, n)
+    else:
+        results: list = []
+        worker = threading.Thread(target=_keys_into, args=(results, keys.map2, n))
+        worker.start()
+        try:
+            x1, a0, a, y1 = _map_keys(keys.map1, n)
+        finally:
+            worker.join()
+        if isinstance(map2 := results[0], Exception):
+            raise map2
+    x2, b0, b, y2 = map2
+    b0 += n  # Map 2's first argsort indexes slot 1
+    return KeySchedule(xor1=np.concatenate([x1, x2]),
+                       perm=np.concatenate([b0[a], a0[b]]),
+                       xor2=np.concatenate([y1, y2]))
 
 
 def encrypt(image: PlainImage, keys: KeyMaterial) -> CipherEnvelope:
@@ -247,18 +243,14 @@ def encrypt(image: PlainImage, keys: KeyMaterial) -> CipherEnvelope:
     pad = flat.size % 2
     v = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)])
     s = build_key_schedule(keys, v.size // 2)
-    v = diffuse_xor(_gather(diffuse_xor(v, s.xor1), s.perms[0]), s.xor2)
-    for perm in s.perms[1:]:
-        v = _gather(v, perm)
+    v = diffuse_xor(diffuse_xor(v, s.xor1)[s.perm], s.xor2)
     return CipherEnvelope(dims=image.dims, pad=pad, body=v.tobytes())
 
 
 def decrypt(envelope: CipherEnvelope, keys: KeyMaterial) -> PlainImage:
     v = np.frombuffer(envelope.body, dtype=np.uint8)
     s = build_key_schedule(keys, v.size // 2)
-    for perm in reversed(s.perms[1:]):
-        v = _scatter(v, perm)
-    v = diffuse_xor(_scatter(diffuse_xor(v, s.xor2), s.perms[0]), s.xor1)
+    v = diffuse_xor(_scatter(diffuse_xor(v, s.xor2), s.perm), s.xor1)
     return unflatten(v[:envelope.dims.pixel_count], envelope.dims)
 
 

@@ -25,6 +25,7 @@ from .errors import DivergenceError, InvalidStateError
 
 TWO_PI = 2.0 * math.pi
 MAX_TRANSIENT = 10_000_000  # bounds the burn-in work an untrusted key can ask for
+BLOCK = 65_536  # values per temporary in the quantizer and the tie check
 
 
 class MapId(enum.Enum):
@@ -186,20 +187,25 @@ def quantize_to_bytes(values) -> np.ndarray:
     Round is half-away-from-zero and the modulo is mathematical (result in
     [0, 256)), so e.g. -1e-12 quantizes to 255. From |1e12 * v| >= 2**61 on,
     every float is a multiple of 512 and so quantizes to 0; a product that
-    overflows to inf does too.
+    overflows to inf does too. Temporaries hold at most BLOCK values.
     """
     arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidStateError("non-finite value in quantizer input")
-    out = np.abs(arr, out=np.empty_like(arr))
+    out = np.empty(arr.shape, dtype=np.uint8)
+    arr, flat = arr.reshape(-1), out.reshape(-1)
     with np.errstate(over="ignore"):
-        out *= 1e12
-    out += 0.5
-    np.floor(out, out=out)
-    out[out >= 2.0**61] = 0.0
-    np.copysign(out, arr, out=out)
-    np.remainder(out, 256.0, out=out)
-    return out.astype(np.uint8)
+        for start in range(0, arr.size, BLOCK):
+            block = arr[start:start + BLOCK]
+            if not np.isfinite(block).all():
+                raise InvalidStateError("non-finite value in quantizer input")
+            q = np.abs(block)
+            q *= 1e12
+            q += 0.5
+            np.floor(q, out=q)
+            q[q >= 2.0**61] = 0.0
+            np.copysign(q, block, out=q)
+            np.remainder(q, 256.0, out=q)
+            flat[start:start + BLOCK] = q
+    return out
 
 
 def permutation_from_sequence(values) -> np.ndarray:
@@ -207,15 +213,17 @@ def permutation_from_sequence(values) -> np.ndarray:
 
     Without ties the ascending order is unique, so the faster unstable sort
     gives the same permutation; the stable sort runs only when the sorted
-    values hold an equal neighbour pair.
+    values hold an equal neighbour pair, compared BLOCK values at a time.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("empty input")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidStateError("non-finite value in permutation input")
     perm = np.argsort(arr)
-    ordered = arr[perm]
-    if np.any(ordered[1:] == ordered[:-1]):
-        perm = np.argsort(arr, kind="stable")
+    # argsort puts -inf first and +inf, then NaN, last
+    if not (math.isfinite(arr[perm[0]]) and math.isfinite(arr[perm[-1]])):
+        raise InvalidStateError("non-finite value in permutation input")
+    for start in range(0, arr.size - 1, BLOCK):
+        ordered = arr[perm[start:start + BLOCK + 1]]
+        if (ordered[1:] == ordered[:-1]).any():
+            return np.argsort(arr, kind="stable")
     return perm

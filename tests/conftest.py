@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chaosimg import kernel
 from chaosimg.cipher import PlainImage
 from chaosimg.keyfile import parse_key_text
 
@@ -15,6 +16,23 @@ map2.x0=0.1
 map2.y0=0.1
 transient=1000
 """
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    if kernel.fill_function() is None:
+        pytest.skip("the kernel cannot be built here")
+
+
+@pytest.fixture
+def python_only(monkeypatch, tmp_path):
+    """No compiler and an empty cache: `fill` runs its Python loop."""
+    monkeypatch.setattr(kernel, "_compiler", lambda: None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    kernel.fill_function.cache_clear()
+    assert kernel.fill_function() is None
+    yield
+    kernel.fill_function.cache_clear()
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import hashlib
+import threading
 from collections import namedtuple
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chaosimg import cipher
 from chaosimg.analysis import lyapunov_exponent
 from chaosimg.cipher import (
     CipherEnvelope,
@@ -277,27 +279,23 @@ class TestKeySchedule:
     def test_structure(self):
         s = build_key_schedule(default_keys(), 8)
         assert s.xor1.size == s.xor2.size == 16
-        assert len(s.perms) == 4
-        for perm in s.perms:
-            assert sorted(np.concatenate(perm)) == list(range(16))
+        assert sorted(s.perm) == list(range(16))
 
     def test_deterministic(self):
         a = build_key_schedule(default_keys(), 16)
         b = build_key_schedule(default_keys(), 16)
         assert np.array_equal(a.xor1, b.xor1)
         assert np.array_equal(a.xor2, b.xor2)
-        for pa, pb in zip(a.perms, b.perms):
-            assert np.array_equal(np.concatenate(pa), np.concatenate(pb))
+        assert np.array_equal(a.perm, b.perm)
 
     def test_permutations_checked_and_read_only(self):
         s = build_key_schedule(default_keys(), 8)
-        for perm in s.perms:
-            assert not any(part.flags.writeable for part in perm)
-        bad = (np.array([0, 0, 1, 2, 3, 4, 5, 6]), s.perms[1][1])
+        assert not s.perm.flags.writeable
+        bad = np.array([0, 0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15])
         with pytest.raises(PermutationError):
-            KeySchedule(s.xor1, s.xor2, (s.perms[0], bad, *s.perms[2:]))
+            KeySchedule(s.xor1, bad, s.xor2)
         with pytest.raises(PermutationError):
-            KeySchedule(s.xor1, s.xor2, ((s.perms[0][0][:4], s.perms[0][1]), *s.perms[1:]))
+            KeySchedule(s.xor1, s.perm[:8], s.xor2)
 
     def test_seed_sensitivity(self):
         keys = default_keys()
@@ -306,6 +304,55 @@ class TestKeySchedule:
         b = build_key_schedule(nudged, 4096)
         frac = np.mean(a.xor1[:4096] != b.xor1[:4096])
         assert frac > 0.5
+
+
+# Map 1 diverges at iteration 253; Map 2's a*r overflows, so it diverges at 0
+DIVERGING_MAP1 = MapParams(MapId.MAP1, 1e307)
+DIVERGING_MAP2 = MapParams(MapId.MAP2, 1e308, a=10.0, b=0.3)
+
+
+class TestTwoMaps:
+    """With the kernel, Map 2's keys are made on a worker thread."""
+
+    @pytest.fixture(params=["compiled", "python_only"])
+    def path(self, request):
+        request.getfixturevalue(request.param)
+        return request.param
+
+    def divergence(self, map1, map2):
+        """The raised divergence index, or None; no thread is left behind."""
+        before = threading.active_count()
+        try:
+            build_key_schedule(KeyMaterial(map1, map2), 64)
+            index = None
+        except DivergenceError as exc:
+            index = exc.iteration
+        assert threading.active_count() == before
+        return index
+
+    def test_success(self, path):
+        assert self.divergence(default_map1(), default_map2()) is None
+
+    def test_map1_error_wins(self, path):
+        assert self.divergence(DIVERGING_MAP1, DIVERGING_MAP2) == 253
+
+    def test_map2_error_alone(self, path):
+        assert self.divergence(default_map1(), DIVERGING_MAP2) == 0
+        assert self.divergence(DIVERGING_MAP1, default_map2()) == 253
+
+    def test_worker_only_with_the_kernel(self, path, monkeypatch):
+        threads = {}
+        map_keys = cipher._map_keys
+
+        def record(params, n):
+            threads[params.map_id] = threading.current_thread()
+            return map_keys(params, n)
+
+        monkeypatch.setattr(cipher, "_map_keys", record)
+        build_key_schedule(default_keys(), 64)
+        assert threads[MapId.MAP1] is threading.main_thread()
+        on_worker = threads[MapId.MAP2] is not threading.main_thread()
+        assert on_worker == (path == "compiled")
 
 
 class TestEncryptDecrypt:

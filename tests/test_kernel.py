@@ -18,23 +18,6 @@ from chaosimg.maps import MapId, MapParams, default_map2, fill, step
 from test_cipher import GOLDEN_DIGESTS, GOLDEN_IMAGES, GOLDEN_KEY_SETS, golden_keys
 
 
-@pytest.fixture(scope="module")
-def compiled():
-    if kernel.fill_function() is None:
-        pytest.skip("the kernel cannot be built here")
-
-
-@pytest.fixture
-def python_only(monkeypatch, tmp_path):
-    """No compiler and an empty cache: `fill` runs its Python loop."""
-    monkeypatch.setattr(kernel, "_compiler", lambda: None)
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    kernel.fill_function.cache_clear()
-    assert kernel.fill_function() is None
-    yield
-    kernel.fill_function.cache_clear()
-
-
 def outcome(run, params, transient, length, with_ys):
     """Buffers and last state as bytes, or the divergence index."""
     xs = np.empty(length)

@@ -6,6 +6,7 @@ import pytest
 
 from chaosimg.errors import InvalidStateError
 from chaosimg.maps import (
+    BLOCK,
     MAX_TRANSIENT,
     MapId,
     MapParams,
@@ -160,6 +161,23 @@ class TestQuantize:
         with pytest.raises(InvalidStateError):
             quantize_to_bytes([1.0, math.nan])
 
+    def test_blocks_match_the_formula_per_value(self):
+        rng = np.random.default_rng(12)
+        vals = rng.uniform(-1e4, 1e4, 2 * BLOCK + 5)
+        vals[::7] = rng.uniform(-1e-9, 1e-9, vals[::7].size)
+        q = quantize_to_bytes(vals)
+        assert q.shape == vals.shape
+        for i in [*range(BLOCK - 3, BLOCK + 3), *rng.integers(0, vals.size, 300)]:
+            v = float(vals[i])
+            rounded = math.floor(abs(v) * 1e12 + 0.5)
+            assert q[i] == (int(math.copysign(rounded, v)) % 256 if rounded < 2**61 else 0)
+
+    def test_rejects_nonfinite_in_a_later_block(self):
+        vals = np.zeros(BLOCK + 2)
+        vals[BLOCK + 1] = math.inf
+        with pytest.raises(InvalidStateError):
+            quantize_to_bytes(vals)
+
     def test_overflowing_product_quantizes_to_zero(self):
         # 1e12 * v overflows to inf here; from 2**61 on every float is 0 mod 256
         with warnings.catch_warnings():
@@ -201,3 +219,29 @@ class TestPermutationFromSequence:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             permutation_from_sequence([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, bad):
+        vals = np.linspace(-1, 1, 1001)
+        vals[500] = bad
+        with pytest.raises(InvalidStateError):
+            permutation_from_sequence(vals)
+
+    @pytest.mark.parametrize("tie_at, stable",
+                             [(BLOCK, True), (2 * BLOCK + 1, True), (None, False)])
+    def test_tie_check_spans_block_boundaries(self, monkeypatch, tie_at, stable):
+        # a tie between sorted positions tie_at - 1 and tie_at forces the stable sort
+        vals = np.arange(3 * BLOCK, dtype=float)
+        if tie_at is not None:
+            vals[tie_at] = vals[tie_at - 1]
+        vals = np.random.default_rng(13).permutation(vals)
+        kinds, argsort = [], np.argsort
+
+        def recording(a, kind=None):
+            kinds.append(kind)
+            return argsort(a, kind=kind)
+
+        monkeypatch.setattr(np, "argsort", recording)
+        perm = permutation_from_sequence(vals)
+        assert ("stable" in kinds) == stable
+        assert np.array_equal(perm, argsort(vals, kind="stable"))

@@ -67,6 +67,15 @@ class TestRead:
         img = read_image(data)
         assert img.pixels[0].tolist() == [[1, 2]]
 
+    def test_concatenated_stream_yields_the_first_image(self):
+        # a Netpbm stream may hold several images back to back, so the bytes
+        # after the first raster are ignored, not refused
+        rng = np.random.default_rng(11)
+        first, second = random_image(rng, max_side=9), random_image(rng, max_side=9)
+        img = read_image(write_image(first) + write_image(second))
+        assert img.dims == first.dims
+        assert np.array_equal(img.pixels, first.pixels)
+
 
 class TestWrite:
     def test_canonical_header(self):
