@@ -26,6 +26,9 @@ CHI2_CRIT_DF255_P05 = 293.25
 # steps of a Lyapunov estimate
 MAX_VALUES = 10_000_000
 
+# the Lyapunov estimate's distance between the reference and its companion
+D0 = 1e-8
+
 
 @dataclass(frozen=True)
 class QualityReport:
@@ -124,10 +127,9 @@ def bifurcation_sweep(
     r_min: float,
     r_max: float,
     r_step: float,
-    transient: int,
     samples: int,
 ) -> Sweep:
-    """Post-transient x samples for each r on the grid.
+    """x samples after `params.transient` iterations, for each r on the grid.
 
     Returns flat `(r, x, diverged)` arrays, `samples` rows per r in grid
     order. Output stays rectangular: a divergent r contributes `samples`
@@ -139,7 +141,7 @@ def bifurcation_sweep(
     xs = np.empty((grid.size, samples))
     diverged = np.zeros((grid.size, samples), dtype=bool)
     for k, r in enumerate(grid.tolist()):
-        p = replace(params, r=r, transient=transient)
+        p = replace(params, r=r)
         try:
             xs[k] = generate_sequence(p, samples).xs
         except DivergenceError:
@@ -148,23 +150,18 @@ def bifurcation_sweep(
     return np.repeat(grid, samples), xs.reshape(-1), diverged.reshape(-1)
 
 
-def lyapunov_from_step(
-    step_fn: StepFn,
-    state0: tuple[float, float],
-    steps: int,
-    d0: float = 1e-8,
-) -> float:
+def lyapunov_from_step(step_fn: StepFn, state0: tuple[float, float], steps: int) -> float:
     """Largest Lyapunov exponent by two-trajectory renormalization.
 
-    A companion trajectory offset by d0 is advanced alongside the reference
-    and rescaled back to distance d0 after every step; the estimate is the
-    mean of ln(d1/d0). Raises DivergenceError(i) when d1 after step i is
+    A companion trajectory offset by D0 is advanced alongside the reference
+    and rescaled back to distance D0 after every step; the estimate is the
+    mean of ln(d1/D0). Raises DivergenceError(i) when d1 after step i is
     not finite, as it is when either trajectory is.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     x, y = state0
-    cx, cy = x + d0, y
+    cx, cy = x + D0, y
     acc = 0.0
     for i in range(steps):
         x, y = step_fn(x, y)
@@ -174,8 +171,8 @@ def lyapunov_from_step(
             raise DivergenceError(i)
         if d1 == 0.0:
             raise TrajectoryCollapseError(i)
-        acc += math.log(d1 / d0)
-        scale = d0 / d1
+        acc += math.log(d1 / D0)
+        scale = D0 / d1
         cx = x + (cx - x) * scale
         cy = y + (cy - y) * scale
     return acc / steps

@@ -8,6 +8,7 @@ the whole vector and one more XOR:
     v = (v ^ X1)[R] ^ Y
 
 Decryption is the scatter mirror and restores the plain image byte-for-byte.
+Map 2's keys are made on a worker thread while Map 1's are made on the caller.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernel
 from .errors import DimensionError, MalformedEnvelopeError, PermutationError
 from .maps import (MapId, MapParams, default_map1, default_map2, fill,
                    permutation_from_sequence, quantize_to_bytes)
@@ -128,47 +128,6 @@ def unflatten(vec: np.ndarray, dims: ImageDims) -> PlainImage:
     return PlainImage(dims=dims, pixels=px.transpose(0, 2, 1))
 
 
-def diffuse_xor(data: np.ndarray, keystream: np.ndarray) -> np.ndarray:
-    data = np.asarray(data, dtype=np.uint8)
-    keystream = np.asarray(keystream, dtype=np.uint8)
-    if data.shape != keystream.shape:
-        raise PermutationError(f"length mismatch: data {data.size}, keystream {keystream.size}")
-    return data ^ keystream
-
-
-def _check_perm(size: int, perm) -> np.ndarray:
-    """`perm` as an array, checked to be a bijection over range(size)."""
-    perm = np.asarray(perm)
-    if perm.size != size:
-        raise PermutationError(f"length mismatch: data {size}, perm {perm.size}")
-    if size and (perm.min() < 0 or perm.max() >= size):
-        raise PermutationError("permutation index out of range")
-    seen = np.zeros(size, dtype=bool)
-    seen[perm] = True
-    if not seen.all():
-        raise PermutationError("permutation is not a bijection")
-    return perm
-
-
-def _scatter(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Inverse of the gather data[perm]: out[perm[i]] = data[i]."""
-    out = np.empty_like(data)
-    out[perm] = data
-    return out
-
-
-def permute(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Gather: out[i] = data[perm[i]]."""
-    data = np.asarray(data, dtype=np.uint8)
-    return data[_check_perm(data.size, perm)]
-
-
-def inverse_permute(data: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """Scatter: out[perm[i]] = data[i]; inverse of permute."""
-    data = np.asarray(data, dtype=np.uint8)
-    return _scatter(data, _check_perm(data.size, perm))
-
-
 @dataclass(frozen=True)
 class KeySchedule:
     """Keys for a padded vector of 2N bytes: encryption is `(v ^ xor1)[perm]
@@ -180,7 +139,16 @@ class KeySchedule:
     xor2: np.ndarray
 
     def __post_init__(self):
-        _check_perm(self.xor1.size, self.perm).flags.writeable = False
+        size, perm = self.xor1.size, self.perm
+        if perm.size != size:
+            raise PermutationError(f"length mismatch: xor1 {size}, perm {perm.size}")
+        if size and (perm.min() < 0 or perm.max() >= size):
+            raise PermutationError("permutation index out of range")
+        seen = np.zeros(size, dtype=bool)
+        seen[perm] = True
+        if not seen.all():
+            raise PermutationError("permutation is not a bijection")
+        perm.flags.writeable = False
 
 
 def _map_keys(params: MapParams, n: int) -> tuple:
@@ -201,37 +169,33 @@ def _map_keys(params: MapParams, n: int) -> tuple:
     return x_bytes, first, composed, y_bytes[composed]
 
 
-def _keys_into(results: list, params: MapParams, n: int) -> None:
-    try:
-        results.append(_map_keys(params, n))
-    except Exception as exc:  # raised again by the caller after the join
-        results.append(exc)
-
-
 def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
     """The schedule of a padded vector of 2N = 2 * half_len bytes. Gathers
     compose (`v[P][Q] == v[P[Q]]`), so the split-half chain
     `((v ^ X1)[P0] ^ X2)[P1][P2][P3]` (half swap in P0) is one gather
     `R = concat(b0[A] + N, a0[B])` and one mask `Y = concat(yA, yB)`, from
-    Map 1's `_map_keys` (a0, A, yA) and Map 2's (b0, B, yB). With the kernel,
-    which releases the GIL as argsort does, Map 2 runs on a worker thread,
-    joined before this returns or raises; Map 1's error wins."""
+    Map 1's `_map_keys` (a0, A, yA) and Map 2's (b0, B, yB). Map 2's runs on
+    a worker thread while Map 1's runs on the caller; the worker is joined
+    before this returns or raises, and Map 1's error wins."""
     if half_len < 1:
         raise ValueError("half_len must be >= 1")
-    n = half_len
-    if kernel.fill_function() is None:  # the Python loop holds the GIL
-        (x1, a0, a, y1), map2 = _map_keys(keys.map1, n), _map_keys(keys.map2, n)
-    else:
-        results: list = []
-        worker = threading.Thread(target=_keys_into, args=(results, keys.map2, n))
-        worker.start()
+    n, map2 = half_len, []
+
+    def run_map2():
         try:
-            x1, a0, a, y1 = _map_keys(keys.map1, n)
-        finally:
-            worker.join()
-        if isinstance(map2 := results[0], Exception):
-            raise map2
-    x2, b0, b, y2 = map2
+            map2.append(_map_keys(keys.map2, n))
+        except Exception as exc:  # raised below, after the join
+            map2.append(exc)
+
+    worker = threading.Thread(target=run_map2)
+    worker.start()
+    try:
+        x1, a0, a, y1 = _map_keys(keys.map1, n)
+    finally:
+        worker.join()
+    if isinstance(map2[0], Exception):
+        raise map2[0]
+    x2, b0, b, y2 = map2[0]
     b0 += n  # Map 2's first argsort indexes slot 1
     return KeySchedule(xor1=np.concatenate([x1, x2]),
                        perm=np.concatenate([b0[a], a0[b]]),
@@ -243,17 +207,22 @@ def encrypt(image: PlainImage, keys: KeyMaterial) -> CipherEnvelope:
     pad = flat.size % 2
     v = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)])
     s = build_key_schedule(keys, v.size // 2)
-    v = diffuse_xor(diffuse_xor(v, s.xor1)[s.perm], s.xor2)
+    v = (v ^ s.xor1)[s.perm] ^ s.xor2
     return CipherEnvelope(dims=image.dims, pad=pad, body=v.tobytes())
 
 
 def decrypt(envelope: CipherEnvelope, keys: KeyMaterial) -> PlainImage:
     v = np.frombuffer(envelope.body, dtype=np.uint8)
     s = build_key_schedule(keys, v.size // 2)
-    v = diffuse_xor(_scatter(diffuse_xor(v, s.xor2), s.perm), s.xor1)
-    return unflatten(v[:envelope.dims.pixel_count], envelope.dims)
+    out = np.empty_like(v)
+    out[s.perm] = v ^ s.xor2  # the scatter undoes the gather
+    out ^= s.xor1
+    return unflatten(out[:envelope.dims.pixel_count], envelope.dims)
 
 
-def perturbed(params: MapParams, field: str, delta: float = 1e-10) -> MapParams:
-    """Copy of params with one real parameter nudged by delta (key-sensitivity runs)."""
-    return replace(params, **{field: getattr(params, field) + delta})
+PERTURBATION = 1e-10  # the key change of key-sensitivity runs
+
+
+def perturbed(params: MapParams, field: str) -> MapParams:
+    """Copy of params with one real parameter nudged by PERTURBATION."""
+    return replace(params, **{field: getattr(params, field) + PERTURBATION})

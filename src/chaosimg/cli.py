@@ -70,10 +70,8 @@ def _map_params(args) -> MapParams:
 
 def _cmd_analyze(args) -> None:
     if args.analysis == "bifurcate":
-        params = _map_params(args)
         sweep = analysis.bifurcation_sweep(
-            params, args.r_min, args.r_max, args.r_step,
-            transient=params.transient, samples=args.samples,
+            _map_params(args), args.r_min, args.r_max, args.r_step, samples=args.samples
         )
         analysis.write_bifurcation_csv(args.out, sweep)
     elif args.analysis == "lyapunov":

@@ -187,16 +187,12 @@ def test_criterion_5_dynamics():
 
 def test_criterion_6_bifurcation_sweep(tmp_path):
     start = time.monotonic()
-    points = bifurcation_sweep(
-        default_map1(), 0.0, 20.0, 0.05, transient=1000, samples=200
-    )
+    points = bifurcation_sweep(default_map1(), 0.0, 20.0, 0.05, samples=200)
     out = tmp_path / "bifurcation.csv"
     write_bifurcation_csv(out, points)
     elapsed = time.monotonic() - start
 
-    points2 = bifurcation_sweep(
-        default_map1(), 0.0, 20.0, 0.05, transient=1000, samples=200
-    )
+    points2 = bifurcation_sweep(default_map1(), 0.0, 20.0, 0.05, samples=200)
     deterministic = all(np.array_equal(a, b) for a, b in zip(points, points2))
 
     r, x, _ = points

@@ -138,21 +138,19 @@ class TestAdjacentCorrelation:
 class TestBifurcation:
     def test_degenerate_grid(self):
         r, x, diverged = bifurcation_sweep(
-            default_map1(), 17.0, 17.0, 1.0, transient=100, samples=7
+            replace(default_map1(), transient=100), 17.0, 17.0, 1.0, samples=7
         )
         assert len(r) == len(x) == len(diverged) == 7
         assert (r == 17.0).all() and not diverged.any()
 
     def test_row_count(self):
         r, x, diverged = bifurcation_sweep(
-            default_map1(), 1.0, 10.0, 1.0, transient=10, samples=200
+            replace(default_map1(), transient=10), 1.0, 10.0, 1.0, samples=200
         )
         assert len(r) == len(x) == len(diverged) == 10 * 200
 
     def test_chaotic_band_not_collapsed(self):
-        _, xs, _ = bifurcation_sweep(
-            default_map1(), 17.0, 17.0, 1.0, transient=1000, samples=200
-        )
+        _, xs, _ = bifurcation_sweep(default_map1(), 17.0, 17.0, 1.0, samples=200)
         bins = np.histogram(xs, bins=100, range=(-2, 2))[0]
         assert (bins > 0).sum() >= 50
 
@@ -257,7 +255,7 @@ class TestQualityReportAndCsv:
         assert report.histogram.sum() == 128 * 128
 
     def test_csv_formats(self, tmp_path):
-        pts = bifurcation_sweep(default_map1(), 17.0, 17.0, 1.0, transient=10, samples=3)
+        pts = bifurcation_sweep(replace(default_map1(), transient=10), 17.0, 17.0, 1.0, samples=3)
         bif = tmp_path / "bif.csv"
         write_bifurcation_csv(bif, pts)
         rows = list(csv.reader(bif.open()))
