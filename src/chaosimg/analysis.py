@@ -7,14 +7,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
 
 from .cipher import PlainImage
 from .errors import DimensionError, DivergenceError, TrajectoryCollapseError
-from .maps import MapParams, StepFn, fill, generate_sequence, step_function
+from .maps import MapParams, StepFn, fill, step_function
 
 PEAK = 255.0
 CHI2_BINS = 256
@@ -28,14 +28,6 @@ MAX_VALUES = 10_000_000
 
 # the Lyapunov estimate's distance between the reference and its companion
 D0 = 1e-8
-
-
-@dataclass(frozen=True)
-class QualityReport:
-    mse: float
-    psnr: float
-    chi_square: float
-    histogram: np.ndarray
 
 
 def mse(img_a: PlainImage, img_b: PlainImage) -> float:
@@ -91,14 +83,6 @@ def adjacent_correlation(img: PlainImage, direction: str) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def quality_report(plain: PlainImage, cipher: PlainImage) -> QualityReport:
-    hist = histogram(cipher)
-    m = mse(plain, cipher)
-    return QualityReport(
-        mse=m, psnr=psnr(m), chi_square=chi_square_uniformity(hist), histogram=hist
-    )
-
-
 def _check_size(count: float, what: str) -> None:
     if not count <= MAX_VALUES:
         raise ValueError(f"{count:,} {what} requested; the limit is {MAX_VALUES:,}")
@@ -143,8 +127,8 @@ def bifurcation_sweep(
     for k, r in enumerate(grid.tolist()):
         p = replace(params, r=r)
         try:
-            xs[k] = generate_sequence(p, samples).xs
-        except DivergenceError:
+            fill(p, (p.x0, p.y0), xs[k], skip=p.transient)
+        except DivergenceError:  # the row may be partly written
             xs[k] = math.nan
             diverged[k] = True
     return np.repeat(grid, samples), xs.reshape(-1), diverged.reshape(-1)
@@ -196,9 +180,12 @@ def lyapunov_exponent(params: MapParams, steps: int) -> float:
 
 def phase_points(params: MapParams, count: int) -> np.ndarray:
     """Post-transient (x, y) iterate pairs for scatter plotting; shape (count, 2)."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     _check_size(2 * count, "phase run values")
-    seq = generate_sequence(params, count)
-    return np.column_stack([seq.xs, seq.ys])
+    xs, ys = np.empty(count), np.empty(count)
+    fill(params, (params.x0, params.y0), xs, ys, skip=params.transient)
+    return np.column_stack([xs, ys])
 
 
 def _fmt(v: float) -> str:

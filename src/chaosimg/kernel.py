@@ -9,8 +9,8 @@ into place, so concurrent first runs are safe.
 Without a compiler, or when the build or the cache directory fails,
 `fill_function()` returns None and `maps.fill` loops over
 `maps.step_function` in Python instead. Both give the same bytes. The key
-schedule, `generate_sequence` and the Lyapunov transient all iterate
-through `maps.fill`.
+schedule, the bifurcation sweep, the phase points and the Lyapunov
+transient all iterate through `maps.fill`.
 """
 
 from __future__ import annotations

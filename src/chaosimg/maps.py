@@ -1,5 +1,5 @@
-"""Two 2D chaotic maps, sequence generation, byte quantization and
-argsort-derived permutation vectors.
+"""Two 2D chaotic maps, their iteration from a seed (`fill`), byte
+quantization and argsort-derived permutation vectors.
 
 Map 1:  x' = sin(x) + cos(y),  y' = y - r*tanh(x)
 Map 2:  x' = x + y^2 - a*r,    y' = b*x^2   (then wrapped into [-pi, pi))
@@ -66,19 +66,6 @@ def default_map1() -> MapParams:
 
 def default_map2() -> MapParams:
     return MapParams(map_id=MapId.MAP2, r=2.35, a=0.5, b=0.3)
-
-
-@dataclass(frozen=True)
-class ChaoticSequence:
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self):
-        if len(self.xs) != len(self.ys):
-            raise ValueError("xs and ys must have equal length")
-
-    def __len__(self) -> int:
-        return len(self.xs)
 
 
 StepFn = Callable[[float, float], tuple[float, float]]
@@ -152,33 +139,6 @@ def _fill_orbit(params, state, xs, ys, skip, start=0) -> tuple[float, float]:
         if i >= 0:
             out_x[i], out_y[i] = x, y
     return x, y
-
-
-def step(state: tuple[float, float], params: MapParams) -> tuple[float, float]:
-    """One simultaneous update of the selected map, from a finite state;
-    raises DivergenceError(0) when the result is non-finite."""
-    x, y = state
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise InvalidStateError(f"non-finite state ({x}, {y})")
-    x, y = step_function(params)(x, y)
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DivergenceError(0)
-    return x, y
-
-
-def generate_sequence(params: MapParams, length: int) -> ChaoticSequence:
-    """Iterate the selected map from (x0, y0), discard `transient` states,
-    record the next `length` states.
-
-    Deterministic for fixed params. Raises DivergenceError naming the
-    iteration index if the state ever becomes non-finite (unreachable for
-    Map 2 given the wrap, possible for pathological Map 1 parameters).
-    """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    xs, ys = np.empty(length), np.empty(length)
-    fill(params, (params.x0, params.y0), xs, ys, skip=params.transient)
-    return ChaoticSequence(xs=xs, ys=ys)
 
 
 def quantize_to_bytes(values) -> np.ndarray:

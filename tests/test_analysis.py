@@ -18,7 +18,6 @@ from chaosimg.analysis import (
     mse,
     phase_points,
     psnr,
-    quality_report,
     write_bifurcation_csv,
     write_histogram_csv,
     write_lyapunov_csv,
@@ -26,7 +25,7 @@ from chaosimg.analysis import (
 )
 from chaosimg.cipher import PlainImage, decrypt, default_keys, encrypt
 from chaosimg.errors import DimensionError, DivergenceError
-from chaosimg.maps import default_map1, default_map2, generate_sequence, step_function
+from chaosimg.maps import default_map1, default_map2, fill, step_function
 from conftest import structured_image
 
 
@@ -154,6 +153,16 @@ class TestBifurcation:
         bins = np.histogram(xs, bins=100, range=(-2, 2))[0]
         assert (bins > 0).sum() >= 50
 
+    def test_divergent_r_row_is_nan_and_flagged(self):
+        # Map 1 at r = 1e307 diverges at iteration 253, after 253 of its 300
+        # samples are written; the whole row is still NaN and flagged
+        r, x, diverged = bifurcation_sweep(
+            replace(default_map1(), transient=0), 17.0, 1e307, 1e307 - 17.0, samples=300
+        )
+        assert (r[:300] == 17.0).all() and (r[300:] == 1e307).all()
+        assert np.isfinite(x[:300]).all() and not diverged[:300].any()
+        assert np.isnan(x[300:]).all() and diverged[300:].all()
+
 
 class TestLyapunov:
     def test_analytic_contraction(self):
@@ -184,10 +193,10 @@ class TestLyapunov:
         b = lyapunov_exponent(default_map1(), steps=20_000)
         assert abs(b - a) / abs(a) < 0.05
 
-    def test_divergence_in_transient_counts_like_generate_sequence(self):
+    def test_divergence_in_transient_counts_like_fill(self):
         p = replace(default_map1(), r=1e307, transient=1000)
         with pytest.raises(DivergenceError) as seq_info:
-            generate_sequence(p, 1)
+            fill(p, (p.x0, p.y0), np.empty(1), skip=p.transient)
         with pytest.raises(DivergenceError) as lyap_info:
             lyapunov_exponent(p, steps=1000)
         assert lyap_info.value.iteration == seq_info.value.iteration == 253
@@ -229,11 +238,10 @@ class TestPhasePoints:
     def test_count_one_is_first_post_transient(self):
         p = default_map1()
         pts = phase_points(p, 1)
-        from chaosimg.maps import generate_sequence
-
-        seq = generate_sequence(p, 1)
+        xs, ys = np.empty(1), np.empty(1)
+        fill(p, (p.x0, p.y0), xs, ys, skip=p.transient)
         assert pts.shape == (1, 2)
-        assert pts[0, 0] == seq.xs[0] and pts[0, 1] == seq.ys[0]
+        assert pts[0, 0] == xs[0] and pts[0, 1] == ys[0]
 
     def test_map1_x_bounded(self):
         pts = phase_points(default_map1(), 2000)
@@ -249,10 +257,10 @@ class TestQualityReportAndCsv:
         plain = structured_image(128)
         keys = default_keys()
         cipher_img = decrypt_free_view(encrypt(plain, keys))
-        report = quality_report(plain, cipher_img)
-        assert report.chi_square < CHI2_CRIT_DF255_P05 * 2  # desk-scale smoke bound
-        assert report.mse > 1e4
-        assert report.histogram.sum() == 128 * 128
+        hist = histogram(cipher_img)
+        assert chi_square_uniformity(hist) < CHI2_CRIT_DF255_P05 * 2  # desk-scale smoke bound
+        assert mse(plain, cipher_img) > 1e4
+        assert hist.sum() == 128 * 128
 
     def test_csv_formats(self, tmp_path):
         pts = bifurcation_sweep(replace(default_map1(), transient=10), 17.0, 17.0, 1.0, samples=3)

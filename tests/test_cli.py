@@ -286,6 +286,16 @@ class TestAnalyzeCommand:
         assert "limit is 10,000,000" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_phase_count_below_one_exit_2(self, tmp_path, capsys, count):
+        out = tmp_path / "p.csv"
+        code = main(["analyze", "phase", "--map", "2", "--count", count,
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "count must be >= 1" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_phase_transient_bounded_exit_2(self, tmp_path, capsys):
         code = main(["analyze", "phase", "--map", "2", "--transient", "10000001",
                      "--out", str(tmp_path / "p.csv")])

@@ -1,6 +1,7 @@
 """The compiled map kernel against its pure-Python oracle, `maps.step_function`."""
 
 import hashlib
+import math
 import os
 import shutil
 import stat
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from chaosimg import kernel, maps
 from chaosimg.cipher import KeyMaterial, PlainImage, build_key_schedule, default_keys, encrypt
 from chaosimg.errors import DivergenceError
-from chaosimg.maps import MapId, MapParams, default_map2, fill, step
+from chaosimg.maps import MapId, MapParams, default_map2, fill, step_function
 from test_cipher import GOLDEN_DIGESTS, GOLDEN_IMAGES, GOLDEN_KEY_SETS, golden_keys
 
 
@@ -55,14 +56,12 @@ def test_default_orbits_match_oracle(compiled):
 
 
 def first_divergence(params):
-    state, i = (params.x0, params.y0), 0
-    try:
-        while True:
-            state = step(state, params)
-            i += 1
-    except DivergenceError as exc:
-        assert exc.iteration == 0
-        return i
+    advance, state, i = step_function(params), (params.x0, params.y0), 0
+    while True:
+        state = advance(*state)
+        if not (math.isfinite(state[0]) and math.isfinite(state[1])):
+            return i
+        i += 1
 
 
 # (r, transient, half_len): Map 1 at r = 1e308 diverges at iteration 2 and

