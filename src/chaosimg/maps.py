@@ -25,7 +25,7 @@ from .errors import DivergenceError, InvalidStateError
 
 TWO_PI = 2.0 * math.pi
 MAX_TRANSIENT = 10_000_000  # bounds the burn-in work an untrusted key can ask for
-BLOCK = 65_536  # values per temporary in the quantizer and the tie check
+BLOCK = 65_536  # values per temporary in the quantizer and the argsort
 
 
 class MapId(enum.Enum):
@@ -145,45 +145,60 @@ def quantize_to_bytes(values) -> np.ndarray:
     """Map reals to bytes: mod(round(1e12 * v), 256).
 
     Round is half-away-from-zero and the modulo is mathematical (result in
-    [0, 256)), so e.g. -1e-12 quantizes to 255. From |1e12 * v| >= 2**61 on,
-    every float is a multiple of 512 and so quantizes to 0; a product that
-    overflows to inf does too. Temporaries hold at most BLOCK values.
+    [0, 256)), so e.g. -1e-12 quantizes to 255. The truncating int64 cast
+    of copysign(|v| * 1e12 + 0.5, v) is the rounded integer, and storing it
+    into uint8 keeps its low byte, the integer mod 256. From |1e12 * v| >=
+    2**61 on, every float is a multiple of 512 and so quantizes to 0; |v| is
+    clamped to 2**62 / 1e12 first, so the product never overflows and the
+    cast stays exact. Temporaries hold at most BLOCK values.
     """
     arr = np.asarray(values, dtype=float)
     out = np.empty(arr.shape, dtype=np.uint8)
     arr, flat = arr.reshape(-1), out.reshape(-1)
-    with np.errstate(over="ignore"):
-        for start in range(0, arr.size, BLOCK):
-            block = arr[start:start + BLOCK]
-            if not np.isfinite(block).all():
-                raise InvalidStateError("non-finite value in quantizer input")
-            q = np.abs(block)
-            q *= 1e12
-            q += 0.5
-            np.floor(q, out=q)
-            q[q >= 2.0**61] = 0.0
-            np.copysign(q, block, out=q)
-            np.remainder(q, 256.0, out=q)
-            flat[start:start + BLOCK] = q
+    for start in range(0, arr.size, BLOCK):
+        block = arr[start:start + BLOCK]
+        q = np.abs(block)
+        if not math.isfinite(q.max()):  # max propagates NaN
+            raise InvalidStateError("non-finite value in quantizer input")
+        np.minimum(q, 2.0**62 / 1e12, out=q)
+        q *= 1e12
+        q += 0.5
+        flat[start:start + BLOCK] = np.copysign(q, block, out=q).astype(np.int64)
     return out
 
 
 def permutation_from_sequence(values) -> np.ndarray:
-    """Index permutation that sorts `values` ascending, ties kept stable.
+    """`np.argsort(values, kind="stable")`, as int32 below 2**31 values.
 
-    Without ties the ascending order is unique, so the faster unstable sort
-    gives the same permutation; the stable sort runs only when the sorted
-    values hold an equal neighbour pair, compared BLOCK values at a time.
+    A value's float bits, with -0.0 folded into +0.0 and a negative's
+    magnitude bits flipped, are an int64 key that orders like the values.
+    Its low b = (n-1).bit_length() bits are replaced by the index, so the
+    words are distinct and sort by (key prefix, index). Values that share a
+    prefix can differ, so the members of such runs are sorted again, stably
+    by value. Keys are made BLOCK values at a time.
     """
-    arr = np.asarray(values, dtype=float)
+    arr = np.asarray(values, dtype=float).reshape(-1)
     if arr.size == 0:
         raise ValueError("empty input")
-    perm = np.argsort(arr)
-    # argsort puts -inf first and +inf, then NaN, last
+    n, b = arr.size, (arr.size - 1).bit_length()
+    words = np.arange(n, dtype=np.int64)
+    for start in range(0, n, BLOCK):
+        key = (arr[start:start + BLOCK] + 0.0).view(np.int64)  # -0.0 + 0.0 is +0.0
+        key ^= (key >> 63) & (2**63 - 1)
+        key &= -1 << b
+        words[start:start + BLOCK] |= key
+    del key  # from here on: the words, the result and a prefix mask
+    words.sort()
+    perm = np.empty(n, dtype=np.int32 if n < 2**31 else np.intp)
+    np.bitwise_and(words, (1 << b) - 1, out=perm, casting="unsafe")
+    words >>= b
+    at, = (words[1:] == words[:-1]).nonzero()  # neighbours sharing a key prefix
+    if at.size:
+        member = np.zeros(n, dtype=bool)
+        member[at] = member[at + 1] = True
+        run = perm[member]
+        perm[member] = run[np.argsort(arr[run], kind="stable")]
+    # NaN and +-inf keys lie beyond every finite key, at the two ends
     if not (math.isfinite(arr[perm[0]]) and math.isfinite(arr[perm[-1]])):
         raise InvalidStateError("non-finite value in permutation input")
-    for start in range(0, arr.size - 1, BLOCK):
-        ordered = arr[perm[start:start + BLOCK + 1]]
-        if (ordered[1:] == ordered[:-1]).any():
-            return np.argsort(arr, kind="stable")
     return perm

@@ -266,7 +266,7 @@ class TestQualityReportAndCsv:
         pts = bifurcation_sweep(replace(default_map1(), transient=10), 17.0, 17.0, 1.0, samples=3)
         bif = tmp_path / "bif.csv"
         write_bifurcation_csv(bif, pts)
-        rows = list(csv.reader(bif.open()))
+        rows = list(csv.reader(bif.read_text().splitlines()))
         assert rows[0] == ["r", "x"]
         assert len(rows) == 4
         # 12 significant digits
@@ -275,17 +275,17 @@ class TestQualityReportAndCsv:
         ph = phase_points(default_map2(), 3)
         phf = tmp_path / "phase.csv"
         write_phase_csv(phf, ph)
-        rows = list(csv.reader(phf.open()))
+        rows = list(csv.reader(phf.read_text().splitlines()))
         assert rows[0] == ["x", "y"] and len(rows) == 4
 
         lyf = tmp_path / "ly.csv"
         write_lyapunov_csv(lyf, [(17.0, 0.896)])
-        rows = list(csv.reader(lyf.open()))
+        rows = list(csv.reader(lyf.read_text().splitlines()))
         assert rows[0] == ["r", "lambda"] and rows[1][0] == "17"
 
         hf = tmp_path / "h.csv"
         write_histogram_csv(hf, histogram(structured_image(32)))
-        rows = list(csv.reader(hf.open()))
+        rows = list(csv.reader(hf.read_text().splitlines()))
         assert rows[0] == ["value", "count"] and len(rows) == 257
         assert sum(int(r[1]) for r in rows[1:]) == 32 * 32
 

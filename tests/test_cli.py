@@ -204,7 +204,7 @@ class TestAnalyzeCommand:
                      "--r-max", "17", "--r-step", "1", "--samples", "5",
                      "--transient", "50", "--out", str(out)])
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["r", "x"] and len(rows) == 6
 
     def test_bifurcate_bad_range_exit_2(self, tmp_path):
@@ -239,7 +239,7 @@ class TestAnalyzeCommand:
         code = main(["analyze", "lyapunov", "--map", "1", "--r", "17.0",
                      "--steps", "2000", "--transient", "100", "--out", str(out)])
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["r", "lambda"] and len(rows) == 2
         assert float(rows[1][1]) > 0
 
@@ -275,7 +275,7 @@ class TestAnalyzeCommand:
         code = main(["analyze", "phase", "--map", "2", "--count", "10",
                      "--transient", "100", "--out", str(out)])
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["x", "y"] and len(rows) == 11
 
     def test_phase_too_large_exit_2(self, tmp_path, capsys):
@@ -319,7 +319,7 @@ class TestAnalyzeCommand:
         main(["decrypt", "--key", str(keyfile), "--in", str(env), "--out", str(dec)])
         out = tmp_path / "h.csv"
         assert main(["analyze", "histogram", "--in", str(dec), "--out", str(out)]) == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["value", "count"] and len(rows) == 257
         assert sum(int(r[1]) for r in rows[1:]) == 64 * 64
 

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chaosimg.errors import InvalidStateError
 from chaosimg.maps import (
@@ -186,12 +190,43 @@ class TestQuantize:
             assert list(quantize_to_bytes([1e297, -1e297, 1.7e296])) == [0, 0, 0]
             assert list(quantize_to_bytes([2.0**61 / 1e12, -(2.0**62) / 1e12])) == [0, 0]
 
+    def test_clamp_boundaries_match_the_reference(self):
+        edges = [2.0**e / 1e12 for e in (52, 53, 61, 62, 63)]
+        vals = np.array([np.nextafter(x, to) for x in edges for to in (0, x, np.inf)])
+        vals = np.concatenate([vals, -vals])
+        assert list(quantize_to_bytes(vals)) == [quantize_reference(v) for v in vals.tolist()]
+
 
 def test_transient_bounded():
     assert MapParams(MapId.MAP1, 17.0, transient=MAX_TRANSIENT).transient == MAX_TRANSIENT
     for bad in (-1, MAX_TRANSIENT + 1, 10**12):
         with pytest.raises(ValueError, match="transient"):
             MapParams(MapId.MAP1, 17.0, transient=bad)
+
+
+def prefix_run_cases() -> dict[str, np.ndarray]:
+    """Inputs in which some values share their packed key prefix, so the
+    run fix-up decides their order."""
+    rng = np.random.default_rng(14)
+    # differ only in the low bits, placed across the key-building blocks
+    ulps = np.arange(-6, 7) * 2.0**-52
+    low_bits = rng.uniform(-4, 4, 3 * BLOCK)
+    for at in (BLOCK, 2 * BLOCK):
+        low_bits[at - 13:at + 13] = rng.permutation(np.concatenate([1.0 + ulps, -1.0 + ulps]))
+    ties = rng.integers(0, 50, BLOCK + 7).astype(float)
+    zeros = np.where(rng.random(2000) < 0.5, 0.0, -0.0)
+    zeros[::9] = rng.uniform(-1, 1, zeros[::9].size)
+    subnormals = rng.integers(-40, 41, 3000) * 5e-324
+    tiny = 2.2250738585072014e-308  # the smallest normal float
+    subnormals[::7] = rng.choice([0.0, -0.0, tiny, -tiny], subnormals[::7].size)
+    big = 1.7976931348623157e308
+    below = np.nextafter(big, 0)
+    extremes = rng.choice([big, -big, below, -below, 0.0, -0.0, 1.0], 5000)
+    extremes[::3] = big * rng.uniform(-1, 1, extremes[::3].size)
+    return {"low-bits": low_bits, "ties": ties, "signed-zeros": zeros, "subnormals": subnormals,
+            "extremes": extremes, "n=1": np.array([2.5]), "n=1-negative-zero": np.array([-0.0]),
+            "one-zero-each": np.array([0.0, -1.0, -0.0, 1.0]),
+            "n=2**b": rng.integers(-3, 4, 1024) * 0.5, "n=2**b+1": rng.integers(-3, 4, 1025) * 0.5}
 
 
 class TestPermutationFromSequence:
@@ -228,21 +263,47 @@ class TestPermutationFromSequence:
         with pytest.raises(InvalidStateError):
             permutation_from_sequence(vals)
 
-    @pytest.mark.parametrize("tie_at, stable",
-                             [(BLOCK, True), (2 * BLOCK + 1, True), (None, False)])
-    def test_tie_check_spans_block_boundaries(self, monkeypatch, tie_at, stable):
-        # a tie between sorted positions tie_at - 1 and tie_at forces the stable sort
-        vals = np.arange(3 * BLOCK, dtype=float)
-        if tie_at is not None:
-            vals[tie_at] = vals[tie_at - 1]
-        vals = np.random.default_rng(13).permutation(vals)
-        kinds, argsort = [], np.argsort
-
-        def recording(a, kind=None):
-            kinds.append(kind)
-            return argsort(a, kind=kind)
-
-        monkeypatch.setattr(np, "argsort", recording)
+    @pytest.mark.parametrize("vals",
+                             [pytest.param(v, id=k) for k, v in prefix_run_cases().items()])
+    def test_prefix_runs_take_the_stable_order(self, vals):
         perm = permutation_from_sequence(vals)
-        assert ("stable" in kinds) == stable
-        assert np.array_equal(perm, argsort(vals, kind="stable"))
+        assert perm.dtype == np.int32
+        assert np.array_equal(perm, np.argsort(vals, kind="stable"))
+
+    def test_temporaries_bounded(self):
+        # 8n for the words, 4n for the int32 result and n for the prefix mask
+        vals = np.random.default_rng(15).uniform(-4, 4, 8 * BLOCK)
+        tracemalloc.start()
+        try:
+            permutation_from_sequence(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * vals.size
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+# few distinct values, so duplicates, signed zeros and shared key prefixes are common
+clustered = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
+                      st.floats(1.0, 1.0 + 2**-40), st.floats(-1.0 - 2**-40, -1.0), finite)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 300), elements=clustered))
+def test_permutation_is_the_stable_argsort(vals):
+    assert np.array_equal(permutation_from_sequence(vals), np.argsort(vals, kind="stable"))
+
+
+def quantize_reference(v: float) -> int:
+    """mod(round_half_away(1e12 * v), 256) in Python integers; the half is
+    added to |1e12 * v| in float arithmetic, as the cipher defines it."""
+    half_up = abs(v) * 1e12 + 0.5
+    rounded = 0 if math.isinf(half_up) else math.floor(half_up)
+    return (-rounded if v < 0 else rounded) % 256
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, st.integers(1, 200),
+              elements=st.one_of(finite, st.floats(-1e-9, 1e-9), st.floats(-1e7, 1e7))))
+def test_quantize_matches_the_integer_reference(vals):
+    assert list(quantize_to_bytes(vals)) == [quantize_reference(v) for v in vals.tolist()]
