@@ -8,11 +8,13 @@ the whole vector and one more XOR:
     v = (v ^ X1)[R] ^ Y
 
 Decryption is the scatter mirror and restores the plain image byte-for-byte.
-Map 2's keys are made on a worker thread while Map 1's are made on the caller.
+Map 1's orbit, the slower of the two, is iterated on a worker thread; the
+caller iterates Map 2 and makes both maps' keys.
 """
 
 from __future__ import annotations
 
+import queue
 import struct
 import threading
 from dataclasses import dataclass, replace
@@ -151,55 +153,104 @@ class KeySchedule:
         perm.flags.writeable = False
 
 
-def _map_keys(params: MapParams, n: int) -> tuple:
-    """One map's keys for its slot of n bytes, from 4n iterates after the
-    transient: segment 1's x- and y-bytes and argsort s0; the argsorts of
-    segments 2-4 composed into C = s1[s2][s3] (int32 when 2n allows); and
-    the y-bytes gathered through C. Returns (x_bytes, s0, C, y_bytes[C])."""
+def _segments(params: MapParams, next_buffer, ys: np.ndarray):
+    """Iterate the map from its seed through the four segments of its slot
+    of len(ys) bytes, each written into a buffer from next_buffer() and
+    yielded; a None buffer ends the orbit early. Segment 1's y values also
+    go into ys. Divergence indices count from the seed."""
+    state, skip, start = (params.x0, params.y0), params.transient, 0
+    for _ in range(4):
+        xs = next_buffer()
+        if xs is None:
+            return
+        state = fill(params, state, xs, ys, skip=skip, start=start)
+        ys, skip, start = None, 0, start + skip + len(xs)
+        yield xs
+
+
+def _fold(keys: list, xs: np.ndarray, index) -> None:
+    """Fold a map's next segment into its keys, in orbit order, after its
+    y-bytes: segment 1 adds its x-bytes and argsort s0, and the argsorts of
+    segments 2-4 are composed into C = s1[s2][s3] as they come, making
+    [y_bytes, x_bytes, s0, C]."""
+    if len(keys) == 1:
+        keys.append(quantize_to_bytes(xs))
+    s = permutation_from_sequence(xs).astype(index, copy=False)
+    keys.append(s if len(keys) < 4 else keys.pop()[s])
+
+
+def _both_maps(keys: KeyMaterial, n: int) -> tuple:
+    """Both maps' keys for slots of n bytes, each as [y_bytes, x_bytes, s0,
+    C]. A worker thread only iterates Map 1, into a ring of two buffers that
+    the caller allocated: it hands each full one over on `full` and takes a
+    free one from `free`. The caller iterates Map 2 into one reused buffer
+    and folds each map's segments as they come, so with the kernel every
+    array is allocated on the caller and none in the worker's malloc arena."""
     index = np.int32 if 2 * n < 2**31 else np.intp
-    xs, ys = np.empty(n), np.empty(n)
-    state = fill(params, (params.x0, params.y0), xs, ys, skip=params.transient)
-    x_bytes, y_bytes = quantize_to_bytes(xs), quantize_to_bytes(ys)
-    del ys
-    first = permutation_from_sequence(xs).astype(index, copy=False)
-    composed = np.arange(n, dtype=index)
-    for k in range(1, 4):
-        state = fill(params, state, xs, start=params.transient + k * n)
-        composed = composed[permutation_from_sequence(xs)]
-    return x_bytes, first, composed, y_bytes[composed]
+    full, free = queue.SimpleQueue(), queue.SimpleQueue()
+    free.put(np.empty(n))
+    free.put(np.empty(n))
+    xs2, ys1, ys2, keys1, keys2 = np.empty(n), np.empty(n), np.empty(n), [], []
+
+    def iterate_map1():
+        try:
+            for xs in _segments(keys.map1, free.get, ys1):
+                full.put(xs)
+        except BaseException as exc:  # raised on the caller
+            full.put(exc)
+
+    def map1_segments():
+        for _ in range(4):
+            xs = full.get()
+            if isinstance(xs, BaseException):
+                raise xs
+            yield xs
+
+    worker, map1_xs = threading.Thread(target=iterate_map1), map1_segments()
+    worker.start()
+    try:
+        for k, xs in enumerate(_segments(keys.map2, lambda: xs2, ys2)):
+            if k == 0:  # the y-bytes first, so that ys is freed before the argsort
+                keys2.append(quantize_to_bytes(ys2))
+                del ys2
+            _fold(keys2, xs, index)
+            xs = next(map1_xs)
+            if k == 0:  # the worker has filled ys1 with this segment
+                keys1.append(quantize_to_bytes(ys1))
+                del ys1
+            _fold(keys1, xs, index)
+            free.put(xs)
+    except Exception:
+        # Map 1's orbit runs to its end, so that its error, if any, is the
+        # one raised whatever the timing
+        for xs in map1_xs:
+            free.put(xs)
+        raise
+    finally:
+        free.put(None)  # a worker still waiting for a buffer ends
+        worker.join()
+    return keys1, keys2
 
 
 def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
     """The schedule of a padded vector of 2N = 2 * half_len bytes. Gathers
     compose (`v[P][Q] == v[P[Q]]`), so the split-half chain
     `((v ^ X1)[P0] ^ X2)[P1][P2][P3]` (half swap in P0) is one gather
-    `R = concat(b0[A] + N, a0[B])` and one mask `Y = concat(yA, yB)`, from
-    Map 1's `_map_keys` (a0, A, yA) and Map 2's (b0, B, yB). Map 2's runs on
-    a worker thread while Map 1's runs on the caller; the worker is joined
-    before this returns or raises, and Map 1's error wins."""
+    `R = concat(b0[A] + N, a0[B])` and one mask `Y = concat(y1[A], y2[B])`,
+    from Map 1's keys (x1, y1, a0, A) and Map 2's (x2, y2, b0, B).
+
+    Map 1's orbit, the slower, is iterated on a worker thread, and all else
+    on the caller, between Map 2's segments. The worker is joined before
+    this returns or raises, and if both maps fail, Map 1's error is raised.
+    """
     if half_len < 1:
         raise ValueError("half_len must be >= 1")
-    n, map2 = half_len, []
-
-    def run_map2():
-        try:
-            map2.append(_map_keys(keys.map2, n))
-        except Exception as exc:  # raised below, after the join
-            map2.append(exc)
-
-    worker = threading.Thread(target=run_map2)
-    worker.start()
-    try:
-        x1, a0, a, y1 = _map_keys(keys.map1, n)
-    finally:
-        worker.join()
-    if isinstance(map2[0], Exception):
-        raise map2[0]
-    x2, b0, b, y2 = map2[0]
+    n = half_len
+    (y1, x1, a0, a), (y2, x2, b0, b) = _both_maps(keys, n)
     b0 += n  # Map 2's first argsort indexes slot 1
     return KeySchedule(xor1=np.concatenate([x1, x2]),
                        perm=np.concatenate([b0[a], a0[b]]),
-                       xor2=np.concatenate([y1, y2]))
+                       xor2=np.concatenate([y1[a], y2[b]]))
 
 
 def encrypt(image: PlainImage, keys: KeyMaterial) -> CipherEnvelope:

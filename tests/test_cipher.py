@@ -1,5 +1,8 @@
 import hashlib
+import itertools
+import sys
 import threading
+import tracemalloc
 from collections import namedtuple
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosimg import cipher
+from chaosimg import cipher, maps
 from chaosimg.analysis import lyapunov_exponent
 from chaosimg.cipher import (
     CipherEnvelope,
@@ -237,6 +240,18 @@ class TestKeySchedule:
         with pytest.raises(PermutationError):
             KeySchedule(s.xor1, s.perm[:8], s.xor2)
 
+    def test_peak_allocation(self):
+        # the ring of Map 1 buffers, Map 2's buffer, both maps' keys and one
+        # argsort's temporaries; buffers that piled up would show here
+        n = 4 * maps.BLOCK
+        tracemalloc.start()
+        try:
+            build_key_schedule(default_keys(), n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * n
+
     def test_seed_sensitivity(self):
         keys = default_keys()
         nudged = type(keys)(map1=perturbed(keys.map1, "x0"), map2=keys.map2)
@@ -249,11 +264,13 @@ class TestKeySchedule:
 # Map 1 diverges at iteration 253; Map 2's a*r overflows, so it diverges at 0
 DIVERGING_MAP1 = MapParams(MapId.MAP1, 1e307)
 DIVERGING_MAP2 = MapParams(MapId.MAP2, 1e308, a=10.0, b=0.3)
+# b*x*x overflows at iteration 6496: in segment 2 of a 4096-byte slot
+LATE_DIVERGING_MAP2 = MapParams(MapId.MAP2, 2.35, a=0.5, b=1.8225e307)
 
 
 class TestTwoMaps:
-    """On the kernel and on the fallback, Map 2's keys are made on a worker
-    thread."""
+    """On the kernel and on the fallback, Map 1's orbit is iterated on a
+    worker thread and everything else on the caller."""
 
     @pytest.fixture(params=["compiled", "python_only"])
     def path(self, request):
@@ -281,18 +298,93 @@ class TestTwoMaps:
         assert self.divergence(default_map1(), DIVERGING_MAP2) == 0
         assert self.divergence(DIVERGING_MAP1, default_map2()) == 253
 
-    def test_map2_on_a_worker(self, path, monkeypatch):
-        threads = {}
-        map_keys = cipher._map_keys
+    def test_map1_on_a_worker(self, path, monkeypatch):
+        calls = []  # (map id or "argsort", thread)
 
-        def record(params, n):
-            threads[params.map_id] = threading.current_thread()
-            return map_keys(params, n)
+        def record(name, function):
+            def recorded(*args, **kwargs):
+                what = args[0].map_id if name == "fill" else name
+                calls.append((what, threading.current_thread()))
+                return function(*args, **kwargs)
+            return recorded
 
-        monkeypatch.setattr(cipher, "_map_keys", record)
+        monkeypatch.setattr(cipher, "fill", record("fill", fill))
+        monkeypatch.setattr(cipher, "permutation_from_sequence",
+                            record("argsort", permutation_from_sequence))
         build_key_schedule(default_keys(), 64)
-        assert threads[MapId.MAP1] is threading.main_thread()
-        assert threads[MapId.MAP2] is not threading.main_thread()
+        threads = {}
+        for what, thread in calls:
+            threads.setdefault(what, []).append(thread)
+        main = threading.main_thread()
+        assert len(threads[MapId.MAP1]) == 4
+        assert len(set(threads[MapId.MAP1])) == 1 and threads[MapId.MAP1][0] is not main
+        assert threads[MapId.MAP2] == [main] * 4
+        assert threads["argsort"] == [main] * 8
+
+    def test_concurrent_schedules(self, path):
+        # more threads than cores and a short switch interval: a buffer
+        # that went back to the worker before its keys were made would
+        # change some schedule
+        keys, results = default_keys(), []
+        expected = build_key_schedule(keys, 1000)
+
+        def run():
+            for _ in range(5):
+                results.append(build_key_schedule(keys, 1000))
+
+        helpers = [threading.Thread(target=run, daemon=True) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for helper in helpers:
+                helper.start()
+            for helper in helpers:
+                helper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(helper.is_alive() for helper in helpers)
+        assert len(results) == 20
+        for s in results:
+            assert np.array_equal(s.xor1, expected.xor1)
+            assert np.array_equal(s.perm, expected.perm)
+            assert np.array_equal(s.xor2, expected.xor2)
+
+    def failure(self, keys):
+        """The error a 4096-byte schedule raises, run on a helper thread
+        that must end within 10 s; no thread is left behind."""
+        before, errors = threading.active_count(), []
+
+        def run():
+            try:
+                build_key_schedule(keys, 4096)
+            except Exception as exc:
+                errors.append(exc)
+
+        helper = threading.Thread(target=run, daemon=True)
+        helper.start()
+        helper.join(timeout=10)
+        assert not helper.is_alive()
+        assert threading.active_count() == before
+        [error] = errors
+        return error
+
+    @pytest.mark.parametrize("map2, index", [(DIVERGING_MAP2, 0), (LATE_DIVERGING_MAP2, 6496)])
+    def test_map2_diverges_while_map1_runs(self, path, map2, index):
+        error = self.failure(KeyMaterial(default_map1(), map2))
+        assert isinstance(error, DivergenceError) and error.iteration == index
+
+    @pytest.mark.parametrize("failing_call", [2, 5])  # Map 1's segment 1, Map 2's segment 3
+    def test_argsort_fails_on_the_caller(self, path, monkeypatch, failing_call):
+        count = itertools.count(1)
+
+        def argsort(values):
+            if next(count) == failing_call:
+                raise MemoryError(f"argsort call {failing_call}")
+            return permutation_from_sequence(values)
+
+        monkeypatch.setattr(cipher, "permutation_from_sequence", argsort)
+        error = self.failure(default_keys())
+        assert isinstance(error, MemoryError) and str(error) == f"argsort call {failing_call}"
 
 
 class TestEncryptDecrypt:

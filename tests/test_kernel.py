@@ -55,6 +55,37 @@ def test_default_orbits_match_oracle(compiled):
         assert a == outcome(maps._fill_orbit, params, params.transient, 20000, True)
 
 
+def ulps_around(value, count):
+    """The doubles within `count` ulps of a nonzero value, in order of magnitude."""
+    bits = int(np.array(value).view(np.int64))
+    return np.arange(bits - count, bits + count + 1, dtype=np.int64).view(np.float64)
+
+
+# Map 2's first wrap input is x0 + pi when a = 0 and y0 = 0. Seeds x0 near
+# k*2*pi - pi sweep it across the multiples of 2*pi, where the kernel's
+# exact subtractions start and stop (|k| <= 3) and, at |k| = 4, hand over
+# to fmod; then +-0.0 seeds, and wrap inputs near +-1e300 in x and in y.
+WRAP_SEEDS = [(float(x0), 0.0, 0.3) for k in range(-5, 6)
+              for x0 in ulps_around(k * maps.TWO_PI - math.pi, 64)]
+WRAP_SEEDS += [(0.0, 0.0, 0.3), (-0.0, -0.0, 0.3), (0.0, -0.0, -0.0), (-math.pi, 0.0, 0.0),
+               (1e300, 0.0, 0.3), (-1e300, 0.0, 0.3), (1.0, 0.0, 1e300), (1.0, 0.0, -1e300)]
+
+
+def test_wrap_seeds_hit_the_multiples_of_two_pi():
+    inputs = {x0 + math.pi for x0, _, _ in WRAP_SEEDS}
+    # -10*pi is not x0 + pi for any double x0: 11*pi would need 54 bits
+    assert all(k * maps.TWO_PI in inputs for k in range(-4, 6))
+
+
+@pytest.mark.parametrize("length", [1, 3])
+def test_map2_wrap_matches_oracle_at_multiples_of_two_pi(compiled, length):
+    for x0, y0, b in WRAP_SEEDS:
+        params = MapParams(MapId.MAP2, 2.35, a=0.0, b=b, x0=x0, y0=y0, transient=0)
+        assert outcome(fill, params, 0, length, True) == outcome(
+            maps._fill_orbit, params, 0, length, True
+        ), (x0, y0, b)
+
+
 def first_divergence(params):
     advance, state, i = step_function(params), (params.x0, params.y0), 0
     while True:
