@@ -19,9 +19,6 @@ from .maps import MapParams, StepFn, fill, step_function
 PEAK = 255.0
 CHI2_BINS = 256
 
-# chi-square critical value, df=255, alpha=0.05 (frozen from the inverse CDF)
-CHI2_CRIT_DF255_P05 = 293.25
-
 # most float values a bifurcation sweep or a phase run may hold, and most
 # steps of a Lyapunov estimate
 MAX_VALUES = 10_000_000
@@ -103,7 +100,7 @@ def _r_grid(r_min: float, r_max: float, r_step: float, samples: int) -> np.ndarr
     return r_min + np.arange(count) * r_step
 
 
-Sweep = tuple[np.ndarray, np.ndarray, np.ndarray]
+Sweep = tuple[np.ndarray, np.ndarray]
 
 
 def bifurcation_sweep(
@@ -115,23 +112,21 @@ def bifurcation_sweep(
 ) -> Sweep:
     """x samples after `params.transient` iterations, for each r on the grid.
 
-    Returns flat `(r, x, diverged)` arrays, `samples` rows per r in grid
-    order. Output stays rectangular: a divergent r contributes `samples`
-    flagged rows with x = NaN instead of aborting the sweep.
+    Returns flat `(r, x)` arrays, `samples` rows per r in grid order.
+    Output stays rectangular: a divergent r contributes `samples` rows with
+    x = NaN instead of aborting the sweep; every other x is finite.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     grid = _r_grid(r_min, r_max, r_step, samples)
     xs = np.empty((grid.size, samples))
-    diverged = np.zeros((grid.size, samples), dtype=bool)
     for k, r in enumerate(grid.tolist()):
         p = replace(params, r=r)
         try:
             fill(p, (p.x0, p.y0), xs[k], skip=p.transient)
         except DivergenceError:  # the row may be partly written
             xs[k] = math.nan
-            diverged[k] = True
-    return np.repeat(grid, samples), xs.reshape(-1), diverged.reshape(-1)
+    return np.repeat(grid, samples), xs.reshape(-1)
 
 
 def lyapunov_from_step(step_fn: StepFn, state0: tuple[float, float], steps: int) -> float:
@@ -200,7 +195,7 @@ def _write_rows(path, header: list[str], rows: Iterable[list[str]]) -> None:
 
 
 def write_bifurcation_csv(path, sweep: Sweep) -> None:
-    r, x, _ = sweep
+    r, x = sweep
     rows = ([_fmt(a), _fmt(b)] for a, b in zip(r.tolist(), x.tolist()))
     _write_rows(path, ["r", "x"], rows)
 

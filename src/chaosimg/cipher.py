@@ -17,7 +17,7 @@ from __future__ import annotations
 import queue
 import struct
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -269,11 +269,3 @@ def decrypt(envelope: CipherEnvelope, keys: KeyMaterial) -> PlainImage:
     out[s.perm] = v ^ s.xor2  # the scatter undoes the gather
     out ^= s.xor1
     return unflatten(out[:envelope.dims.pixel_count], envelope.dims)
-
-
-PERTURBATION = 1e-10  # the key change of key-sensitivity runs
-
-
-def perturbed(params: MapParams, field: str) -> MapParams:
-    """Copy of params with one real parameter nudged by PERTURBATION."""
-    return replace(params, **{field: getattr(params, field) + PERTURBATION})

@@ -5,6 +5,9 @@
     chaosimg metrics --a plain.pgm --b cipher.pgm
     chaosimg analyze bifurcate|lyapunov|phase|histogram ... --out data.csv
 
+`metrics` prints mse= and psnr=, then --b's chi2= and adjacent-pixel corr_h=
+and corr_v= (nan if undefined: under 2 pixels that way, or zero variance).
+
 Exit codes: 0 success; 2 for a bad key file (including one that is not
 UTF-8) or an invalid value (ValueError); 1 for any other chaosimg error or
 an OS error (missing file, malformed image or envelope).
@@ -19,7 +22,7 @@ from dataclasses import replace
 
 from . import analysis, netpbm
 from .cipher import CipherEnvelope, decrypt, encrypt
-from .errors import ChaosImgError, KeyFileError
+from .errors import ChaosImgError, DimensionError, KeyFileError
 from .keyfile import load_key_file
 from .maps import MapParams, default_map1, default_map2
 
@@ -56,10 +59,18 @@ def _cmd_decrypt(args) -> None:
 
 
 def _cmd_metrics(args) -> None:
-    mse_value = analysis.mse(_load_image(args.a), _load_image(args.b))
+    a, b = _load_image(args.a), _load_image(args.b)
+    mse_value = analysis.mse(a, b)
     psnr_value = analysis.psnr(mse_value)
     print(f"mse={mse_value:.3f}")
     print("psnr=inf" if math.isinf(psnr_value) else f"psnr={psnr_value:.3f}")
+    print(f"chi2={analysis.chi_square_uniformity(analysis.histogram(b)):.3f}")
+    for name, direction in (("corr_h", "horizontal"), ("corr_v", "vertical")):
+        try:
+            corr = analysis.adjacent_correlation(b, direction)
+        except (DimensionError, ValueError):  # undefined
+            corr = math.nan
+        print(f"{name}={corr:.6f}")
 
 
 def _map_params(args) -> MapParams:
@@ -110,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="outfile", required=True)
     p.set_defaults(func=_cmd_decrypt)
 
-    p = sub.add_parser("metrics", help="print MSE/PSNR between two images")
+    p = sub.add_parser("metrics", help="MSE/PSNR, then --b's chi-square and adjacent correlations")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.set_defaults(func=_cmd_metrics)

@@ -131,13 +131,15 @@ def _fill_orbit(params, state, xs, ys, skip, start=0) -> tuple[float, float]:
     """`fill` in Python: the kernel's oracle and its fallback."""
     advance, isfinite = step_function(params), math.isfinite
     x, y = state
-    out_x, out_y = memoryview(xs), memoryview(np.empty(len(xs)) if ys is None else ys)
+    out_x, out_y = memoryview(xs), ys is not None and memoryview(ys)
     for i in range(-skip, len(xs)):  # the transient runs at i < 0
         x, y = advance(x, y)
         if not (isfinite(x) and isfinite(y)):
             raise DivergenceError(start + skip + i)
         if i >= 0:
-            out_x[i], out_y[i] = x, y
+            out_x[i] = x
+            if out_y:
+                out_y[i] = y
     return x, y
 
 

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chaosimg import kernel
 from chaosimg.cipher import PlainImage
 from chaosimg.keyfile import parse_key_text
+from chaosimg.maps import MapParams
 
 DEFAULT_KEY_TEXT = """\
 map1.r=17.0
@@ -16,6 +19,16 @@ map2.x0=0.1
 map2.y0=0.1
 transient=1000
 """
+
+# chi-square critical value, df=255, alpha=0.05 (frozen from the inverse CDF)
+CHI2_CRIT_DF255_P05 = 293.25
+
+PERTURBATION = 1e-10  # the key change of key-sensitivity runs
+
+
+def perturbed(params: MapParams, field: str) -> MapParams:
+    """Copy of params with one real parameter nudged by PERTURBATION."""
+    return replace(params, **{field: getattr(params, field) + PERTURBATION})
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from chaosimg.analysis import (
-    CHI2_CRIT_DF255_P05,
     adjacent_correlation,
     bifurcation_sweep,
     chi_square_uniformity,
@@ -28,11 +27,10 @@ from chaosimg.cipher import (
     decrypt,
     default_keys,
     encrypt,
-    perturbed,
 )
 from chaosimg.maps import MapId, MapParams, default_map1, default_map2, fill, step_function
 from chaosimg.netpbm import read_image, write_image
-from conftest import random_image, structured_image
+from conftest import CHI2_CRIT_DF255_P05, perturbed, random_image, structured_image
 
 GOLDEN_PLAIN = np.array([[1, 2], [3, 4]], dtype=np.uint8)
 GOLDEN_BODY = bytes([156, 253, 31, 163])
@@ -195,7 +193,7 @@ def test_criterion_6_bifurcation_sweep(tmp_path):
     points2 = bifurcation_sweep(default_map1(), 0.0, 20.0, 0.05, samples=200)
     deterministic = all(np.array_equal(a, b) for a, b in zip(points, points2))
 
-    r, x, _ = points
+    r, x = points
     xs = x[np.abs(r - 17.0) < 1e-9]
     bins = np.histogram(xs, bins=100, range=(-2, 2))[0]
     occupied = int((bins > 0).sum())

@@ -8,7 +8,6 @@ import pytest
 
 from chaosimg import analysis
 from chaosimg.analysis import (
-    CHI2_CRIT_DF255_P05,
     adjacent_correlation,
     bifurcation_sweep,
     chi_square_uniformity,
@@ -26,7 +25,7 @@ from chaosimg.analysis import (
 from chaosimg.cipher import PlainImage, decrypt, default_keys, encrypt
 from chaosimg.errors import DimensionError, DivergenceError
 from chaosimg.maps import default_map1, default_map2, fill, step_function
-from conftest import structured_image
+from conftest import CHI2_CRIT_DF255_P05, structured_image
 
 
 def img_of(arr):
@@ -136,32 +135,33 @@ class TestAdjacentCorrelation:
 
 class TestBifurcation:
     def test_degenerate_grid(self):
-        r, x, diverged = bifurcation_sweep(
+        r, x = bifurcation_sweep(
             replace(default_map1(), transient=100), 17.0, 17.0, 1.0, samples=7
         )
-        assert len(r) == len(x) == len(diverged) == 7
-        assert (r == 17.0).all() and not diverged.any()
+        assert len(r) == len(x) == 7
+        assert (r == 17.0).all() and np.isfinite(x).all()
 
     def test_row_count(self):
-        r, x, diverged = bifurcation_sweep(
+        r, x = bifurcation_sweep(
             replace(default_map1(), transient=10), 1.0, 10.0, 1.0, samples=200
         )
-        assert len(r) == len(x) == len(diverged) == 10 * 200
+        assert len(r) == len(x) == 10 * 200
 
     def test_chaotic_band_not_collapsed(self):
-        _, xs, _ = bifurcation_sweep(default_map1(), 17.0, 17.0, 1.0, samples=200)
+        _, xs = bifurcation_sweep(default_map1(), 17.0, 17.0, 1.0, samples=200)
         bins = np.histogram(xs, bins=100, range=(-2, 2))[0]
         assert (bins > 0).sum() >= 50
 
     def test_divergent_r_row_is_nan_and_flagged(self):
         # Map 1 at r = 1e307 diverges at iteration 253, after 253 of its 300
-        # samples are written; the whole row is still NaN and flagged
-        r, x, diverged = bifurcation_sweep(
+        # samples are written; the whole row is still NaN, the flag of a
+        # divergent r
+        r, x = bifurcation_sweep(
             replace(default_map1(), transient=0), 17.0, 1e307, 1e307 - 17.0, samples=300
         )
         assert (r[:300] == 17.0).all() and (r[300:] == 1e307).all()
-        assert np.isfinite(x[:300]).all() and not diverged[:300].any()
-        assert np.isnan(x[300:]).all() and diverged[300:].all()
+        assert np.isfinite(x[:300]).all()
+        assert np.isnan(x[300:]).all()
 
 
 class TestLyapunov:

@@ -23,7 +23,6 @@ from chaosimg.cipher import (
     default_keys,
     encrypt,
     flatten,
-    perturbed,
     unflatten,
 )
 from chaosimg.errors import (
@@ -41,7 +40,7 @@ from chaosimg.maps import (
     permutation_from_sequence,
     quantize_to_bytes,
 )
-from conftest import random_image
+from conftest import perturbed, random_image
 
 # frozen from the straight-line hand-trace oracle (run before the build):
 # 2x2 grayscale rows [[1,2],[3,4]], default keys
@@ -240,7 +239,8 @@ class TestKeySchedule:
         with pytest.raises(PermutationError):
             KeySchedule(s.xor1, s.perm[:8], s.xor2)
 
-    def test_peak_allocation(self):
+    @staticmethod
+    def assert_peak_allocation():
         # the ring of Map 1 buffers, Map 2's buffer, both maps' keys and one
         # argsort's temporaries; buffers that piled up would show here
         n = 4 * maps.BLOCK
@@ -251,6 +251,12 @@ class TestKeySchedule:
         finally:
             tracemalloc.stop()
         assert peak <= 64 * n
+
+    def test_peak_allocation(self, compiled):
+        self.assert_peak_allocation()
+
+    def test_peak_allocation_on_the_fallback(self, python_only):
+        self.assert_peak_allocation()
 
     def test_seed_sensitivity(self):
         keys = default_keys()

@@ -191,6 +191,41 @@ class TestMetricsCommand:
         psnr_v = float(out.split("psnr=")[1].splitlines()[0])
         assert psnr_v == pytest.approx(10 * np.log10(65025 / mse_v), abs=0.001)
 
+    def run_metrics(self, tmp_path, capsys, pixels):
+        """The name=value lines of `metrics` of an image with itself, in
+        order; asserts exit 0."""
+        path = tmp_path / "b.pgm"
+        path.write_bytes(write_image(PlainImage.from_array(np.array(pixels, np.uint8))))
+        assert main(["metrics", "--a", str(path), "--b", str(path)]) == 0
+        return [line.split("=") for line in capsys.readouterr().out.splitlines()]
+
+    def test_quality_lines_follow_mse_and_psnr(self, tmp_path, capsys):
+        lines = self.run_metrics(tmp_path, capsys, [[1, 2], [3, 4]])
+        assert [name for name, _ in lines] == ["mse", "psnr", "chi2", "corr_h", "corr_v"]
+        assert lines[:2] == [["mse", "0.000"], ["psnr", "inf"]]
+
+    def test_chi2_of_the_golden_image(self, tmp_path, capsys):
+        # 4 pixels in 4 distinct bins, e = 4/256 expected per bin: 4 bins of
+        # (1 - e)^2 / e and 252 bins of e, 252 in all
+        lines = dict(self.run_metrics(tmp_path, capsys, [[1, 2], [3, 4]]))
+        e = 4 / 256
+        assert float(lines["chi2"]) == pytest.approx(4 * (1 - e) ** 2 / e + 252 * e, abs=5e-4)
+        assert lines["chi2"] == "252.000"
+
+    def test_checkerboard_correlations(self, tmp_path, capsys):
+        i, j = np.mgrid[0:8, 0:8]
+        lines = dict(self.run_metrics(tmp_path, capsys, ((i + j) % 2) * 255))
+        assert lines["corr_h"] == "-1.000000" and lines["corr_v"] == "-1.000000"
+
+    def test_undefined_correlation_is_nan(self, tmp_path, capsys):
+        lines = dict(self.run_metrics(tmp_path, capsys, np.full((2, 2), 255)))
+        assert lines["corr_h"] == lines["corr_v"] == "nan"
+        assert lines["chi2"] == "1020.000"  # 4 pixels in one bin: 256 * 4 - 4
+        one_wide = dict(self.run_metrics(tmp_path, capsys, [[0], [255], [0], [255]]))
+        assert one_wide["corr_h"] == "nan" and one_wide["corr_v"] == "-1.000000"
+        one_pixel = dict(self.run_metrics(tmp_path, capsys, [[7]]))
+        assert one_pixel["corr_h"] == one_pixel["corr_v"] == "nan"
+
     def test_dim_mismatch_exit_1(self, tmp_path, golden_pgm):
         other = tmp_path / "o.pgm"
         other.write_bytes(write_image(PlainImage.from_array(np.zeros((3, 3), np.uint8))))

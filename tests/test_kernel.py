@@ -6,6 +6,7 @@ import os
 import shutil
 import stat
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,20 @@ def test_fallback_reproduces_golden_digests(python_only, name):
     keys = default_keys() if key_set == "default" else golden_keys(GOLDEN_KEY_SETS[key_set])
     env = encrypt(PlainImage.from_array(GOLDEN_IMAGES[image]()), keys)
     assert hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+def test_fallback_fill_without_ys_allocates_no_y_buffer(python_only):
+    params, n = default_map2(), maps.BLOCK
+    xs, xs_with_ys = np.empty(n), np.empty(n)
+    tracemalloc.start()
+    try:
+        last = fill(params, (0.1, 0.1), xs, skip=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * 8 * n
+    assert last == fill(params, (0.1, 0.1), xs_with_ys, np.empty(n), skip=10)
+    assert xs.tobytes() == xs_with_ys.tobytes()
 
 
 def test_kernel_active_when_a_compiler_is_on_path():
