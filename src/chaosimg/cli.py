@@ -9,8 +9,9 @@
 and corr_v= (nan if undefined: under 2 pixels that way, or zero variance).
 
 Exit codes: 0 success; 2 for a bad key file (including one that is not
-UTF-8) or an invalid value (ValueError); 1 for any other chaosimg error or
-an OS error (missing file, malformed image or envelope).
+UTF-8 or is over 64 KiB) or an invalid value (ValueError); 1 for any other
+chaosimg error, an OS error (missing file, malformed image or envelope) or
+running out of memory.
 """
 
 from __future__ import annotations
@@ -166,6 +167,8 @@ def main(argv=None) -> int:
         return _fail(str(exc), EXIT_VALIDATION)
     except (ChaosImgError, OSError) as exc:
         return _fail(str(exc), EXIT_IO)
+    except MemoryError:
+        return _fail("out of memory", EXIT_IO)
     return EXIT_OK
 
 

@@ -2,7 +2,7 @@
 
 Required names (each exactly once): map1.r, map1.x0, map1.y0,
 map2.r, map2.a, map2.b, map2.x0, map2.y0, transient.
-Unknown names are rejected.
+Unknown names are rejected, and so is a file over MAX_KEY_FILE bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ FLOAT_KEYS = (
     "map2.y0",
 )
 REQUIRED_KEYS = FLOAT_KEYS + ("transient",)
+MAX_KEY_FILE = 64 * 1024  # bytes; a complete key file is about 150
 
 
 def parse_key_text(text: str) -> KeyMaterial:
@@ -73,6 +74,9 @@ def parse_key_text(text: str) -> KeyMaterial:
 
 
 def load_key_file(path) -> KeyMaterial:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_key_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_KEY_FILE + 1)
+    if len(data) > MAX_KEY_FILE:
+        raise KeyFileError(f"key file is longer than {MAX_KEY_FILE:,} bytes")
+    return parse_key_text(data.decode("utf-8"))
 

@@ -109,22 +109,19 @@ def fill(
         raise ValueError("fill needs buffers of equal length >= 1")
     if not 0 <= skip < 2**63 - len(xs):  # the kernel counts in 64 bits
         raise ValueError(f"transient or skip out of range: {skip}")
+    if any(buf.dtype != np.float64 or not (buf.flags.c_contiguous and buf.flags.writeable)
+           for buf in (xs, ys) if buf is not None):  # on both paths
+        raise ValueError("fill buffers must be writeable C-contiguous float64 arrays")
     fn = kernel.fill_function()
     if fn is None:
         return _fill_orbit(params, state, xs, ys, skip, start)
     last = (ctypes.c_double * 2)(*state)
     map_number = 1 if params.map_id is MapId.MAP1 else 2
     bad = fn(map_number, params.r, params.a * params.r, params.b, last, skip,
-             _address(xs), None if ys is None else _address(ys), len(xs))
+             xs.ctypes.data, None if ys is None else ys.ctypes.data, len(xs))
     if bad >= 0:
         raise DivergenceError(start + bad)
     return last[0], last[1]
-
-
-def _address(buf: np.ndarray) -> int:
-    if buf.dtype != np.float64 or not (buf.flags.c_contiguous and buf.flags.writeable):
-        raise ValueError("fill buffers must be writeable C-contiguous float64 arrays")
-    return buf.ctypes.data
 
 
 def _fill_orbit(params, state, xs, ys, skip, start=0) -> tuple[float, float]:

@@ -7,57 +7,44 @@ ASCII variants and maxval != 255 are rejected.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .cipher import ImageDims, PlainImage
 from .errors import NetpbmError
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
 MAX_NUMBER = 2**32 - 1  # the envelope stores height and width as uint32
-
-
-def _skip_space(data: bytes, pos: int) -> int:
-    while pos < len(data):
-        c = data[pos:pos + 1]
-        if c in (b"#",):
-            while pos < len(data) and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        elif c and c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    return pos
-
-
-def _read_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    pos = _skip_space(data, pos)
-    start = pos
-    while pos < len(data) and data[pos:pos + 1] not in _WHITESPACE and data[pos] != ord("#"):
-        pos += 1
-    token = data[start:pos]
-    if not token:
-        raise NetpbmError(f"missing {what} token", start)
-    if not token.isdigit():
-        raise NetpbmError(f"non-numeric {what} token {token!r}", start)
-    digits = token.lstrip(b"0") or b"0"  # sized first: int() refuses > 4300 digits
-    if len(digits) > len(str(MAX_NUMBER)) or int(digits) > MAX_NUMBER:
-        raise NetpbmError(f"{what} is above {MAX_NUMBER:,}", start)
-    return int(digits), pos
+# The magic; width, height and maxval, each after whitespace and `#` comments
+# (to CR or LF); the byte before the raster. In bytes, \s is exactly the six
+# Netpbm whitespace bytes. The possessive *+ keeps no backtracking state per
+# skipped comment, so time and memory stay linear in the header.
+_HEADER = re.compile(rb"P[56]" + rb"(?:\s+|#[^\n\r]*)*+([^\s#]*)" * 3 + rb"(\s?)")
 
 
 def read_image(data: bytes) -> PlainImage:
-    magic = data[:2]
-    if magic not in (b"P5", b"P6"):
-        raise NetpbmError(f"bad magic {magic!r}, want P5 or P6", 0)
-    depth = 1 if magic == b"P5" else 3
-    width, pos = _read_int(data, 2, "width")
-    height, pos = _read_int(data, pos, "height")
-    maxval, pos = _read_int(data, pos, "maxval")
+    header = _HEADER.match(data)
+    if header is None:
+        raise NetpbmError(f"bad magic {data[:2]!r}, want P5 or P6", 0)
+    numbers = []
+    for group, what in enumerate(("width", "height", "maxval"), start=1):
+        token, start = header[group], header.start(group)
+        if not token:
+            raise NetpbmError(f"missing {what} token", start)
+        if not token.isdigit():
+            raise NetpbmError(f"non-numeric {what} token {token!r}", start)
+        digits = token.lstrip(b"0") or b"0"  # sized first: int() refuses > 4300 digits
+        if len(digits) > len(str(MAX_NUMBER)) or int(digits) > MAX_NUMBER:
+            raise NetpbmError(f"{what} is above {MAX_NUMBER:,}", start)
+        numbers.append(int(digits))
+    width, height, maxval = numbers
+    depth = 1 if data[:2] == b"P5" else 3
+    pos = header.start(4)
     if width < 1 or height < 1:
         raise NetpbmError(f"bad dimensions {width}x{height}", 2)
     if maxval != 255:
         raise NetpbmError(f"unsupported maxval {maxval} (only 8-bit)", pos)
-    if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
+    if not header[4]:
         raise NetpbmError("expected single whitespace before raster", pos)
     pos += 1
     n = width * height * depth

@@ -97,6 +97,27 @@ class TestEncryptDecryptCommands:
         assert code == 2
         assert "utf-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size, code", [(65_536, 0), (65_537, 2)])
+    def test_key_file_over_64_kib_exit_2(self, tmp_path, golden_pgm, capsys, size, code):
+        key = DEFAULT_KEY_TEXT.encode()
+        pad = size - len(key)  # comment lines, then blank ones, before a valid key
+        p = tmp_path / "k.txt"
+        p.write_bytes((b"#" * 63 + b"\n") * (pad // 64) + b"\n" * (pad % 64) + key)
+        assert p.stat().st_size == size
+        assert main(["encrypt", "--key", str(p), "--in", str(golden_pgm),
+                     "--out", str(tmp_path / "c.cse")]) == code
+        if code:
+            assert "key file is longer than 65,536 bytes" in capsys.readouterr().err
+
+    def test_out_of_memory_exit_1(self, tmp_path, keyfile, golden_pgm, capsys, monkeypatch):
+        def exhausted(data):
+            raise MemoryError
+        monkeypatch.setattr(chaosimg.netpbm, "read_image", exhausted)
+        code = main(["encrypt", "--key", str(keyfile), "--in", str(golden_pgm),
+                     "--out", str(tmp_path / "c.cse")])
+        assert code == 1
+        assert capsys.readouterr().err == "chaosimg: error: out of memory\n"
+
     def test_transient_beyond_64_bits_exit_2(self, tmp_path, golden_pgm, capsys):
         p = tmp_path / "k.txt"
         p.write_text(DEFAULT_KEY_TEXT.replace("transient=1000", f"transient={2**64}"))

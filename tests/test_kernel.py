@@ -169,7 +169,9 @@ def test_sha256_matches_hashlib():
     assert kernel._sha256(b"chaos") == hashlib.sha256(b"chaos").hexdigest()
 
 
-def test_fill_rejects_bad_arguments(compiled):
+@pytest.mark.parametrize("path", ["compiled", "python_only"])
+def test_fill_rejects_bad_arguments(request, path):
+    request.getfixturevalue(path)
     params = default_map2()
     for skip in (-1, 2**63, 2**64 + 5):  # 2**64 + 5 would wrap to 5 in C
         with pytest.raises(ValueError):
@@ -182,3 +184,11 @@ def test_fill_rejects_bad_arguments(compiled):
         fill(params, (0.1, 0.1), np.empty(8)[::2])
     with pytest.raises(ValueError):
         fill(params, (0.1, 0.1), np.empty(4, dtype=np.float32))
+    with pytest.raises(ValueError):
+        fill(params, (0.1, 0.1), np.empty(4, dtype=np.int64))
+    read_only = np.empty(4)
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError):
+        fill(params, (0.1, 0.1), read_only)
+    with pytest.raises(ValueError):
+        fill(params, (0.1, 0.1), np.empty(4), read_only)

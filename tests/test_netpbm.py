@@ -1,9 +1,128 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaosimg.errors import NetpbmError
-from chaosimg.netpbm import read_image, write_image
+from chaosimg.netpbm import MAX_NUMBER, read_image, write_image
 from conftest import random_image
+
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def _skip_space(data, pos):
+    while pos < len(data):
+        c = data[pos:pos + 1]
+        if c in (b"#",):
+            while pos < len(data) and data[pos] not in (0x0A, 0x0D):
+                pos += 1
+        elif c and c in _WHITESPACE:
+            pos += 1
+        else:
+            break
+    return pos
+
+
+def _read_int(data, pos, what):
+    pos = _skip_space(data, pos)
+    start = pos
+    while pos < len(data) and data[pos:pos + 1] not in _WHITESPACE and data[pos] != ord("#"):
+        pos += 1
+    token = data[start:pos]
+    if not token:
+        raise NetpbmError(f"missing {what} token", start)
+    if not token.isdigit():
+        raise NetpbmError(f"non-numeric {what} token {token!r}", start)
+    digits = token.lstrip(b"0") or b"0"
+    if len(digits) > len(str(MAX_NUMBER)) or int(digits) > MAX_NUMBER:
+        raise NetpbmError(f"{what} is above {MAX_NUMBER:,}", start)
+    return int(digits), pos
+
+
+def reference_read(data):
+    """The header read one byte at a time, as the reader once did: the
+    oracle of the compiled pattern. Returns (dims, raster bytes)."""
+    magic = data[:2]
+    if magic not in (b"P5", b"P6"):
+        raise NetpbmError(f"bad magic {magic!r}, want P5 or P6", 0)
+    depth = 1 if magic == b"P5" else 3
+    width, pos = _read_int(data, 2, "width")
+    height, pos = _read_int(data, pos, "height")
+    maxval, pos = _read_int(data, pos, "maxval")
+    if width < 1 or height < 1:
+        raise NetpbmError(f"bad dimensions {width}x{height}", 2)
+    if maxval != 255:
+        raise NetpbmError(f"unsupported maxval {maxval} (only 8-bit)", pos)
+    if pos >= len(data) or data[pos:pos + 1] not in _WHITESPACE:
+        raise NetpbmError("expected single whitespace before raster", pos)
+    pos += 1
+    n = width * height * depth
+    raster = data[pos:pos + n]
+    if len(raster) < n:
+        raise NetpbmError(
+            f"truncated raster: have {len(raster)} of {n} bytes", pos + len(raster)
+        )
+    return (depth, height, width), raster
+
+
+def outcome(read, data):
+    try:
+        return read(data)
+    except NetpbmError as exc:
+        return str(exc), exc.offset
+
+
+def new_read(data):
+    img = read_image(data)
+    d = img.dims
+    raster = img.pixels.transpose(1, 2, 0).tobytes()  # back to interleaved
+    return (d.depth, d.height, d.width), raster
+
+
+whitespace = st.sampled_from([bytes([c]) for c in _WHITESPACE])
+comment = st.builds(  # ended by LF or CR here; by EOF when a cut lands in it
+    lambda text, end: b"#" + text + end,
+    st.binary(max_size=6).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")),
+    st.sampled_from([b"\n", b"\r"]),
+)
+separator = st.lists(st.one_of(whitespace, comment), min_size=1, max_size=3).map(b"".join)
+
+
+def digits(values):
+    """Numbers from `values`, with none, a few or over 4300 leading zeros."""
+    return st.builds(lambda zeros, value: b"0" * zeros + str(value).encode(),
+                     st.sampled_from([0, 0, 0, 1, 2, 4301]), values)
+
+
+hostile = st.one_of(
+    digits(st.sampled_from([0, 255, 256, 65535, 2**32 - 1, 2**32, 2**33 + 7])),
+    st.sampled_from([b"", b"9" * 4301, b"0" * 4400 + b"2", b"-1", b"+2"]),
+    st.binary(min_size=1, max_size=3),  # non-digit bytes, whitespace and `#` too
+)
+
+
+@st.composite
+def header_and_raster(draw):
+    """A valid header and raster, or one with a field or more replaced, or
+    either cut short."""
+    def field(good):
+        return draw(hostile) if draw(st.integers(0, 4)) == 0 else draw(good)
+    data = draw(st.sampled_from([b"P5", b"P6"] * 4 + [b"P3"]))
+    for good in (digits(st.integers(1, 4)), digits(st.integers(1, 4)), digits(st.just(255))):
+        data += draw(separator) + field(good)
+    data += draw(st.sampled_from([b"\n"] * 6 + [bytes([c]) for c in _WHITESPACE]
+                                 + [b"", b"#", b"# x\n"]))  # the byte before the raster
+    data += bytes(range(draw(st.integers(0, 50))))  # 4x4 P6 needs 48: sometimes short
+    return data[:draw(st.integers(2, len(data)))] if draw(st.integers(0, 5)) == 0 else data
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=header_and_raster())
+@example(data=b"P5\x0b1\x0b1\x0b255\x0b\x07")
+@example(data=b"P6 #c\r2#\r1 255\n" + bytes(6))
+@example(data=b"P5 1 1 255#")
+def test_header_matches_the_byte_at_a_time_reader(data):
+    assert outcome(new_read, data) == outcome(reference_read, data)
 
 
 class TestRead:
