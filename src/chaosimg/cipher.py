@@ -28,6 +28,7 @@ from .maps import (MapId, MapParams, default_map1, default_map2, fill,
 ENVELOPE_MAGIC = b"CSE1"
 ENVELOPE_VERSION = 1
 _HEADER = struct.Struct(">4sBBIIB")  # magic, version, depth, height, width, pad
+ENVELOPE_HEADER_SIZE = _HEADER.size
 
 
 @dataclass(frozen=True)
@@ -108,16 +109,29 @@ class CipherEnvelope:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CipherEnvelope":
-        if len(data) < _HEADER.size:
-            raise MalformedEnvelopeError("truncated header")
-        magic, version, depth, height, width, pad = _HEADER.unpack_from(data)
-        if magic != ENVELOPE_MAGIC:
-            raise MalformedEnvelopeError(f"bad magic {magic!r}")
-        if version != ENVELOPE_VERSION:
-            raise MalformedEnvelopeError(f"unsupported version {version}")
-        if depth not in (1, 3):
-            raise MalformedEnvelopeError(f"bad depth byte {depth}")
-        return cls(dims=ImageDims(depth, height, width), pad=pad, body=bytes(data[_HEADER.size:]))
+        dims, pad = _unpack_header(data)
+        return cls(dims=dims, pad=pad, body=bytes(data[_HEADER.size:]))
+
+
+def _unpack_header(data: bytes) -> tuple[ImageDims, int]:
+    if len(data) < _HEADER.size:
+        raise MalformedEnvelopeError("truncated header")
+    magic, version, depth, height, width, pad = _HEADER.unpack_from(data)
+    if magic != ENVELOPE_MAGIC:
+        raise MalformedEnvelopeError(f"bad magic {magic!r}")
+    if version != ENVELOPE_VERSION:
+        raise MalformedEnvelopeError(f"unsupported version {version}")
+    if depth not in (1, 3):
+        raise MalformedEnvelopeError(f"bad depth byte {depth}")
+    return ImageDims(depth, height, width), pad
+
+
+def envelope_length(header: bytes) -> int:
+    """The length, header and body, of the envelope that `header` (its first
+    ENVELOPE_HEADER_SIZE bytes or more) states. A bad header raises as in
+    `CipherEnvelope.from_bytes`."""
+    dims, pad = _unpack_header(header)
+    return _HEADER.size + dims.pixel_count + pad
 
 
 def flatten(image: PlainImage) -> np.ndarray:

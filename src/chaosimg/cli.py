@@ -12,18 +12,26 @@ Exit codes: 0 success; 2 for a bad key file (including one that is not
 UTF-8 or is over 64 KiB) or an invalid value (ValueError); 1 for any other
 chaosimg error, an OS error (missing file, malformed image or envelope) or
 running out of memory.
+
+`--in`, `--a` and `--b` are read only as far as the header says the image or
+envelope reaches (an envelope one byte further, to refuse a longer one), in
+reads of at most 1 MiB, so an endless input costs no more than its header.
+
+The argparse parser is built once per process, on the first `main` call, and
+shared by every later call; callers must not modify it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
 
 from . import analysis, netpbm
-from .cipher import CipherEnvelope, decrypt, encrypt
-from .errors import ChaosImgError, DimensionError, KeyFileError
+from .cipher import ENVELOPE_HEADER_SIZE, CipherEnvelope, decrypt, encrypt, envelope_length
+from .errors import ChaosImgError, DimensionError, KeyFileError, MalformedEnvelopeError
 from .keyfile import load_key_file
 from .maps import MapParams, default_map1, default_map2
 
@@ -31,6 +39,7 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 _MAP_FLOATS = ("r", "a", "b", "x0", "y0")  # MapParams fields settable by flag
+_CHUNK = 1 << 20  # the largest single read of an input file
 
 
 def _fail(message: str, code: int) -> int:
@@ -38,9 +47,43 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _read(fh, size: int) -> bytes:
+    """At most `size` more bytes of `fh`, in reads of at most `_CHUNK`: a
+    size that a header states costs no more memory than the file holds."""
+    chunks = []
+    while size > 0 and (chunk := fh.read(min(size, _CHUNK))):
+        chunks.append(chunk)
+        size -= len(chunk)
+    return b"".join(chunks)
+
+
 def _load_image(path):
+    """The first image of a Netpbm file. Reading stops at the end of the
+    raster, or at the end of the read that completes the header if that is
+    further. Each try at the header doubles the bytes held, so a long header
+    is matched only O(log n) times."""
     with open(path, "rb") as fh:
-        return netpbm.read_image(fh.read())
+        data = fh.read(_CHUNK)
+        while (length := netpbm.image_length(data)) is None and (more := _read(fh, len(data))):
+            data += more
+        if length is not None:
+            data += _read(fh, length - len(data))
+    return netpbm.read_image(data)
+
+
+def _load_envelope(path) -> CipherEnvelope:
+    """The envelope in a file, read no further than one byte past the body
+    that its header states."""
+    with open(path, "rb") as fh:
+        data = fh.read(ENVELOPE_HEADER_SIZE)
+        length = envelope_length(data)
+        data += _read(fh, length + 1 - len(data))
+    envelope = CipherEnvelope.from_bytes(data[:length])
+    if len(data) > length:
+        raise MalformedEnvelopeError(
+            f"envelope is longer than the {length:,} bytes its header states"
+        )
+    return envelope
 
 
 def _cmd_encrypt(args) -> None:
@@ -52,9 +95,7 @@ def _cmd_encrypt(args) -> None:
 
 def _cmd_decrypt(args) -> None:
     keys = load_key_file(args.key)
-    with open(args.infile, "rb") as fh:
-        envelope = CipherEnvelope.from_bytes(fh.read())
-    image = decrypt(envelope, keys)
+    image = decrypt(_load_envelope(args.infile), keys)
     with open(args.outfile, "wb") as fh:
         fh.write(netpbm.write_image(image))
 
@@ -106,7 +147,11 @@ def _add_map_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--transient", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `chaosimg` parser, built on the first call and returned by every
+    later one: callers share it and must not modify it. `parse_args` leaves
+    it as it is, so concurrent and repeated calls see the same parser."""
     parser = argparse.ArgumentParser(prog="chaosimg")
     sub = parser.add_subparsers(dest="command", required=True)
 

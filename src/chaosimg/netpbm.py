@@ -20,10 +20,12 @@ MAX_NUMBER = 2**32 - 1  # the envelope stores height and width as uint32
 # Netpbm whitespace bytes. The possessive *+ keeps no backtracking state per
 # skipped comment, so time and memory stay linear in the header.
 _HEADER = re.compile(rb"P[56]" + rb"(?:\s+|#[^\n\r]*)*+([^\s#]*)" * 3 + rb"(\s?)")
+_QUOTED = 32  # bytes of a bad token that its message quotes: it can be megabytes long
 
 
-def read_image(data: bytes) -> PlainImage:
-    header = _HEADER.match(data)
+def _parse_header(data: bytes, header: re.Match | None) -> tuple[ImageDims, int]:
+    """The dimensions that the complete header `header` of `data` states,
+    and the offset of the raster."""
     if header is None:
         raise NetpbmError(f"bad magic {data[:2]!r}, want P5 or P6", 0)
     numbers = []
@@ -32,7 +34,10 @@ def read_image(data: bytes) -> PlainImage:
         if not token:
             raise NetpbmError(f"missing {what} token", start)
         if not token.isdigit():
-            raise NetpbmError(f"non-numeric {what} token {token!r}", start)
+            raise NetpbmError(
+                f"non-numeric {what} token of {len(token):,} bytes starting "
+                f"{token[:_QUOTED]!r}", start
+            )
         digits = token.lstrip(b"0") or b"0"  # sized first: int() refuses > 4300 digits
         if len(digits) > len(str(MAX_NUMBER)) or int(digits) > MAX_NUMBER:
             raise NetpbmError(f"{what} is above {MAX_NUMBER:,}", start)
@@ -46,19 +51,36 @@ def read_image(data: bytes) -> PlainImage:
         raise NetpbmError(f"unsupported maxval {maxval} (only 8-bit)", pos)
     if not header[4]:
         raise NetpbmError("expected single whitespace before raster", pos)
-    pos += 1
-    n = width * height * depth
+    return ImageDims(depth, height, width), pos + 1
+
+
+def image_length(data: bytes) -> int | None:
+    """The length, header and raster, of the image that `data` starts with,
+    or None while `data` may end inside the header: more bytes could still
+    change it. A complete header that is wrong raises as in `read_image`."""
+    # every part of the pattern stops at a byte it refuses or at the end, and
+    # no part ever backtracks, so a match that ends before the end is final
+    header = _HEADER.match(data)
+    if len(data) < 2 or header is not None and header.end() == len(data):
+        return None
+    dims, pos = _parse_header(data, header)
+    return pos + dims.pixel_count
+
+
+def read_image(data: bytes) -> PlainImage:
+    dims, pos = _parse_header(data, _HEADER.match(data))
+    n = dims.pixel_count
     raster = data[pos:pos + n]
     if len(raster) < n:
         raise NetpbmError(
             f"truncated raster: have {len(raster)} of {n} bytes", pos + len(raster)
         )
     arr = np.frombuffer(raster, dtype=np.uint8)
-    if depth == 1:
-        pixels = arr.reshape(1, height, width)
+    if dims.depth == 1:
+        pixels = arr.reshape(1, dims.height, dims.width)
     else:
-        pixels = arr.reshape(height, width, 3).transpose(2, 0, 1)
-    return PlainImage(dims=ImageDims(depth, height, width), pixels=pixels)
+        pixels = arr.reshape(dims.height, dims.width, 3).transpose(2, 0, 1)
+    return PlainImage(dims=dims, pixels=pixels)
 
 
 def write_image(img: PlainImage) -> bytes:

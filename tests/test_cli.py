@@ -1,7 +1,10 @@
+import contextlib
 import csv
 import os
+import struct
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import numpy as np
 import pytest
 
 import chaosimg
+from chaosimg import cli
 from chaosimg.analysis import (
     lyapunov_exponent,
     phase_points,
@@ -16,7 +20,7 @@ from chaosimg.analysis import (
     write_phase_csv,
 )
 from chaosimg.cipher import PlainImage
-from chaosimg.cli import main
+from chaosimg.cli import build_parser, main
 from chaosimg.errors import KeyFileError
 from chaosimg.keyfile import parse_key_text
 from chaosimg.maps import default_map2
@@ -156,6 +160,51 @@ class TestEncryptDecryptCommands:
                      "--out", str(tmp_path / "c.cse")])
         assert code == 1
         assert "width is above 4,294,967,295" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_reads_in_chunks(self, tmp_path, keyfile, monkeypatch, chunk):
+        # a header that spans many reads, then bytes after the raster
+        src = tmp_path / "p.pgm"
+        src.write_bytes(b"P5 #c\n2\n#x\r 2 255\n" + bytes([1, 2, 3, 4]) + b"next image")
+        env, out = tmp_path / "c.cse", tmp_path / "d.pgm"
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(env)]) == 0
+        assert env.read_bytes() == GOLDEN_ENVELOPE
+        assert main(["decrypt", "--key", str(keyfile), "--in", str(env), "--out", str(out)]) == 0
+        assert out.read_bytes() == b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4])
+
+    def test_envelope_longer_than_its_header_exit_1(self, tmp_path, keyfile, capsys):
+        env = tmp_path / "c.cse"
+        for extra in (b"\0", bytes(5000)):
+            env.write_bytes(GOLDEN_ENVELOPE + extra)
+            code = main(["decrypt", "--key", str(keyfile), "--in", str(env),
+                         "--out", str(tmp_path / "d.pgm")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "envelope is longer than the 19 bytes its header states" in err
+
+    def test_huge_stated_body_on_a_short_file_exit_1(self, tmp_path, keyfile, capsys):
+        side = 2**32 - 1
+        count = 3 * side * side
+        env = tmp_path / "c.cse"
+        env.write_bytes(struct.pack(">4sBBIIB", b"CSE1", 1, 3, side, side, count % 2) + bytes(5))
+        assert env.stat().st_size == 20
+        code = main(["decrypt", "--key", str(keyfile), "--in", str(env),
+                     "--out", str(tmp_path / "d.pgm")])
+        assert code == 1
+        assert f"body length 5 != expected {count + 1}" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_endless_stream_read_only_as_far_as_its_header_says(self, tmp_path, keyfile, capsys):
+        pgm = b"P5 2 2 255\n" + bytes([1, 2, 3, 4])
+        with endless_fifo(tmp_path / "pgm", pgm) as src:
+            assert main(["encrypt", "--key", str(keyfile), "--in", str(src),
+                         "--out", str(tmp_path / "c.cse")]) == 0
+        assert (tmp_path / "c.cse").read_bytes() == GOLDEN_ENVELOPE
+        with endless_fifo(tmp_path / "cse", GOLDEN_ENVELOPE) as src:
+            assert main(["decrypt", "--key", str(keyfile), "--in", str(src),
+                         "--out", str(tmp_path / "d.pgm")]) == 1
+        assert "envelope is longer than the 19 bytes" in capsys.readouterr().err
 
     def test_decrypt_bad_magic_exit_1(self, tmp_path, keyfile):
         env = tmp_path / "c.cse"
@@ -386,14 +435,132 @@ class TestAnalyzeCommand:
         assert golden_pgm.read_bytes() == before
 
 
-def test_module_entry_point(tmp_path, golden_pgm):
+@contextlib.contextmanager
+def endless_fifo(path, head):
+    """A named pipe at `path` that gives `head`, then zero bytes until its
+    reader closes it."""
+    os.mkfifo(path)
+
+    def write():
+        with contextlib.suppress(BrokenPipeError), open(path, "wb", buffering=0) as fh:
+            fh.write(head)
+            while True:
+                fh.write(bytes(65536))
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    yield path
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def run_python(*args, timeout=60):
+    """A fresh interpreter that imports chaosimg from this source tree."""
     src = str(Path(chaosimg.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chaosimg.cli", "metrics",
-         "--a", str(golden_pgm), "--b", str(golden_pgm)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def test_module_entry_point(golden_pgm):
+    proc = run_python("-m", "chaosimg.cli", "metrics", "--a", str(golden_pgm),
+                      "--b", str(golden_pgm))
     assert proc.returncode == 0
     assert "mse=0.000" in proc.stdout
+
+
+def test_import_loads_no_cli():
+    # the benchmark's setup time is this import plus one small encrypt
+    proc = run_python("-c", "import chaosimg, sys; "
+                      "print(sorted({'argparse', 'gettext', 'chaosimg.cli'} & set(sys.modules)))")
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+def test_endless_input_exit_1(tmp_path, keyfile, command):
+    limit = 600 * 2**20  # address space: the whole stream would not fit
+    proc = run_python(
+        "-c", "import resource, runpy; "
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+              "runpy.run_module('chaosimg.cli', run_name='__main__')",
+        command, "--key", str(keyfile), "--in", "/dev/zero", "--out", str(tmp_path / "out"),
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("chaosimg: error: bad magic"), proc.stderr
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_later_calls_match_the_first(self, tmp_path, keyfile, golden_pgm, capsys):
+        def run(tag):
+            """(exit code, stdout, stderr, output file bytes) of each call."""
+            cse, pgm, csv_out = (tmp_path / f"{tag}.{ext}" for ext in ("cse", "pgm", "csv"))
+            key, plain = str(keyfile), str(golden_pgm)
+            calls = [
+                (["encrypt", "--key", key, "--in", plain, "--out", str(cse)], cse),
+                (["decrypt", "--key", key, "--in", str(cse), "--out", str(pgm)], pgm),
+                (["metrics", "--a", plain, "--b", str(pgm)], None),
+                (["analyze", "phase", "--map", "2", "--count", "20", "--out", str(csv_out)],
+                 csv_out),
+                (["encrypt", "--in", plain, "--out", str(cse)], None),  # no --key
+            ]
+            results = []
+            for argv, out in calls:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                results.append((code, *capsys.readouterr(), out and out.read_bytes()))
+            return results
+
+        first, second = run("first"), run("second")
+        assert second == first
+        assert [r[0] for r in first] == [0, 0, 0, 0, 2]
+        assert first[0][3] == GOLDEN_ENVELOPE
+        for _, _, err, _ in (first[-1], second[-1]):
+            assert err.startswith("usage: chaosimg encrypt [-h] --key KEY")
+            assert "the following arguments are required: --key" in err
+
+    def test_threads_get_their_own_values(self):
+        def argv_and_values(i, j):
+            """Thread i's argv in round j, and what parse_args must give."""
+            tag = f"{i}.{j}"
+            return [
+                (["encrypt", "--key", f"k{tag}", "--in", f"p{tag}", "--out", f"c{tag}"],
+                 {"func": cli._cmd_encrypt, "key": f"k{tag}", "infile": f"p{tag}"}),
+                (["decrypt", "--key", f"k{tag}", "--in", f"c{tag}", "--out", f"p{tag}"],
+                 {"func": cli._cmd_decrypt, "key": f"k{tag}", "outfile": f"p{tag}"}),
+                (["metrics", "--a", f"a{tag}", "--b", f"b{tag}"],
+                 {"func": cli._cmd_metrics, "a": f"a{tag}", "b": f"b{tag}"}),
+                (["analyze", "phase", "--map", "2", "--count", str(j + 1), "--out", f"o{tag}"],
+                 {"func": cli._cmd_analyze, "map": 2, "count": j + 1, "r": None}),
+            ][i]
+
+        done, wrong = [0] * 4, []
+
+        def parse(i):
+            for j in range(50):
+                argv, want = argv_and_values(i, j)
+                args = build_parser().parse_args(argv)
+                got = {name: getattr(args, name) for name in want}
+                if got != want:
+                    wrong.append((argv, got))
+                done[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=parse, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert done == [50] * 4 and wrong == []

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosimg.errors import NetpbmError
-from chaosimg.netpbm import MAX_NUMBER, read_image, write_image
+from chaosimg.netpbm import MAX_NUMBER, image_length, read_image, write_image
 from conftest import random_image
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
@@ -32,7 +32,9 @@ def _read_int(data, pos, what):
     if not token:
         raise NetpbmError(f"missing {what} token", start)
     if not token.isdigit():
-        raise NetpbmError(f"non-numeric {what} token {token!r}", start)
+        raise NetpbmError(  # the reader quotes at most 32 bytes of a token
+            f"non-numeric {what} token of {len(token):,} bytes starting {token[:32]!r}", start
+        )
     digits = token.lstrip(b"0") or b"0"
     if len(digits) > len(str(MAX_NUMBER)) or int(digits) > MAX_NUMBER:
         raise NetpbmError(f"{what} is above {MAX_NUMBER:,}", start)
@@ -125,6 +127,21 @@ def test_header_matches_the_byte_at_a_time_reader(data):
     assert outcome(new_read, data) == outcome(reference_read, data)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=header_and_raster(), cut=st.floats(0, 1))
+def test_image_length_of_a_prefix_is_final(data, cut):
+    """What `image_length` says of a prefix, unless None, it says of the
+    whole input, and reading as far as it says gives the whole input's
+    image or error. So a reader may stop there."""
+    prefix = outcome(image_length, data[:round(cut * len(data))])
+    whole = outcome(image_length, data)
+    assert prefix is None or prefix == whole
+    if isinstance(whole, int):
+        assert outcome(new_read, data[:whole]) == outcome(new_read, data)
+    elif whole is None:  # the input ends inside the header
+        assert isinstance(outcome(new_read, data), tuple)
+
+
 class TestRead:
     def test_p5_row_major(self):
         data = b"P5\n2 2\n255\n" + bytes([1, 3, 2, 4])
@@ -165,6 +182,13 @@ class TestRead:
     def test_non_numeric_header(self):
         with pytest.raises(NetpbmError, match="non-numeric"):
             read_image(b"P5\nxx 2\n255\n" + bytes(4))
+
+    def test_long_token_is_quoted_in_part(self):
+        with pytest.raises(NetpbmError) as exc:
+            read_image(b"P5 " + b"x" * 10_000_000)
+        message = str(exc.value)
+        assert len(message) < 200 and exc.value.offset == 3
+        assert "non-numeric width token of 10,000,000 bytes starting b'xxx" in message
 
     def test_number_too_long_for_int(self):
         # int() of more than 4300 digits raises a bare ValueError
