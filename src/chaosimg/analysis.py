@@ -15,6 +15,7 @@ import numpy as np
 from .cipher import PlainImage
 from .errors import DimensionError, DivergenceError, TrajectoryCollapseError
 from .maps import MapParams, StepFn, fill, step_function
+from .outfile import open_over
 
 PEAK = 255.0
 CHI2_BINS = 256
@@ -188,7 +189,7 @@ def _fmt(v: float) -> str:
 
 
 def _write_rows(path, header: list[str], rows: Iterable[list[str]]) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_over(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

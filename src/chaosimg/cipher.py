@@ -9,7 +9,8 @@ the whole vector and one more XOR:
 
 Decryption is the scatter mirror and restores the plain image byte-for-byte.
 Map 1's orbit, the slower of the two, is iterated on a worker thread; the
-caller iterates Map 2 and makes both maps' keys.
+caller iterates Map 2 and makes both maps' keys. Below `_SERIAL_BELOW`
+values per slot the caller iterates both maps and no thread is started.
 """
 
 from __future__ import annotations
@@ -193,14 +194,37 @@ def _fold(keys: list, xs: np.ndarray, index) -> None:
     keys.append(s if len(keys) < 4 else keys.pop()[s])
 
 
+# Slot lengths below this are keyed without the worker. On a 2-vCPU Xeon
+# the worker saved at most about 1 ms there when the host was idle, and
+# nothing when it was busy: its start, handoffs and join each wait for the
+# other vCPU to be scheduled, so a small encrypt's time varied up to 1.6x
+# from one 30 s benchmark run to the next.
+_SERIAL_BELOW = 8192
+
+
+def _one_map(params: MapParams, n: int, index) -> list:
+    """One map's keys for a slot of n bytes, as [y_bytes, x_bytes, s0, C],
+    iterated on the caller into one reused buffer."""
+    xs, ys, out = np.empty(n), np.empty(n), []
+    for k, seg in enumerate(_segments(params, lambda: xs, ys)):
+        if k == 0:  # segment 1 has filled ys
+            out.append(quantize_to_bytes(ys))
+            del ys
+        _fold(out, seg, index)
+    return out
+
+
 def _both_maps(keys: KeyMaterial, n: int) -> tuple:
     """Both maps' keys for slots of n bytes, each as [y_bytes, x_bytes, s0,
-    C]. A worker thread only iterates Map 1, into a ring of two buffers that
-    the caller allocated: it hands each full one over on `full` and takes a
-    free one from `free`. The caller iterates Map 2 into one reused buffer
-    and folds each map's segments as they come, so with the kernel every
-    array is allocated on the caller and none in the worker's malloc arena."""
+    C]. From `_SERIAL_BELOW` values on, a worker thread only iterates Map 1,
+    into a ring of two buffers that the caller allocated: it hands each full
+    one over on `full` and takes a free one from `free`. The caller iterates
+    Map 2 into one reused buffer and folds each map's segments as they come,
+    so with the kernel every array is allocated on the caller and none in
+    the worker's malloc arena."""
     index = np.int32 if 2 * n < 2**31 else np.intp
+    if n < _SERIAL_BELOW:  # Map 1 first, so that its error wins
+        return _one_map(keys.map1, n, index), _one_map(keys.map2, n, index)
     full, free = queue.SimpleQueue(), queue.SimpleQueue()
     free.put(np.empty(n))
     free.put(np.empty(n))
@@ -253,9 +277,11 @@ def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
     `R = concat(b0[A] + N, a0[B])` and one mask `Y = concat(y1[A], y2[B])`,
     from Map 1's keys (x1, y1, a0, A) and Map 2's (x2, y2, b0, B).
 
-    Map 1's orbit, the slower, is iterated on a worker thread, and all else
-    on the caller, between Map 2's segments. The worker is joined before
-    this returns or raises, and if both maps fail, Map 1's error is raised.
+    From `_SERIAL_BELOW` values per slot on, Map 1's orbit, the slower, is
+    iterated on a worker thread, and all else on the caller, between Map 2's
+    segments; the worker is joined before this returns or raises. Below it,
+    the caller iterates Map 1 and then Map 2. Either way the bytes are the
+    same, and if both maps fail, Map 1's error is raised.
     """
     if half_len < 1:
         raise ValueError("half_len must be >= 1")

@@ -15,7 +15,9 @@ running out of memory.
 
 `--in`, `--a` and `--b` are read only as far as the header says the image or
 envelope reaches (an envelope one byte further, to refuse a longer one), in
-reads of at most 1 MiB, so an endless input costs no more than its header.
+reads of at most 64 KiB, so an endless input costs no more than its header.
+An existing `--out` file is written over and then cut to length, not emptied
+first (`outfile.open_over`).
 
 The argparse parser is built once per process, on the first `main` call, and
 shared by every later call; callers must not modify it.
@@ -34,12 +36,15 @@ from .cipher import ENVELOPE_HEADER_SIZE, CipherEnvelope, decrypt, encrypt, enve
 from .errors import ChaosImgError, DimensionError, KeyFileError, MalformedEnvelopeError
 from .keyfile import load_key_file
 from .maps import MapParams, default_map1, default_map2
+from .outfile import open_over
 
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_VALIDATION = 2
 _MAP_FLOATS = ("r", "a", "b", "x0", "y0")  # MapParams fields settable by flag
-_CHUNK = 1 << 20  # the largest single read of an input file
+# the largest single read of an input file: below glibc's 128 KiB mmap
+# threshold, so reading a small file maps and unmaps no memory
+_CHUNK = 1 << 16
 
 
 def _fail(message: str, code: int) -> int:
@@ -89,14 +94,14 @@ def _load_envelope(path) -> CipherEnvelope:
 def _cmd_encrypt(args) -> None:
     keys = load_key_file(args.key)
     envelope = encrypt(_load_image(args.infile), keys)
-    with open(args.outfile, "wb") as fh:
+    with open_over(args.outfile) as fh:
         fh.write(envelope.to_bytes())
 
 
 def _cmd_decrypt(args) -> None:
     keys = load_key_file(args.key)
     image = decrypt(_load_envelope(args.infile), keys)
-    with open(args.outfile, "wb") as fh:
+    with open_over(args.outfile) as fh:
         fh.write(netpbm.write_image(image))
 
 

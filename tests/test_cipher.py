@@ -276,7 +276,12 @@ LATE_DIVERGING_MAP2 = MapParams(MapId.MAP2, 2.35, a=0.5, b=1.8225e307)
 
 class TestTwoMaps:
     """On the kernel and on the fallback, Map 1's orbit is iterated on a
-    worker thread and everything else on the caller."""
+    worker thread and everything else on the caller. These tests run the
+    worker at every slot length (TestSerialSchedule has the serial one)."""
+
+    @pytest.fixture(autouse=True)
+    def threaded(self, monkeypatch):
+        monkeypatch.setattr(cipher, "_SERIAL_BELOW", 0)
 
     @pytest.fixture(params=["compiled", "python_only"])
     def path(self, request):
@@ -391,6 +396,45 @@ class TestTwoMaps:
         monkeypatch.setattr(cipher, "permutation_from_sequence", argsort)
         error = self.failure(default_keys())
         assert isinstance(error, MemoryError) and str(error) == f"argsort call {failing_call}"
+
+
+class TestSerialSchedule:
+    """Below cipher._SERIAL_BELOW values per slot both orbits run on the
+    caller, with the same bytes and errors as the worker."""
+
+    @pytest.mark.parametrize("n", [1, 63, 1000, cipher._SERIAL_BELOW - 1, cipher._SERIAL_BELOW])
+    def test_same_schedule_as_the_worker(self, monkeypatch, n):
+        keys = KeyMaterial(perturbed(default_map1(), "r"), default_map2())
+        before = threading.active_count()
+        serial = build_key_schedule(keys, n)
+        assert threading.active_count() == before
+        monkeypatch.setattr(cipher, "_SERIAL_BELOW", 0)
+        threaded = build_key_schedule(keys, n)
+        for name in ("xor1", "perm", "xor2"):
+            assert np.array_equal(getattr(serial, name), getattr(threaded, name))
+
+    def test_no_thread_below_the_bound(self, monkeypatch):
+        started, start = [], threading.Thread.start
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        build_key_schedule(default_keys(), cipher._SERIAL_BELOW - 1)
+        assert started == []
+        build_key_schedule(default_keys(), cipher._SERIAL_BELOW)
+        assert len(started) == 1
+
+    @pytest.mark.parametrize("map1, map2, index", [
+        (DIVERGING_MAP1, DIVERGING_MAP2, 253),  # both fail: Map 1's error
+        (default_map1(), DIVERGING_MAP2, 0),
+        (default_map1(), LATE_DIVERGING_MAP2, 6496),
+    ])
+    def test_divergence(self, compiled, map1, map2, index):
+        with pytest.raises(DivergenceError) as info:
+            build_key_schedule(KeyMaterial(map1, map2), 4096)
+        assert info.value.iteration == index
 
 
 class TestEncryptDecrypt:

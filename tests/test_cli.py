@@ -25,6 +25,7 @@ from chaosimg.errors import KeyFileError
 from chaosimg.keyfile import parse_key_text
 from chaosimg.maps import default_map2
 from chaosimg.netpbm import read_image, write_image
+from chaosimg.outfile import open_over
 from conftest import DEFAULT_KEY_TEXT
 
 GOLDEN_ENVELOPE = bytes.fromhex("4353453101010000000200000002009cfd1fa3")
@@ -433,6 +434,41 @@ class TestAnalyzeCommand:
         main(["encrypt", "--key", str(keyfile), "--in", str(golden_pgm),
               "--out", str(tmp_path / "c.cse")])
         assert golden_pgm.read_bytes() == before
+
+
+class TestOutputFiles:
+    def test_open_over_writes_over_and_cuts(self, tmp_path):
+        p = tmp_path / "f"
+        p.write_bytes(b"old bytes, more than the new")
+        with open_over(p) as fh:
+            assert p.read_bytes() == b"old bytes, more than the new"  # not emptied by the open
+            fh.write(b"new")
+        assert p.read_bytes() == b"new"
+        with open_over(tmp_path / "g", "w", newline="") as fh:
+            fh.write("a,b\r\n")
+        assert (tmp_path / "g").read_bytes() == b"a,b\r\n"
+
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt", "lyapunov", "histogram"])
+    def test_longer_output_file_is_cut(self, tmp_path, keyfile, golden_pgm, command):
+        env = tmp_path / "c.cse"
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(golden_pgm), "--out", str(env)]) == 0
+        argv = {
+            "encrypt": ["encrypt", "--key", str(keyfile), "--in", str(golden_pgm)],
+            "decrypt": ["decrypt", "--key", str(keyfile), "--in", str(env)],
+            "lyapunov": ["analyze", "lyapunov", "--map", "2", "--steps", "1000"],
+            "histogram": ["analyze", "histogram", "--in", str(golden_pgm)],
+        }[command]
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        used.write_bytes(b"\xff" * 5000)
+        assert main([*argv, "--out", str(fresh)]) == 0
+        assert main([*argv, "--out", str(used)]) == 0
+        assert used.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="needs a null device")
+    def test_output_to_a_device(self, keyfile, golden_pgm):
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(golden_pgm),
+                     "--out", os.devnull]) == 0
+        assert main(["analyze", "phase", "--map", "2", "--count", "10", "--out", os.devnull]) == 0
 
 
 @contextlib.contextmanager
