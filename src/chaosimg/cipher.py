@@ -8,9 +8,11 @@ the whole vector and one more XOR:
     v = (v ^ X1)[R] ^ Y
 
 Decryption is the scatter mirror and restores the plain image byte-for-byte.
-Map 1's orbit, the slower of the two, is iterated on a worker thread; the
-caller iterates Map 2 and makes both maps' keys. Below `_SERIAL_BELOW`
-values per slot the caller iterates both maps and no thread is started.
+One loop on the caller iterates Map 2 and folds each map's segments into
+its keys, Map 2's segment and then Map 1's. The slot length only chooses
+who iterates Map 1's orbit, the slower of the two: a worker thread from
+`_SERIAL_BELOW` values per slot on, and the caller below it, where no
+thread is started.
 """
 
 from __future__ import annotations
@@ -172,7 +174,8 @@ def _segments(params: MapParams, next_buffer, ys: np.ndarray):
     """Iterate the map from its seed through the four segments of its slot
     of len(ys) bytes, each written into a buffer from next_buffer() and
     yielded; a None buffer ends the orbit early. Segment 1's y values also
-    go into ys. Divergence indices count from the seed."""
+    go into ys. Divergence indices count from the seed. The map runs on the
+    thread that advances the generator (`build_key_schedule` says which)."""
     state, skip, start = (params.x0, params.y0), params.transient, 0
     for _ in range(4):
         xs = next_buffer()
@@ -202,37 +205,39 @@ def _fold(keys: list, xs: np.ndarray, index) -> None:
 _SERIAL_BELOW = 8192
 
 
-def _one_map(params: MapParams, n: int, index) -> list:
-    """One map's keys for a slot of n bytes, as [y_bytes, x_bytes, s0, C],
-    iterated on the caller into one reused buffer."""
-    xs, ys, out = np.empty(n), np.empty(n), []
-    for k, seg in enumerate(_segments(params, lambda: xs, ys)):
-        if k == 0:  # segment 1 has filled ys
-            out.append(quantize_to_bytes(ys))
-            del ys
-        _fold(out, seg, index)
-    return out
+def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
+    """The schedule of a padded vector of 2N = 2 * half_len bytes. Gathers
+    compose (`v[P][Q] == v[P[Q]]`), so the split-half chain
+    `((v ^ X1)[P0] ^ X2)[P1][P2][P3]` (half swap in P0) is one gather
+    `R = concat(b0[A] + N, a0[B])` and one mask `Y = concat(y1[A], y2[B])`,
+    from Map 1's keys (x1, y1, a0, A) and Map 2's (x2, y2, b0, B).
 
-
-def _both_maps(keys: KeyMaterial, n: int) -> tuple:
-    """Both maps' keys for slots of n bytes, each as [y_bytes, x_bytes, s0,
-    C]. From `_SERIAL_BELOW` values on, a worker thread only iterates Map 1,
-    into a ring of two buffers that the caller allocated: it hands each full
-    one over on `full` and takes a free one from `free`. The caller iterates
-    Map 2 into one reused buffer and folds each map's segments as they come,
-    so with the kernel every array is allocated on the caller and none in
-    the worker's malloc arena."""
+    One loop makes both maps' keys: the caller iterates Map 2's segment k
+    into one reused buffer and folds it, then folds Map 1's segment k and
+    returns its buffer to `free`, even if the fold raised. The slot length
+    only chooses who iterates Map 1. Below `_SERIAL_BELOW` values the
+    caller does, from a ring of one buffer, and no thread is started. From
+    it on a worker thread does, and nothing else: it takes each buffer from
+    a ring of two that the caller allocated and hands it over full on
+    `full`, so with the kernel every array is allocated on the caller and
+    none in the worker's malloc arena; the worker is joined before this
+    returns or raises. Either way the bytes are the same, and if both maps
+    fail, Map 1's error is raised.
+    """
+    if half_len < 1:
+        raise ValueError("half_len must be >= 1")
+    n = half_len
     index = np.int32 if 2 * n < 2**31 else np.intp
-    if n < _SERIAL_BELOW:  # Map 1 first, so that its error wins
-        return _one_map(keys.map1, n, index), _one_map(keys.map2, n, index)
+    threaded = n >= _SERIAL_BELOW
     full, free = queue.SimpleQueue(), queue.SimpleQueue()
-    free.put(np.empty(n))
-    free.put(np.empty(n))
+    for _ in range(2 if threaded else 1):
+        free.put(np.empty(n))
     xs2, ys1, ys2, keys1, keys2 = np.empty(n), np.empty(n), np.empty(n), [], []
+    orbit1 = _segments(keys.map1, free.get, ys1)
 
     def iterate_map1():
         try:
-            for xs in _segments(keys.map1, free.get, ys1):
+            for xs in orbit1:
                 full.put(xs)
         except BaseException as exc:  # raised on the caller
             full.put(exc)
@@ -244,8 +249,10 @@ def _both_maps(keys: KeyMaterial, n: int) -> tuple:
                 raise xs
             yield xs
 
-    worker, map1_xs = threading.Thread(target=iterate_map1), map1_segments()
-    worker.start()
+    if threaded:
+        worker = threading.Thread(target=iterate_map1)
+        worker.start()
+    map1_xs = map1_segments() if threaded else orbit1
     try:
         for k, xs in enumerate(_segments(keys.map2, lambda: xs2, ys2)):
             if k == 0:  # the y-bytes first, so that ys is freed before the argsort
@@ -253,11 +260,13 @@ def _both_maps(keys: KeyMaterial, n: int) -> tuple:
                 del ys2
             _fold(keys2, xs, index)
             xs = next(map1_xs)
-            if k == 0:  # the worker has filled ys1 with this segment
-                keys1.append(quantize_to_bytes(ys1))
-                del ys1
-            _fold(keys1, xs, index)
-            free.put(xs)
+            try:
+                if k == 0:  # Map 1's segment 1 has filled ys1
+                    keys1.append(quantize_to_bytes(ys1))
+                    del ys1
+                _fold(keys1, xs, index)
+            finally:  # with a ring of one, Map 1's orbit needs it back to go on
+                free.put(xs)
     except Exception:
         # Map 1's orbit runs to its end, so that its error, if any, is the
         # one raised whatever the timing
@@ -265,28 +274,11 @@ def _both_maps(keys: KeyMaterial, n: int) -> tuple:
             free.put(xs)
         raise
     finally:
-        free.put(None)  # a worker still waiting for a buffer ends
-        worker.join()
-    return keys1, keys2
-
-
-def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
-    """The schedule of a padded vector of 2N = 2 * half_len bytes. Gathers
-    compose (`v[P][Q] == v[P[Q]]`), so the split-half chain
-    `((v ^ X1)[P0] ^ X2)[P1][P2][P3]` (half swap in P0) is one gather
-    `R = concat(b0[A] + N, a0[B])` and one mask `Y = concat(y1[A], y2[B])`,
-    from Map 1's keys (x1, y1, a0, A) and Map 2's (x2, y2, b0, B).
-
-    From `_SERIAL_BELOW` values per slot on, Map 1's orbit, the slower, is
-    iterated on a worker thread, and all else on the caller, between Map 2's
-    segments; the worker is joined before this returns or raises. Below it,
-    the caller iterates Map 1 and then Map 2. Either way the bytes are the
-    same, and if both maps fail, Map 1's error is raised.
-    """
-    if half_len < 1:
-        raise ValueError("half_len must be >= 1")
-    n = half_len
-    (y1, x1, a0, a), (y2, x2, b0, b) = _both_maps(keys, n)
+        if threaded:
+            free.put(None)  # a worker still waiting for a buffer ends
+            worker.join()
+    del xs, xs2, free  # the orbits' buffers go before the schedule's arrays are made
+    (y1, x1, a0, a), (y2, x2, b0, b) = keys1, keys2
     b0 += n  # Map 2's first argsort indexes slot 1
     return KeySchedule(xor1=np.concatenate([x1, x2]),
                        perm=np.concatenate([b0[a], a0[b]]),

@@ -16,6 +16,8 @@ running out of memory.
 `--in`, `--a` and `--b` are read only as far as the header says the image or
 envelope reaches (an envelope one byte further, to refuse a longer one), in
 reads of at most 64 KiB, so an endless input costs no more than its header.
+A Netpbm header must end within the file's first MiB, which is read (or the
+whole file, if shorter) and matched once; a longer header exits 1.
 An existing `--out` file is written over and then cut to length, not emptied
 first (`outfile.open_over`).
 
@@ -33,7 +35,8 @@ from dataclasses import replace
 
 from . import analysis, netpbm
 from .cipher import ENVELOPE_HEADER_SIZE, CipherEnvelope, decrypt, encrypt, envelope_length
-from .errors import ChaosImgError, DimensionError, KeyFileError, MalformedEnvelopeError
+from .errors import (ChaosImgError, DimensionError, KeyFileError, MalformedEnvelopeError,
+                     NetpbmError)
 from .keyfile import load_key_file
 from .maps import MapParams, default_map1, default_map2
 from .outfile import open_over
@@ -45,6 +48,9 @@ _MAP_FLOATS = ("r", "a", "b", "x0", "y0")  # MapParams fields settable by flag
 # the largest single read of an input file: below glibc's 128 KiB mmap
 # threshold, so reading a small file maps and unmaps no memory
 _CHUNK = 1 << 16
+# a Netpbm header must end within this many bytes of an input file; real
+# headers take a few dozen, and an endless one would otherwise be read on
+_MAX_HEADER = 1 << 20
 
 
 def _fail(message: str, code: int) -> int:
@@ -63,16 +69,16 @@ def _read(fh, size: int) -> bytes:
 
 
 def _load_image(path):
-    """The first image of a Netpbm file. Reading stops at the end of the
-    raster, or at the end of the read that completes the header if that is
-    further. Each try at the header doubles the bytes held, so a long header
-    is matched only O(log n) times."""
+    """The first image of a Netpbm file, whose header must end within its
+    first `_MAX_HEADER` bytes. Reading stops at the end of the raster, or
+    after those bytes if that is further."""
     with open(path, "rb") as fh:
-        data = fh.read(_CHUNK)
-        while (length := netpbm.image_length(data)) is None and (more := _read(fh, len(data))):
-            data += more
+        data = _read(fh, _MAX_HEADER)
+        length = netpbm.image_length(data)
         if length is not None:
             data += _read(fh, length - len(data))
+        elif len(data) == _MAX_HEADER:  # a shorter file ends in its header: read_image says how
+            raise NetpbmError(f"header does not end within {_MAX_HEADER:,} bytes", len(data))
     return netpbm.read_image(data)
 
 

@@ -276,16 +276,15 @@ LATE_DIVERGING_MAP2 = MapParams(MapId.MAP2, 2.35, a=0.5, b=1.8225e307)
 
 class TestTwoMaps:
     """On the kernel and on the fallback, Map 1's orbit is iterated on a
-    worker thread and everything else on the caller. These tests run the
-    worker at every slot length (TestSerialSchedule has the serial one)."""
+    worker thread or, with the "serial-" paths, on the caller, and
+    everything else on the caller. Each path is taken at every slot length
+    these tests use, whatever side of cipher._SERIAL_BELOW it is on."""
 
-    @pytest.fixture(autouse=True)
-    def threaded(self, monkeypatch):
-        monkeypatch.setattr(cipher, "_SERIAL_BELOW", 0)
-
-    @pytest.fixture(params=["compiled", "python_only"])
-    def path(self, request):
-        request.getfixturevalue(request.param)
+    @pytest.fixture(params=["compiled", "python_only", "serial-compiled", "serial-python_only"])
+    def path(self, request, monkeypatch):
+        serial, _, fill_path = request.param.rpartition("-")
+        monkeypatch.setattr(cipher, "_SERIAL_BELOW", sys.maxsize if serial else 0)
+        request.getfixturevalue(fill_path)
         return request.param
 
     def divergence(self, map1, map2):
@@ -309,7 +308,10 @@ class TestTwoMaps:
         assert self.divergence(default_map1(), DIVERGING_MAP2) == 0
         assert self.divergence(DIVERGING_MAP1, default_map2()) == 253
 
-    def test_map1_on_a_worker(self, path, monkeypatch):
+    @staticmethod
+    def threads(monkeypatch):
+        """The threads that iterate each map and make the argsorts of a
+        64-byte schedule, in call order."""
         calls = []  # (map id or "argsort", thread)
 
         def record(name, function):
@@ -326,11 +328,22 @@ class TestTwoMaps:
         threads = {}
         for what, thread in calls:
             threads.setdefault(what, []).append(thread)
-        main = threading.main_thread()
+        return threads
+
+    @pytest.mark.parametrize("path", ["compiled", "python_only"], indirect=True)
+    def test_map1_on_a_worker(self, path, monkeypatch):
+        threads, main = self.threads(monkeypatch), threading.main_thread()
         assert len(threads[MapId.MAP1]) == 4
         assert len(set(threads[MapId.MAP1])) == 1 and threads[MapId.MAP1][0] is not main
         assert threads[MapId.MAP2] == [main] * 4
         assert threads["argsort"] == [main] * 8
+
+    @pytest.mark.parametrize("path", ["serial-compiled", "serial-python_only"], indirect=True)
+    def test_all_on_the_caller(self, path, monkeypatch):
+        main = threading.main_thread()
+        assert self.threads(monkeypatch) == {
+            MapId.MAP1: [main] * 4, MapId.MAP2: [main] * 4, "argsort": [main] * 8
+        }
 
     def test_concurrent_schedules(self, path):
         # more threads than cores and a short switch interval: a buffer
@@ -400,7 +413,8 @@ class TestTwoMaps:
 
 class TestSerialSchedule:
     """Below cipher._SERIAL_BELOW values per slot both orbits run on the
-    caller, with the same bytes and errors as the worker."""
+    caller, with the same bytes as the worker (TestTwoMaps checks the
+    errors of both paths)."""
 
     @pytest.mark.parametrize("n", [1, 63, 1000, cipher._SERIAL_BELOW - 1, cipher._SERIAL_BELOW])
     def test_same_schedule_as_the_worker(self, monkeypatch, n):
@@ -425,16 +439,6 @@ class TestSerialSchedule:
         assert started == []
         build_key_schedule(default_keys(), cipher._SERIAL_BELOW)
         assert len(started) == 1
-
-    @pytest.mark.parametrize("map1, map2, index", [
-        (DIVERGING_MAP1, DIVERGING_MAP2, 253),  # both fail: Map 1's error
-        (default_map1(), DIVERGING_MAP2, 0),
-        (default_map1(), LATE_DIVERGING_MAP2, 6496),
-    ])
-    def test_divergence(self, compiled, map1, map2, index):
-        with pytest.raises(DivergenceError) as info:
-            build_key_schedule(KeyMaterial(map1, map2), 4096)
-        assert info.value.iteration == index
 
 
 class TestEncryptDecrypt:

@@ -174,6 +174,15 @@ class TestEncryptDecryptCommands:
         assert main(["decrypt", "--key", str(keyfile), "--in", str(env), "--out", str(out)]) == 0
         assert out.read_bytes() == b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4])
 
+    def test_header_longer_than_the_limit_exit_1(self, tmp_path, keyfile, capsys):
+        src, env = tmp_path / "p.pgm", tmp_path / "c.cse"
+        src.write_bytes(b"P5" + b" " * (cli._MAX_HEADER - 20) + b"2 2 255\n" + bytes([1, 2, 3, 4]))
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(env)]) == 0
+        assert env.read_bytes() == GOLDEN_ENVELOPE
+        src.write_bytes(b"P5" + b" " * cli._MAX_HEADER + b"2 2 255\n" + bytes([1, 2, 3, 4]))
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(env)]) == 1
+        assert "header does not end within 1,048,576 bytes" in capsys.readouterr().err
+
     def test_envelope_longer_than_its_header_exit_1(self, tmp_path, keyfile, capsys):
         env = tmp_path / "c.cse"
         for extra in (b"\0", bytes(5000)):
@@ -526,6 +535,22 @@ def test_endless_input_exit_1(tmp_path, keyfile, command):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("chaosimg: error: bad magic"), proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_endless_header_exit_1(tmp_path, keyfile):
+    limit = 600 * 2**20  # address space: the whole stream would not fit
+    with endless_fifo(tmp_path / "pgm", b"P5 ") as src:  # a width token without end
+        proc = run_python(
+            "-c", "import resource, runpy; "
+                  f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                  "runpy.run_module('chaosimg.cli', run_name='__main__')",
+            "encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(tmp_path / "out"),
+            timeout=10,
+        )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        "chaosimg: error: header does not end within 1,048,576 bytes"), proc.stderr
 
 
 class TestSharedParser:
