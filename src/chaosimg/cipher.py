@@ -13,6 +13,12 @@ its keys, Map 2's segment and then Map 1's. The slot length only chooses
 who iterates Map 1's orbit, the slower of the two: a worker thread from
 `_SERIAL_BELOW` values per slot on, and the caller below it, where no
 thread is started.
+
+`encrypt` and `decrypt` take their schedule from `_schedule`, which holds
+the most recent one: a call with the same key bits and slot length as the
+call before it reuses that schedule instead of building it again. The
+held schedule is key-equivalent, and it stays in memory (12N bytes) until
+a call with another key or slot length replaces it.
 """
 
 from __future__ import annotations
@@ -150,8 +156,9 @@ def unflatten(vec: np.ndarray, dims: ImageDims) -> PlainImage:
 @dataclass(frozen=True)
 class KeySchedule:
     """Keys for a padded vector of 2N bytes: encryption is `(v ^ xor1)[perm]
-    ^ xor2`. `perm` is checked here, once, as a bijection over 2N and made
-    read-only, so encrypt and decrypt do not check again."""
+    ^ xor2`. `perm` is checked here, once, as a bijection over 2N, so
+    encrypt and decrypt do not check again. All three arrays are made
+    read-only, so a schedule that `_schedule` holds cannot be changed."""
 
     xor1: np.ndarray
     perm: np.ndarray
@@ -167,7 +174,8 @@ class KeySchedule:
         seen[perm] = True
         if not seen.all():
             raise PermutationError("permutation is not a bijection")
-        perm.flags.writeable = False
+        for array in (self.xor1, perm, self.xor2):
+            array.flags.writeable = False
 
 
 def _segments(params: MapParams, next_buffer, ys: np.ndarray):
@@ -285,18 +293,50 @@ def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
                        xor2=np.concatenate([y1[a], y2[b]]))
 
 
+# The tag of a schedule: the bits of the key's ten map parameters and two
+# transients, and the slot length. It compares bits, not values, because
+# KeyMaterial equality takes -0.0 for 0.0.
+_TAG = struct.Struct("=10d3q")
+_held = (None, None)  # (tag, schedule) of the most recent `_schedule` call
+
+
+def _schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
+    """`build_key_schedule(keys, half_len)`, or the schedule of the call
+    before if its tag is the same. A miss drops the held schedule before it
+    builds the new one, so two are never alive at once, and a build that
+    raises leaves nothing held. There is no lock: `_held` is read once and
+    assigned whole, so threads that miss together each build, and return,
+    their own schedule."""
+    global _held
+    m1, m2 = keys.map1, keys.map2
+    tag = _TAG.pack(m1.r, m1.a, m1.b, m1.x0, m1.y0, m2.r, m2.a, m2.b, m2.x0, m2.y0,
+                    m1.transient, m2.transient, half_len)
+    held = _held
+    if held[0] == tag:
+        return held[1]
+    _held = held = (None, None)  # no reference to the old schedule is left
+    schedule = build_key_schedule(keys, half_len)
+    _held = (tag, schedule)
+    return schedule
+
+
 def encrypt(image: PlainImage, keys: KeyMaterial) -> CipherEnvelope:
+    """The envelope of `image`. Its schedule is the one the previous
+    `encrypt` or `decrypt` used if that call had the same key and padded
+    length, and is built otherwise (`_schedule`)."""
     flat = flatten(image)
     pad = flat.size % 2
     v = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)])
-    s = build_key_schedule(keys, v.size // 2)
+    s = _schedule(keys, v.size // 2)
     v = (v ^ s.xor1)[s.perm] ^ s.xor2
     return CipherEnvelope(dims=image.dims, pad=pad, body=v.tobytes())
 
 
 def decrypt(envelope: CipherEnvelope, keys: KeyMaterial) -> PlainImage:
+    """The plain image of `envelope`, with its schedule taken as in
+    `encrypt`: an encrypt followed by its decrypt builds one schedule."""
     v = np.frombuffer(envelope.body, dtype=np.uint8)
-    s = build_key_schedule(keys, v.size // 2)
+    s = _schedule(keys, v.size // 2)
     out = np.empty_like(v)
     out[s.perm] = v ^ s.xor2  # the scatter undoes the gather
     out ^= s.xor1

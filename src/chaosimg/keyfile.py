@@ -2,7 +2,8 @@
 
 Required names (each exactly once): map1.r, map1.x0, map1.y0,
 map2.r, map2.a, map2.b, map2.x0, map2.y0, transient.
-Unknown names are rejected, and so is a file over MAX_KEY_FILE bytes.
+Unknown names are rejected, and so is a file over MAX_KEY_FILE bytes or
+one that is not UTF-8 text.
 """
 
 from __future__ import annotations
@@ -78,5 +79,10 @@ def load_key_file(path) -> KeyMaterial:
         data = fh.read(MAX_KEY_FILE + 1)
     if len(data) > MAX_KEY_FILE:
         raise KeyFileError(f"key file is longer than {MAX_KEY_FILE:,} bytes")
-    return parse_key_text(data.decode("utf-8"))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise KeyFileError(f"key file is not utf-8 text: byte 0x{data[exc.start]:02x}"
+                           f" at offset {exc.start}") from None
+    return parse_key_text(text)
 

@@ -1,9 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from chaosimg import kernel
+from chaosimg import cipher, kernel
 from chaosimg.cipher import PlainImage
 from chaosimg.keyfile import parse_key_text
 from chaosimg.maps import MapParams
@@ -26,9 +27,19 @@ CHI2_CRIT_DF255_P05 = 293.25
 PERTURBATION = 1e-10  # the key change of key-sensitivity runs
 
 
-def perturbed(params: MapParams, field: str) -> MapParams:
-    """Copy of params with one real parameter nudged by PERTURBATION."""
-    return replace(params, **{field: getattr(params, field) + PERTURBATION})
+def perturbed(params: MapParams, field: str, ulp: bool = False) -> MapParams:
+    """Copy of params with one real parameter nudged by PERTURBATION, or
+    with `ulp`, moved to the next float up."""
+    value = getattr(params, field)
+    return replace(params, **{field: math.nextafter(value, math.inf) if ulp
+                              else value + PERTURBATION})
+
+
+@pytest.fixture(autouse=True)
+def cold_schedule_memo():
+    """Every test starts with no key schedule held, so the first encrypt or
+    decrypt of each test builds its schedule (`cipher._schedule`)."""
+    cipher._held = (None, None)
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -250,7 +251,7 @@ class TestKeySchedule:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * n
+        assert peak <= 60 * n
 
     def test_peak_allocation(self, compiled):
         self.assert_peak_allocation()
@@ -439,6 +440,104 @@ class TestSerialSchedule:
         assert started == []
         build_key_schedule(default_keys(), cipher._SERIAL_BELOW)
         assert len(started) == 1
+
+
+class TestScheduleMemo:
+    """`encrypt` and `decrypt` take their schedule from cipher._schedule,
+    which holds the most recent one; on the kernel and on the fallback."""
+
+    @pytest.fixture(autouse=True, params=["compiled", "python_only"])
+    def path(self, request):
+        request.getfixturevalue(request.param)
+
+    def test_hit_returns_the_held_schedule(self):
+        img = PlainImage.from_array(np.arange(100, dtype=np.uint8).reshape(10, 10))
+        held = cipher._schedule(default_keys(), 50)
+        assert cipher._schedule(default_keys(), 50) is held  # an equal key, not the same object
+        env = encrypt(img, default_keys())
+        assert cipher._held[1] is held
+        assert env.to_bytes() == reference_encrypt(img, default_keys()).to_bytes()
+        assert np.array_equal(decrypt(env, default_keys()).pixels, img.pixels)
+
+    def assert_misses(self, keys, half_len, other_keys, other_half_len):
+        held = cipher._schedule(keys, half_len)
+        other = cipher._schedule(other_keys, other_half_len)
+        assert other is not held and cipher._held[1] is other
+        expected = build_key_schedule(other_keys, other_half_len)
+        for name in ("xor1", "perm", "xor2"):
+            assert np.array_equal(getattr(other, name), getattr(expected, name))
+
+    @pytest.mark.parametrize("which", ["map1", "map2"])
+    @pytest.mark.parametrize("field", ["r", "a", "b", "x0", "y0"])
+    def test_one_ulp_misses(self, which, field):
+        keys = default_keys()
+        nudged = replace(keys, **{which: perturbed(getattr(keys, which), field, ulp=True)})
+        assert getattr(nudged, which) != getattr(keys, which)
+        self.assert_misses(keys, 50, nudged, 50)
+
+    def test_sign_of_zero_misses(self):
+        keys = default_keys()  # Map 1's a is 0.0
+        signed = replace(keys, map1=replace(keys.map1, a=-0.0))
+        assert signed == keys
+        self.assert_misses(keys, 50, signed, 50)
+
+    @pytest.mark.parametrize("which", ["map1", "map2"])
+    def test_transient_misses(self, which):
+        keys = default_keys()
+        longer = replace(keys, **{which: replace(getattr(keys, which), transient=1001)})
+        self.assert_misses(keys, 50, longer, 50)
+
+    def test_slot_length_misses(self):
+        self.assert_misses(default_keys(), 50, default_keys(), 51)
+
+    @pytest.mark.parametrize("name", ["xor1", "perm", "xor2"])
+    def test_held_arrays_are_read_only(self, name):
+        array = getattr(cipher._schedule(default_keys(), 50), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            array ^= 1
+
+    def test_divergence_leaves_nothing_held(self):
+        img = PlainImage.from_array(np.arange(100, dtype=np.uint8).reshape(10, 10))
+        encrypt(img, default_keys())
+        keys = KeyMaterial(DIVERGING_MAP1, default_map2())
+        for _ in range(2):
+            with pytest.raises(DivergenceError) as info:
+                encrypt(img, keys)
+            assert info.value.iteration == 253
+            assert cipher._held == (None, None)
+
+    def test_threads_get_the_serial_results(self):
+        # 2 keys x 2 sizes, one of them keyed on the worker thread; each
+        # thread takes the four in its own order, so hits and misses mix
+        rng = np.random.default_rng(15)
+        images = [PlainImage.from_array(rng.integers(0, 256, shape, dtype=np.uint8))
+                  for shape in [(1, 7, 9), (3, 64, 96)]]
+        key_sets = [default_keys(), golden_keys(GOLDEN_KEY_SETS["k1"])]
+        cases = list(itertools.product(range(2), range(2)))
+        expected = {case: encrypt(images[case[0]], key_sets[case[1]]).body for case in cases}
+        results = []
+
+        def run(order):
+            for i, k in order:
+                env = encrypt(images[i], key_sets[k])
+                results.append((env.body == expected[i, k],
+                                np.array_equal(decrypt(env, key_sets[k]).pixels, images[i].pixels)))
+
+        helpers = [threading.Thread(target=run, args=(cases[t:] + cases[:t],), daemon=True)
+                   for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for helper in helpers:
+                helper.start()
+            for helper in helpers:
+                helper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(helper.is_alive() for helper in helpers)
+        assert results == [(True, True)] * 16
 
 
 class TestEncryptDecrypt:

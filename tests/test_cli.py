@@ -22,7 +22,7 @@ from chaosimg.analysis import (
 from chaosimg.cipher import PlainImage
 from chaosimg.cli import build_parser, main
 from chaosimg.errors import KeyFileError
-from chaosimg.keyfile import parse_key_text
+from chaosimg.keyfile import load_key_file, parse_key_text
 from chaosimg.maps import default_map2
 from chaosimg.netpbm import read_image, write_image
 from chaosimg.outfile import open_over
@@ -77,6 +77,20 @@ class TestKeyFile:
             parse_key_text(DEFAULT_KEY_TEXT.replace("transient=1000", "transient=-1"))
         with pytest.raises(KeyFileError):
             parse_key_text(DEFAULT_KEY_TEXT.replace("17.0", "inf"))
+
+
+    # a byte that starts no character, a Latin-1 comment, a cut-off euro sign
+    @pytest.mark.parametrize("head, tail, byte, offset", [
+        (b"\xff\xfe", b"", 0xFF, 0),
+        (b"", b"# caf\xe9\n", 0xE9, len(DEFAULT_KEY_TEXT) + 5),
+        (b"", b"#\xe2\x82", 0xE2, len(DEFAULT_KEY_TEXT) + 1),
+    ])
+    def test_non_utf8_file_raises_key_file_error(self, tmp_path, head, tail, byte, offset):
+        p = tmp_path / "k.txt"
+        p.write_bytes(head + DEFAULT_KEY_TEXT.encode() + tail)
+        with pytest.raises(KeyFileError) as info:
+            load_key_file(p)
+        assert str(info.value) == f"key file is not utf-8 text: byte {byte:#04x} at offset {offset}"
 
 
 class TestEncryptDecryptCommands:

@@ -117,11 +117,19 @@ def test_divergence_index_counts_from_seed(request, path, r, transient, half_len
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
-def test_fallback_reproduces_golden_digests(python_only, name):
+def test_fallback_reproduces_golden_digests(python_only, monkeypatch, name):
+    calls, fill_orbit = [], maps._fill_orbit
+
+    def counted(*args):
+        calls.append(args[0].map_id)
+        return fill_orbit(*args)
+
+    monkeypatch.setattr(maps, "_fill_orbit", counted)
     image, key_set = name.split("/")
     keys = default_keys() if key_set == "default" else golden_keys(GOLDEN_KEY_SETS[key_set])
     env = encrypt(PlainImage.from_array(GOLDEN_IMAGES[image]()), keys)
     assert hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS[name]
+    assert calls  # the schedule was built by the Python loop, not taken as held
 
 
 def test_fallback_fill_without_ys_allocates_no_y_buffer(python_only):
