@@ -1,17 +1,24 @@
 """Dynamics validation (bifurcation sweeps, Lyapunov exponents, phase
 points) and cipher-quality metrics (MSE, PSNR, histogram, chi-square
 uniformity, adjacent-pixel correlation), plus their CSV serializers.
+
+Every map iteration runs in the compiled kernel when it is loaded: the
+sweeps, the phase points and the Lyapunov transient through `maps.fill`,
+the Lyapunov steps through `chaos_lyapunov`. Without it, both fall back
+to Python loops over `maps.step_function` that give the same bits. Each
+CSV is formatted in one pass and written at once.
 """
 
 from __future__ import annotations
 
-import csv
+import ctypes
 import math
 from dataclasses import replace
 from typing import Iterable
 
 import numpy as np
 
+from . import kernel
 from .cipher import PlainImage
 from .errors import DimensionError, DivergenceError, TrajectoryCollapseError
 from .maps import MapParams, StepFn, fill, step_function
@@ -136,7 +143,9 @@ def lyapunov_from_step(step_fn: StepFn, state0: tuple[float, float], steps: int)
     A companion trajectory offset by D0 is advanced alongside the reference
     and rescaled back to distance D0 after every step; the estimate is the
     mean of ln(d1/D0). Raises DivergenceError(i) when d1 after step i is
-    not finite, as it is when either trajectory is.
+    not finite, as it is when either trajectory is, and
+    TrajectoryCollapseError(i) when it is zero. The oracle of the kernel's
+    `chaos_lyapunov`, which repeats this loop line by line.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -160,18 +169,33 @@ def lyapunov_from_step(step_fn: StepFn, state0: tuple[float, float], steps: int)
 
 def lyapunov_exponent(params: MapParams, steps: int) -> float:
     """Lyapunov estimate for one of the two built-in maps, from (x0, y0)
-    after `transient` iterations. The transient runs through `fill`; a
-    DivergenceError counts its iteration from (x0, y0)."""
+    after `transient` iterations. The transient runs through `fill`; the
+    steps run in the kernel's `chaos_lyapunov`, a C copy of
+    `lyapunov_from_step` that gives the same bits, and otherwise through
+    `lyapunov_from_step` over `step_function`. A DivergenceError counts its
+    iteration from (x0, y0), a TrajectoryCollapseError its step from the
+    end of the transient."""
     if steps < 1000:
         raise ValueError("steps must be >= 1000")
     _check_size(steps, "Lyapunov steps")
     state = (params.x0, params.y0)
     if params.transient:
         state = fill(params, state, np.empty(1), skip=params.transient - 1)
-    try:
-        return lyapunov_from_step(step_function(params), state, steps)
-    except DivergenceError as exc:
-        raise DivergenceError(params.transient + exc.iteration) from None
+    lib = kernel.library()
+    if lib is None:
+        try:
+            return lyapunov_from_step(step_function(params), state, steps)
+        except DivergenceError as exc:
+            bad = exc.iteration
+    else:
+        out = ctypes.c_double()  # the estimate, or the failing step's distance
+        bad = lib.chaos_lyapunov(params.map_id.value, params.r, params.a * params.r, params.b,
+                                 *state, D0, steps, ctypes.byref(out))
+        if bad < 0:
+            return out.value
+        if out.value == 0.0:
+            raise TrajectoryCollapseError(bad)
+    raise DivergenceError(params.transient + bad)
 
 
 def phase_points(params: MapParams, count: int) -> np.ndarray:
@@ -184,32 +208,28 @@ def phase_points(params: MapParams, count: int) -> np.ndarray:
     return np.column_stack([xs, ys])
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
-
-
-def _write_rows(path, header: list[str], rows: Iterable[list[str]]) -> None:
+def _write_csv(path, header: str, rows: Iterable[Iterable], spec: str = ".12g") -> None:
+    """The header line and one line of two fields per row, formatted with
+    `spec` and written at once. The bytes are csv.writer's in the excel
+    dialect: CRLF line ends, and no field needs quoting."""
+    text = "".join([f"{a:{spec}},{b:{spec}}\r\n" for a, b in rows])
     with open_over(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(f"{header}\r\n")
+        fh.write(text)
 
 
 def write_bifurcation_csv(path, sweep: Sweep) -> None:
     r, x = sweep
-    rows = ([_fmt(a), _fmt(b)] for a, b in zip(r.tolist(), x.tolist()))
-    _write_rows(path, ["r", "x"], rows)
+    _write_csv(path, "r,x", zip(r.tolist(), x.tolist()))
 
 
 def write_phase_csv(path, points: np.ndarray) -> None:
-    _write_rows(path, ["x", "y"], ([_fmt(x), _fmt(y)] for x, y in points))
+    _write_csv(path, "x,y", zip(points[:, 0].tolist(), points[:, 1].tolist()))
 
 
 def write_lyapunov_csv(path, rows: list[tuple[float, float]]) -> None:
-    _write_rows(path, ["r", "lambda"], ([_fmt(r), _fmt(lam)] for r, lam in rows))
+    _write_csv(path, "r,lambda", rows)
 
 
 def write_histogram_csv(path, hist) -> None:
-    _write_rows(
-        path, ["value", "count"], ([str(v), str(int(c))] for v, c in enumerate(hist))
-    )
+    _write_csv(path, "value,count", enumerate(np.asarray(hist).tolist()), spec="d")

@@ -6,11 +6,13 @@ the SHA-256 of the source, the flags and the platform, so a changed
 source builds a new one; a build writes a temporary file and renames it
 into place, so concurrent first runs are safe.
 
-Without a compiler, or when the build or the cache directory fails,
-`fill_function()` returns None and `maps.fill` loops over
-`maps.step_function` in Python instead. Both give the same bytes. The key
-schedule, the bifurcation sweep, the phase points and the Lyapunov
-transient all iterate through `maps.fill`.
+`library()` serves both of its loops: `chaos_fill`, through which
+`maps.fill` iterates a map for the key schedule, the bifurcation sweep,
+the phase points and the Lyapunov transient, and `chaos_lyapunov`, which
+`analysis.lyapunov_exponent` runs for the Lyapunov steps. Without a
+compiler, or when the build or the cache directory fails, `library()`
+returns None and both callers loop over `maps.step_function` in Python
+instead. Both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -31,10 +33,17 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # from CPython's separate multiply and add; no -ffast-math and no -march
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-# chaos_fill(map, r, ar, b, state, skip, xs, ys, n) -> long long
-_ARGTYPES = [ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-             ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p,
-             ctypes.c_longlong]
+# the map's number (1 or 2), r, a*r and b, which both loops take first
+_MAP = [ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_double]
+# name -> argument types; both return a long long
+_SIGNATURES = {
+    # state, skip, xs, ys, n
+    "chaos_fill": [*_MAP, ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p,
+                   ctypes.c_void_p, ctypes.c_longlong],
+    # x, y, d0, steps, out
+    "chaos_lyapunov": [*_MAP, ctypes.c_double, ctypes.c_double, ctypes.c_double,
+                       ctypes.c_longlong, ctypes.c_void_p],
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -97,9 +106,10 @@ def _build(source: bytes, target: Path) -> bool:
 
 
 @functools.cache
-def fill_function():
-    """The kernel's `chaos_fill` as a ctypes function, or None if the
-    kernel cannot be built or loaded here."""
+def library():
+    """The kernel as a ctypes library whose `chaos_fill` and
+    `chaos_lyapunov` are typed, or None if it cannot be built or loaded
+    here."""
     if not hasattr(os, "getuid"):
         return None
     import sysconfig
@@ -118,8 +128,10 @@ def fill_function():
     if not path.exists() and not _build(source, path):
         return None
     try:
-        fn = ctypes.CDLL(str(path)).chaos_fill
+        lib = ctypes.CDLL(str(path))
+        for name, argtypes in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.restype, fn.argtypes = ctypes.c_longlong, argtypes
     except (OSError, AttributeError):
         return None
-    fn.restype, fn.argtypes = ctypes.c_longlong, _ARGTYPES
-    return fn
+    return lib

@@ -112,13 +112,13 @@ def fill(
     if any(buf.dtype != np.float64 or not (buf.flags.c_contiguous and buf.flags.writeable)
            for buf in (xs, ys) if buf is not None):  # on both paths
         raise ValueError("fill buffers must be writeable C-contiguous float64 arrays")
-    fn = kernel.fill_function()
-    if fn is None:
+    lib = kernel.library()
+    if lib is None:
         return _fill_orbit(params, state, xs, ys, skip, start)
     last = (ctypes.c_double * 2)(*state)
     map_number = 1 if params.map_id is MapId.MAP1 else 2
-    bad = fn(map_number, params.r, params.a * params.r, params.b, last, skip,
-             xs.ctypes.data, None if ys is None else ys.ctypes.data, len(xs))
+    bad = lib.chaos_fill(map_number, params.r, params.a * params.r, params.b, last, skip,
+                         xs.ctypes.data, None if ys is None else ys.ctypes.data, len(xs))
     if bad >= 0:
         raise DivergenceError(start + bad)
     return last[0], last[1]

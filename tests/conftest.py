@@ -44,19 +44,21 @@ def cold_schedule_memo():
 
 @pytest.fixture(scope="module")
 def compiled():
-    if kernel.fill_function() is None:
+    if kernel.library() is None:
         pytest.skip("the kernel cannot be built here")
 
 
 @pytest.fixture
 def python_only(monkeypatch, tmp_path):
-    """No compiler and an empty cache: `fill` runs its Python loop."""
+    """No compiler and an empty cache, so the one cached loader,
+    `kernel.library`, finds no kernel: `fill` and `lyapunov_exponent` run
+    their Python loops."""
     monkeypatch.setattr(kernel, "_compiler", lambda: None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    kernel.fill_function.cache_clear()
-    assert kernel.fill_function() is None
+    kernel.library.cache_clear()
+    assert kernel.library() is None
     yield
-    kernel.fill_function.cache_clear()
+    kernel.library.cache_clear()
 
 
 @pytest.fixture

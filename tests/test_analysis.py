@@ -201,7 +201,7 @@ class TestLyapunov:
             lyapunov_exponent(p, steps=1000)
         assert lyap_info.value.iteration == seq_info.value.iteration == 253
 
-    def test_divergence_after_transient_counts_from_the_seed(self, monkeypatch):
+    def test_divergence_after_transient_counts_from_the_seed(self, python_only, monkeypatch):
         # each step calls the function twice, so call 6 is the reference at step 3
         calls = itertools.count()
         monkeypatch.setattr(analysis, "step_function",
@@ -210,13 +210,22 @@ class TestLyapunov:
             lyapunov_exponent(replace(default_map2(), transient=50), steps=1000)
         assert info.value.iteration == 50 + 3
 
+    def test_divergence_after_transient_counts_from_the_seed_on_the_kernel(self, compiled):
+        # b*x*x first overflows at iteration 208 of this orbit, after the transient
+        p = replace(default_map2(), b=1.85e307, transient=100)
+        with pytest.raises(DivergenceError) as seq_info:
+            fill(p, (p.x0, p.y0), np.empty(1000))
+        with pytest.raises(DivergenceError) as lyap_info:
+            lyapunov_exponent(p, steps=1000)
+        assert lyap_info.value.iteration == seq_info.value.iteration == 208
+
     def test_divergence_of_the_companion_is_named(self):
         # the reference stays at 0 while the companion overflows to inf
         with pytest.raises(DivergenceError) as info:
             lyapunov_from_step(lambda x, y: (x * 1e200 * 1e200, y), (0.0, 0.0), steps=10)
         assert info.value.iteration == 0
 
-    def test_transient_runs_outside_the_step_function(self, monkeypatch):
+    def test_transient_runs_outside_the_step_function(self, python_only, monkeypatch):
         calls = 0
 
         def counting(params):
@@ -232,6 +241,24 @@ class TestLyapunov:
         monkeypatch.setattr(analysis, "step_function", counting)
         lyapunov_exponent(replace(default_map2(), transient=10**6), steps=1000)
         assert calls == 2 * 1000
+
+    def test_transient_runs_through_fill_on_the_kernel(self, compiled, monkeypatch):
+        skips, states = [], []
+
+        def recorded(params, state, xs, *args, skip=0):
+            skips.append(skip)
+            states.append(fill(params, state, xs, *args, skip=skip))
+            return states[-1]
+
+        def unused(params):
+            raise AssertionError("the kernel path stepped a map in Python")
+
+        p = replace(default_map2(), transient=10**6)
+        monkeypatch.setattr(analysis, "fill", recorded)
+        monkeypatch.setattr(analysis, "step_function", unused)
+        lam = lyapunov_exponent(p, steps=1000)
+        assert skips == [10**6 - 1]
+        assert lam == lyapunov_from_step(step_function(p), states[0], 1000)
 
 
 class TestPhasePoints:
@@ -288,6 +315,29 @@ class TestQualityReportAndCsv:
         rows = list(csv.reader(hf.read_text().splitlines()))
         assert rows[0] == ["value", "count"] and len(rows) == 257
         assert sum(int(r[1]) for r in rows[1:]) == 32 * 32
+
+    def test_csv_bytes_are_csv_writers(self, tmp_path):
+        # the writers' one-pass text against csv.writer in the excel dialect
+        values = [0.1, -0.0, 1e-320, 123456789012345.0, 2.5e300, math.inf, -math.inf, math.nan]
+        points = np.array([values, values[::-1]]).T
+        hist = histogram(structured_image(16))
+        cases = [
+            (write_bifurcation_csv, (points[:, 0], points[:, 1]), ["r", "x"], points.tolist()),
+            (write_phase_csv, points, ["x", "y"], points.tolist()),
+            (write_lyapunov_csv, [(17.0, 0.896)], ["r", "lambda"], [(17.0, 0.896)]),
+            (write_histogram_csv, hist, ["value", "count"], None),
+        ]
+        for write, data, header, rows in cases:
+            expected = tmp_path / "expected.csv"
+            with open(expected, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                if rows is None:
+                    writer.writerows([str(v), str(int(c))] for v, c in enumerate(hist))
+                else:
+                    writer.writerows([f"{a:.12g}", f"{b:.12g}"] for a, b in rows)
+            write(tmp_path / "got.csv", data)
+            assert (tmp_path / "got.csv").read_bytes() == expected.read_bytes(), write.__name__
 
 
 def decrypt_free_view(envelope):

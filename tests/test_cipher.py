@@ -589,7 +589,9 @@ class TestGoldenDigests:
         env = encrypt(PlainImage.from_array(GOLDEN_IMAGES[image]()), keys)
         assert hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS[name]
 
-    def test_lyapunov_exact(self):
+    @pytest.mark.parametrize("path", ["compiled", "python_only"])
+    def test_lyapunov_exact(self, request, path):
+        request.getfixturevalue(path)
         assert repr(lyapunov_exponent(default_map1(), steps=5000)) == "0.9034388567141849"
         assert repr(lyapunov_exponent(default_map2(), steps=5000)) == "0.5127690037197709"
 

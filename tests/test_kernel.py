@@ -1,5 +1,7 @@
-"""The compiled map kernel against its pure-Python oracle, `maps.step_function`."""
+"""The compiled map kernel against its pure-Python oracles, `maps.step_function`,
+`analysis.lyapunov_from_step` and `math.hypot`."""
 
+import ctypes
 import hashlib
 import math
 import os
@@ -7,6 +9,8 @@ import shutil
 import stat
 import tempfile
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +19,9 @@ from hypothesis import strategies as st
 
 from chaosimg import kernel, maps
 from chaosimg.cipher import KeyMaterial, PlainImage, build_key_schedule, default_keys, encrypt
-from chaosimg.errors import DivergenceError
-from chaosimg.maps import MapId, MapParams, default_map2, fill, step_function
+from chaosimg.analysis import lyapunov_exponent
+from chaosimg.errors import DivergenceError, TrajectoryCollapseError
+from chaosimg.maps import MapId, MapParams, default_map1, default_map2, fill, step_function
 from test_cipher import GOLDEN_DIGESTS, GOLDEN_IMAGES, GOLDEN_KEY_SETS, golden_keys
 
 
@@ -116,6 +121,90 @@ def test_divergence_index_counts_from_seed(request, path, r, transient, half_len
     assert info.value.iteration == first_divergence(params)
 
 
+def lyapunov_outcome(params, steps):
+    """The estimate's bits, or the error and its index."""
+    try:
+        return np.float64(lyapunov_exponent(params, steps)).tobytes()
+    except DivergenceError as exc:
+        return ("diverged", exc.iteration)
+    except TrajectoryCollapseError as exc:
+        return ("collapsed", exc.step)
+
+
+def lyapunov_oracle(params, steps):
+    """`lyapunov_outcome` with no kernel: the transient through the Python
+    `fill` loop, the steps through `lyapunov_from_step` over `step_function`."""
+    with mock.patch.object(kernel, "library", lambda: None):
+        return lyapunov_outcome(params, steps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    map_id=st.sampled_from(MapId),
+    r=finite, a=finite, b=finite, x0=finite, y0=finite,
+    transient=st.integers(0, 50),
+    steps=st.integers(1000, 3000),
+)
+def test_lyapunov_kernel_matches_oracle(compiled, map_id, r, a, b, x0, y0, transient, steps):
+    params = MapParams(map_id, r, a=a, b=b, x0=x0, y0=y0, transient=transient)
+    assert lyapunov_outcome(params, steps) == lyapunov_oracle(params, steps)
+
+
+# Map 1 at r = 1e307 diverges in the transient at iteration 253; Map 2 at
+# b = 1.85e307 leaves its transient of 100 and diverges at iteration 208,
+# where b*x*x first overflows; Map 2 at r = 1e308 collapses at step 1
+LYAPUNOV_FAILURES = [
+    (replace(default_map1(), r=1e307), ("diverged", 253)),
+    (replace(default_map2(), b=1.85e307, transient=100), ("diverged", 208)),
+    (replace(default_map2(), r=1e308), ("collapsed", 1)),
+]
+
+
+@pytest.mark.parametrize("params, expected", LYAPUNOV_FAILURES)
+def test_lyapunov_failures_match_oracle(compiled, params, expected):
+    assert lyapunov_outcome(params, 3000) == lyapunov_oracle(params, 3000) == expected
+
+
+def hypot_pairs(rng, n):
+    """n pairs of doubles of random sign and mantissa whose exponent fields
+    run from 0 (zero and subnormals) to 2046 (up to DBL_MAX), the second
+    within 60 binades of the first in half of the pairs, both 0 or 1 in a
+    tenth and both among the three highest in another tenth; then every
+    pair of zeros, extremes, +-inf and NaN, and 1000 pairs of equal
+    magnitudes."""
+    exps = rng.integers(0, 2047, size=(2, n))
+    exps[1, ::2] = np.clip(exps[0, ::2] + rng.integers(-60, 61, size=exps[0, ::2].size), 0, 2046)
+    exps[:, 1::10] = rng.integers(0, 2, size=exps[:, 1::10].shape)
+    exps[:, 3::10] = rng.integers(2044, 2047, size=exps[:, 3::10].shape)
+    bits = (rng.integers(0, 2**52, size=(2, n)) | exps << 52
+            | rng.integers(0, 2, size=(2, n)) << 63)
+    xs, ys = bits.view(np.float64)
+    tiny = np.nextafter(0.0, 1.0)
+    special = np.array([0.0, -0.0, tiny, -tiny, 2.0**-1022, 2.0**-1024, 1.0, np.finfo(float).max,
+                        math.inf, -math.inf, math.nan])
+    sx, sy = np.meshgrid(special, special)
+    equal = xs[:1000]
+    return (np.concatenate([xs, sx.ravel(), equal]),
+            np.concatenate([ys, sy.ravel(), -equal]))
+
+
+def test_hypot_mirror_matches_math_hypot(compiled):
+    # the kernel's copy of math.hypot, through its test entry point
+    prototype = ctypes.CFUNCTYPE(None, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                                 ctypes.c_longlong)
+    chaos_hypot = prototype(("chaos_hypot", kernel.library()))
+    xs, ys = hypot_pairs(np.random.default_rng(2024), 10**6)
+    got = np.empty(xs.size)
+    chaos_hypot(xs.ctypes.data, ys.ctypes.data, got.ctypes.data, xs.size)
+    want = np.array(list(map(math.hypot, xs.tolist(), ys.tolist())))
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+    assert same.all(), [(x, y) for x, y in zip(xs[~same][:5], ys[~same][:5])]
+    finite = np.isfinite(xs) & np.isfinite(ys)
+    assert (np.maximum(abs(xs), abs(ys)) < 2.0**-1024).sum() > 1000  # the divided branch
+    assert np.isinf(want[finite]).sum() > 10**4  # overflows
+    assert (want == 0).any() and np.isnan(want).any()
+
+
 @pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
 def test_fallback_reproduces_golden_digests(python_only, monkeypatch, name):
     calls, fill_orbit = [], maps._fill_orbit
@@ -149,7 +238,7 @@ def test_fallback_fill_without_ys_allocates_no_y_buffer(python_only):
 def test_kernel_active_when_a_compiler_is_on_path():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    assert kernel.fill_function() is not None
+    assert kernel.library() is not None
 
 
 def test_cache_is_private_and_reused(compiled, monkeypatch, tmp_path):
@@ -159,18 +248,18 @@ def test_cache_is_private_and_reused(compiled, monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(shared.parent))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     try:
-        kernel.fill_function.cache_clear()
-        assert kernel.fill_function() is not None  # built in the fallback dir
+        kernel.library.cache_clear()
+        assert kernel.library() is not None  # built in the fallback dir
         assert list(shared.iterdir()) == []
         private = tmp_path / "tmp" / f"chaosimg-{os.getuid()}"
         assert stat.S_IMODE(private.stat().st_mode) == 0o700
         [lib] = private.iterdir()  # no temporary file left behind
         assert lib.name.startswith("kernel-") and lib.suffix == ".so"
         monkeypatch.setattr(kernel, "_compiler", lambda: None)
-        kernel.fill_function.cache_clear()
-        assert kernel.fill_function() is not None  # loaded, not built
+        kernel.library.cache_clear()
+        assert kernel.library() is not None  # loaded, not built
     finally:
-        kernel.fill_function.cache_clear()
+        kernel.library.cache_clear()
 
 
 def test_sha256_matches_hashlib():
