@@ -1,6 +1,10 @@
 /* Compiled loops of the two chaotic maps: `chaos_fill` iterates a map from
  * a seed, with `maps.step_function` as its oracle, and `chaos_lyapunov`
- * runs `analysis.lyapunov_from_step` over that step.
+ * runs `analysis.lyapunov_from_step` over that step. Two byte loops,
+ * `chaos_gather_xor` and `chaos_scatter_xor`, make the cipher's one pass
+ * over an image, and `chaos_gather_index` composes the image layout into
+ * its permutation, with the numpy lines of `cipher._gather_xor`,
+ * `cipher._scatter_xor` and `cipher._gather_index` as their oracles.
  *
  * Every operation mirrors CPython float semantics, so the bytes match the
  * pure-Python path bit for bit:
@@ -18,6 +22,7 @@
  * or a reassociated sum rounds differently and changes the orbit.
  */
 #include <math.h>
+#include <stdint.h>
 
 static const double PI = 3.141592653589793;
 static const double TWO_PI = 6.283185307179586;
@@ -220,4 +225,31 @@ long long chaos_lyapunov(int map, double r, double ar, double b, double x, doubl
     }
     *out = acc / (double)steps;
     return -1;
+}
+
+/* out[i] = src[index[i]] ^ key[i] for i < n: encryption. Checks nothing:
+ * every index is below the length of src. */
+void chaos_gather_xor(const uint8_t *src, const int32_t *index, const uint8_t *key,
+                      uint8_t *out, long long n)
+{
+    for (long long i = 0; i < n; i++)
+        out[i] = src[index[i]] ^ key[i];
+}
+
+/* out[index[i]] = src[i] ^ key[i] for i < n: decryption, the mirror of
+ * chaos_gather_xor. Checks nothing: every index is below the length of out. */
+void chaos_scatter_xor(const uint8_t *src, const int32_t *index, const uint8_t *key,
+                       uint8_t *out, long long n)
+{
+    for (long long i = 0; i < n; i++)
+        out[index[i]] = src[i] ^ key[i];
+}
+
+/* out[i] = src[index[i]] for i < n: the index of encryption's gather,
+ * composed once per key schedule. Checks nothing: every index is below the
+ * length of src. */
+void chaos_gather_index(const int32_t *src, const int32_t *index, int32_t *out, long long n)
+{
+    for (long long i = 0; i < n; i++)
+        out[i] = src[index[i]];
 }

@@ -1,24 +1,28 @@
 """Permutation-diffusion cipher over a flattened image byte vector.
 
-The image is flattened (column-major, channel-planar) and zero-padded to an
-even length 2N. Map 1 keys slot 0 (the first N bytes) and Map 2 slot 1.
+The image is flattened (column-major, channel-planar) and zero-padded to
+an even length 2N. Map 1 keys slot 0 (the first N bytes) and Map 2 slot 1.
 The paper's split-half chain folds into one keystream XOR, one gather over
-the whole vector and one more XOR:
+the whole vector and one more XOR, `v = (v ^ X1)[P] ^ Y`
+(`build_key_schedule`). The flatten is itself a gather, `v = raster[L]`
+from the image's Netpbm raster (height, width, depth) and the zero pad
+byte, so the whole cipher is one gather and one XOR:
 
-    v = (v ^ X1)[R] ^ Y
+    c = raster[R] ^ K,    R = L[P],    K = X1[P] ^ Y
 
-Decryption is the scatter mirror and restores the plain image byte-for-byte.
-One loop on the caller iterates Map 2 and folds each map's segments into
-its keys, Map 2's segment and then Map 1's. The slot length only chooses
-who iterates Map 1's orbit, the slower of the two: a worker thread from
-`_SERIAL_BELOW` values per slot on, and the caller below it, where no
-thread is started.
+Decryption is the scatter mirror, `raster[R] = c ^ K`, and restores the
+plain image byte-for-byte. Both run in the kernel's byte loops when it is
+built (`_gather_xor`, `_scatter_xor`). One loop on the caller iterates
+Map 2 and folds each map's segments into its keys, Map 2's segment and
+then Map 1's. The slot length only chooses who iterates Map 1's orbit,
+the slower of the two: a worker thread from `_SERIAL_BELOW` values per
+slot on, and the caller below it, where no thread is started.
 
-`encrypt` and `decrypt` take their schedule from `_schedule`, which holds
-the most recent one: a call with the same key bits and slot length as the
-call before it reuses that schedule instead of building it again. The
-held schedule is key-equivalent, and it stays in memory (12N bytes) until
-a call with another key or slot length replaces it.
+`encrypt` and `decrypt` take (R, K) from `_schedule`, which holds the most
+recent pair: a call with the same key bits and image dims as the call
+before it reuses that pair instead of building it again. The held pair is
+key-equivalent for images of its dims, and it stays in memory (10N bytes)
+until a call with another key or dims replaces it.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .errors import DimensionError, MalformedEnvelopeError, PermutationError
 from .maps import (MapId, MapParams, default_map1, default_map2, fill,
                    permutation_from_sequence, quantize_to_bytes)
@@ -143,22 +148,12 @@ def envelope_length(header: bytes) -> int:
     return _HEADER.size + dims.pixel_count + pad
 
 
-def flatten(image: PlainImage) -> np.ndarray:
-    """Column-major, channel-planar flatten: index = d*(H*W) + col*H + row."""
-    return np.ascontiguousarray(image.pixels.transpose(0, 2, 1)).reshape(-1)
-
-
-def unflatten(vec: np.ndarray, dims: ImageDims) -> PlainImage:
-    px = np.asarray(vec, dtype=np.uint8).reshape(dims.depth, dims.width, dims.height)
-    return PlainImage(dims=dims, pixels=px.transpose(0, 2, 1))
-
-
 @dataclass(frozen=True)
 class KeySchedule:
     """Keys for a padded vector of 2N bytes: encryption is `(v ^ xor1)[perm]
-    ^ xor2`. `perm` is checked here, once, as a bijection over 2N, so
-    encrypt and decrypt do not check again. All three arrays are made
-    read-only, so a schedule that `_schedule` holds cannot be changed."""
+    ^ xor2`. `perm` is checked here, once, as a bijection over 2N, so the
+    pair that `_schedule` derives from it is not checked again. All three
+    arrays are made read-only."""
 
     xor1: np.ndarray
     perm: np.ndarray
@@ -293,51 +288,131 @@ def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
                        xor2=np.concatenate([y1[a], y2[b]]))
 
 
-# The tag of a schedule: the bits of the key's ten map parameters and two
-# transients, and the slot length. It compares bits, not values, because
+def _layout(dims: ImageDims, size: int, index) -> np.ndarray:
+    """L of dtype `index`, with `raster[L]` the flattened, padded vector of
+    an image of `dims` (index d*(H*W) + col*H + row) from its raster of
+    `size` bytes (index row*(W*D) + col*D + d, then the pad byte)."""
+    d, h, w = dims.depth, dims.height, dims.width
+    layout = np.empty(size, index)
+    layout[-1] = size - 1  # the pad byte, if any; a pixel's index otherwise
+    ds, cols, rows = (np.arange(k, dtype=index) for k in (d, w, h))
+    np.add((ds[:, None] + cols * d)[:, :, None], rows * (w * d),
+           out=layout[:dims.pixel_count].reshape(d, w, h))
+    return layout
+
+
+def _raster(image: PlainImage, size: int) -> np.ndarray:
+    """The pixels in Netpbm order (height, width, depth), zero-padded to
+    `size` bytes: a view of pixels that `netpbm.read_image` made, unless
+    padded."""
+    px = image.pixels.transpose(1, 2, 0)
+    if px.size == size:
+        return px.reshape(-1)
+    raster = np.zeros(size, np.uint8)
+    np.copyto(raster[:px.size].reshape(px.shape), px)
+    return raster
+
+
+def _loop(index: np.ndarray, dtype, *arrays: np.ndarray):
+    """The kernel, if it is built and `index` is int32, or None for numpy,
+    to run a gather or scatter by `index` over `arrays`. Raises ValueError
+    unless all are C-contiguous and of one length, and `arrays` of `dtype`.
+    That `index` is a permutation is not checked: `KeySchedule` checks
+    `perm`, and `_layout` is one by construction."""
+    if not all(a.size == index.size and a.flags.c_contiguous and (a is index or a.dtype == dtype)
+               for a in (index, *arrays)):
+        raise ValueError(f"gather and scatter arrays must be C-contiguous, of dtype "
+                         f"{np.dtype(dtype)} and as long as their index")
+    return kernel.library() if index.dtype == np.int32 else None
+
+
+def _gather_xor(src: np.ndarray, index: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """`src[index] ^ key`, for bytes and a permutation `index` (`_loop`)."""
+    lib = _loop(index, np.uint8, src, key)
+    if lib is None:
+        out = np.take(src, index)
+        out ^= key
+        return out
+    out = np.empty_like(src)
+    lib.chaos_gather_xor(src.ctypes.data, index.ctypes.data, key.ctypes.data,
+                         out.ctypes.data, out.size)
+    return out
+
+
+def _scatter_xor(src: np.ndarray, index: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """`out` with `out[index] = src ^ key`, the inverse of `_gather_xor`."""
+    lib = _loop(index, np.uint8, src, key)
+    out = np.empty_like(src)
+    if lib is None:
+        out[index] = src ^ key
+    else:
+        lib.chaos_scatter_xor(src.ctypes.data, index.ctypes.data, key.ctypes.data,
+                              out.ctypes.data, out.size)
+    return out
+
+
+def _gather_index(src: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """`src[index]` for a permutation `index` and `src` of its dtype. In C
+    it took 2.0 ms at 512² RGB right after a build on a 2-vCPU Xeon,
+    against 5.0 ms for `np.take`, which first copies an int32 index to
+    intp."""
+    lib = _loop(index, index.dtype, src)
+    if lib is None:
+        return np.take(src, index)
+    out = np.empty_like(src)
+    lib.chaos_gather_index(src.ctypes.data, index.ctypes.data, out.ctypes.data, out.size)
+    return out
+
+
+# The tag of a held pair: the bits of the key's ten map parameters and two
+# transients, and the image dims. It compares bits, not values, because
 # KeyMaterial equality takes -0.0 for 0.0.
-_TAG = struct.Struct("=10d3q")
-_held = (None, None)  # (tag, schedule) of the most recent `_schedule` call
+_TAG = struct.Struct("=10d5q")
+_held = (None, None)  # (tag, (R, K)) of the most recent `_schedule` call
 
 
-def _schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
-    """`build_key_schedule(keys, half_len)`, or the schedule of the call
-    before if its tag is the same. A miss drops the held schedule before it
-    builds the new one, so two are never alive at once, and a build that
-    raises leaves nothing held. There is no lock: `_held` is read once and
-    assigned whole, so threads that miss together each build, and return,
-    their own schedule."""
+def _schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only pair (R, K) with which an image of `dims` encrypts as
+    `raster[R] ^ K`: from `build_key_schedule`'s (xor1, perm, xor2), R =
+    L[perm] and K = xor1[perm] ^ xor2 (`_layout`). A call with the same
+    tag as the call before returns its pair. A miss drops the held pair
+    before it builds the new one, so two are never alive at once, and a
+    build that raises leaves nothing held. There is no lock: `_held` is
+    read once and assigned whole, so threads that miss together each
+    build, and return, their own pair."""
     global _held
     m1, m2 = keys.map1, keys.map2
     tag = _TAG.pack(m1.r, m1.a, m1.b, m1.x0, m1.y0, m2.r, m2.a, m2.b, m2.x0, m2.y0,
-                    m1.transient, m2.transient, half_len)
+                    m1.transient, m2.transient, dims.depth, dims.height, dims.width)
     held = _held
     if held[0] == tag:
         return held[1]
-    _held = held = (None, None)  # no reference to the old schedule is left
-    schedule = build_key_schedule(keys, half_len)
-    _held = (tag, schedule)
-    return schedule
+    _held = held = (None, None)  # no reference to the old pair is left
+    s = build_key_schedule(keys, (dims.pixel_count + 1) // 2)
+    pair = (_gather_index(_layout(dims, s.perm.size, s.perm.dtype), s.perm),
+            _gather_xor(s.xor1, s.perm, s.xor2))
+    for array in pair:
+        array.flags.writeable = False
+    _held = (tag, pair)
+    return pair
 
 
 def encrypt(image: PlainImage, keys: KeyMaterial) -> CipherEnvelope:
-    """The envelope of `image`. Its schedule is the one the previous
-    `encrypt` or `decrypt` used if that call had the same key and padded
-    length, and is built otherwise (`_schedule`)."""
-    flat = flatten(image)
-    pad = flat.size % 2
-    v = np.concatenate([flat, np.zeros(pad, dtype=np.uint8)])
-    s = _schedule(keys, v.size // 2)
-    v = (v ^ s.xor1)[s.perm] ^ s.xor2
-    return CipherEnvelope(dims=image.dims, pad=pad, body=v.tobytes())
+    """The envelope of `image`, in one gather from its raster. Its pair
+    (R, K) is the one the previous `encrypt` or `decrypt` used if that call
+    had the same key and dims, and is built otherwise (`_schedule`)."""
+    dims = image.dims
+    index, key = _schedule(keys, dims)
+    body = _gather_xor(_raster(image, index.size), index, key)
+    return CipherEnvelope(dims=dims, pad=index.size - dims.pixel_count, body=body.tobytes())
 
 
 def decrypt(envelope: CipherEnvelope, keys: KeyMaterial) -> PlainImage:
-    """The plain image of `envelope`, with its schedule taken as in
-    `encrypt`: an encrypt followed by its decrypt builds one schedule."""
-    v = np.frombuffer(envelope.body, dtype=np.uint8)
-    s = _schedule(keys, v.size // 2)
-    out = np.empty_like(v)
-    out[s.perm] = v ^ s.xor2  # the scatter undoes the gather
-    out ^= s.xor1
-    return unflatten(out[:envelope.dims.pixel_count], envelope.dims)
+    """The plain image of `envelope`, scattered straight into raster order,
+    with its pair taken as in `encrypt`: an encrypt followed by its decrypt
+    builds one pair."""
+    dims = envelope.dims
+    index, key = _schedule(keys, dims)
+    raster = _scatter_xor(np.frombuffer(envelope.body, dtype=np.uint8), index, key)
+    pixels = raster[:dims.pixel_count].reshape(dims.height, dims.width, dims.depth)
+    return PlainImage(dims=dims, pixels=pixels.transpose(2, 0, 1))

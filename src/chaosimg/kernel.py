@@ -1,4 +1,4 @@
-"""Build and load the compiled map kernel, `_kernel.c`.
+"""Build and load the compiled kernel, `_kernel.c`.
 
 At first use the source is compiled with the system C compiler into a
 private cache directory and loaded with ctypes. The library is named by
@@ -6,13 +6,16 @@ the SHA-256 of the source, the flags and the platform, so a changed
 source builds a new one; a build writes a temporary file and renames it
 into place, so concurrent first runs are safe.
 
-`library()` serves both of its loops: `chaos_fill`, through which
-`maps.fill` iterates a map for the key schedule, the bifurcation sweep,
-the phase points and the Lyapunov transient, and `chaos_lyapunov`, which
-`analysis.lyapunov_exponent` runs for the Lyapunov steps. Without a
-compiler, or when the build or the cache directory fails, `library()`
-returns None and both callers loop over `maps.step_function` in Python
-instead. Both paths give the same bytes.
+`library()` serves five loops: `chaos_fill`, through which `maps.fill`
+iterates a map for the key schedule, the bifurcation sweep, the phase
+points and the Lyapunov transient; `chaos_lyapunov`, which
+`analysis.lyapunov_exponent` runs for the Lyapunov steps;
+`chaos_gather_xor` and `chaos_scatter_xor`, the one pass over the image
+of `cipher.encrypt` and `cipher.decrypt`; and `chaos_gather_index`, which
+composes the image layout into the held schedule. Without a compiler, or
+when the build or the cache directory fails, `library()` returns None and
+the callers run Python loops over `maps.step_function`, and numpy's
+gather and scatter, instead. Both paths give the same bytes.
 """
 
 from __future__ import annotations
@@ -33,16 +36,24 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # from CPython's separate multiply and add; no -ffast-math and no -march
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
-# the map's number (1 or 2), r, a*r and b, which both loops take first
+# the map's number (1 or 2), r, a*r and b, which both map loops take first
 _MAP = [ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_double]
-# name -> argument types; both return a long long
+# src, index, key, out, n
+_BYTE_LOOP = (None, [ctypes.c_void_p] * 4 + [ctypes.c_longlong])
+# name -> (return type, argument types) of every function that the kernel
+# exports: an untyped one would take and return C ints, which truncate
+# 64-bit pointers
 _SIGNATURES = {
     # state, skip, xs, ys, n
-    "chaos_fill": [*_MAP, ctypes.c_void_p, ctypes.c_longlong, ctypes.c_void_p,
-                   ctypes.c_void_p, ctypes.c_longlong],
+    "chaos_fill": (ctypes.c_longlong, [*_MAP, ctypes.c_void_p, ctypes.c_longlong,
+                                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong]),
     # x, y, d0, steps, out
-    "chaos_lyapunov": [*_MAP, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-                       ctypes.c_longlong, ctypes.c_void_p],
+    "chaos_lyapunov": (ctypes.c_longlong, [*_MAP, ctypes.c_double, ctypes.c_double,
+                                           ctypes.c_double, ctypes.c_longlong, ctypes.c_void_p]),
+    "chaos_gather_xor": _BYTE_LOOP,
+    "chaos_scatter_xor": _BYTE_LOOP,
+    # src, index, out, n
+    "chaos_gather_index": (None, [ctypes.c_void_p] * 3 + [ctypes.c_longlong]),
 }
 
 
@@ -107,9 +118,8 @@ def _build(source: bytes, target: Path) -> bool:
 
 @functools.cache
 def library():
-    """The kernel as a ctypes library whose `chaos_fill` and
-    `chaos_lyapunov` are typed, or None if it cannot be built or loaded
-    here."""
+    """The kernel as a ctypes library whose functions in `_SIGNATURES` are
+    typed, or None if it cannot be built or loaded here."""
     if not hasattr(os, "getuid"):
         return None
     import sysconfig
@@ -129,9 +139,9 @@ def library():
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        for name, argtypes in _SIGNATURES.items():
+        for name, (restype, argtypes) in _SIGNATURES.items():
             fn = getattr(lib, name)
-            fn.restype, fn.argtypes = ctypes.c_longlong, argtypes
+            fn.restype, fn.argtypes = restype, argtypes
     except (OSError, AttributeError):
         return None
     return lib

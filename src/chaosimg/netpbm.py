@@ -1,8 +1,9 @@
 """Binary Netpbm reader/writer: 8-bit P5 (grayscale) and P6 (RGB) only.
 
-The raster is row-major per the format (interleaved RGB for P6); color
-images are converted to the package's planar (D, H, W) layout on load.
-ASCII variants and maxval != 255 are rejected.
+The raster is row-major per the format (interleaved RGB for P6); an image
+read from it holds its pixels as a (D, H, W) view of the raster, the
+package's planar layout, without a copy. ASCII variants and maxval != 255
+are rejected.
 """
 
 from __future__ import annotations
@@ -75,20 +76,15 @@ def read_image(data: bytes) -> PlainImage:
         raise NetpbmError(
             f"truncated raster: have {len(raster)} of {n} bytes", pos + len(raster)
         )
-    arr = np.frombuffer(raster, dtype=np.uint8)
-    if dims.depth == 1:
-        pixels = arr.reshape(1, dims.height, dims.width)
-    else:
-        pixels = arr.reshape(dims.height, dims.width, 3).transpose(2, 0, 1)
-    return PlainImage(dims=dims, pixels=pixels)
+    # a (depth, height, width) view of the raster, not a copy
+    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(dims.height, dims.width, dims.depth)
+    return PlainImage(dims=dims, pixels=pixels.transpose(2, 0, 1))
 
 
 def write_image(img: PlainImage) -> bytes:
     d = img.dims
     kind = b"P5" if d.depth == 1 else b"P6"
     header = kind + b"\n" + f"{d.width} {d.height}".encode() + b"\n255\n"
-    if d.depth == 1:
-        raster = img.pixels.reshape(d.height, d.width).tobytes()
-    else:
-        raster = np.ascontiguousarray(img.pixels.transpose(1, 2, 0)).tobytes()
-    return header + raster
+    # one contiguous copy when the pixels are a view of a raster, as
+    # `read_image` and `cipher.decrypt` make them
+    return header + img.pixels.transpose(1, 2, 0).tobytes()

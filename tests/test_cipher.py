@@ -23,8 +23,6 @@ from chaosimg.cipher import (
     decrypt,
     default_keys,
     encrypt,
-    flatten,
-    unflatten,
 )
 from chaosimg.errors import (
     DimensionError,
@@ -41,6 +39,7 @@ from chaosimg.maps import (
     permutation_from_sequence,
     quantize_to_bytes,
 )
+from chaosimg.netpbm import read_image, write_image
 from conftest import perturbed, random_image
 
 # frozen from the straight-line hand-trace oracle (run before the build):
@@ -98,6 +97,18 @@ def golden_keys(spec):
 
 
 GOLDEN_IMAGES = {"gray256": gray256, "rgb512": rgb512, "gray64x48": gray64x48}
+
+
+def flatten(image):
+    """Column-major, channel-planar flatten: index = d*(H*W) + col*H + row.
+    The order of the cipher's vector, which `encrypt` takes straight from
+    the raster (`cipher._layout`)."""
+    return np.ascontiguousarray(image.pixels.transpose(0, 2, 1)).reshape(-1)
+
+
+def unflatten(vec, dims):
+    px = np.asarray(vec, dtype=np.uint8).reshape(dims.depth, dims.width, dims.height)
+    return PlainImage(dims=dims, pixels=px.transpose(0, 2, 1))
 
 
 Half = namedtuple("Half", "xor1 xor2 perm1 reperms")
@@ -258,6 +269,21 @@ class TestKeySchedule:
 
     def test_peak_allocation_on_the_fallback(self, python_only):
         self.assert_peak_allocation()
+
+    def test_cold_encrypt_peak_allocation(self, compiled):
+        # the build and the derivation of the pair (R, K) that `encrypt`
+        # holds: the derivation must not raise the build's peak
+        n = 4 * maps.BLOCK
+        img = PlainImage.from_array(np.random.default_rng(4).integers(
+            0, 256, (1, 512, 2 * n // 512), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            encrypt(img, default_keys())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cipher._held[1][0].size == 2 * n
+        assert peak <= 60 * n
 
     def test_seed_sensitivity(self):
         keys = default_keys()
@@ -442,9 +468,22 @@ class TestSerialSchedule:
         assert len(started) == 1
 
 
+def fused_oracle(keys, dims):
+    """(R, K) from `build_key_schedule` and the flatten spec: R = L[perm]
+    and K = xor1[perm] ^ xor2, where L is the flatten of the raster's
+    indices, then the pad byte's index."""
+    count = dims.pixel_count
+    s = build_key_schedule(keys, (count + 1) // 2)
+    raster_index = np.arange(count).reshape(dims.height, dims.width, dims.depth)
+    layout = np.append(raster_index.transpose(2, 1, 0).reshape(-1), np.arange(count, s.perm.size))
+    return layout[s.perm], s.xor1[s.perm] ^ s.xor2
+
+
 class TestScheduleMemo:
-    """`encrypt` and `decrypt` take their schedule from cipher._schedule,
+    """`encrypt` and `decrypt` take their pair (R, K) from cipher._schedule,
     which holds the most recent one; on the kernel and on the fallback."""
+
+    DIMS = ImageDims(1, 10, 10)
 
     @pytest.fixture(autouse=True, params=["compiled", "python_only"])
     def path(self, request):
@@ -452,20 +491,22 @@ class TestScheduleMemo:
 
     def test_hit_returns_the_held_schedule(self):
         img = PlainImage.from_array(np.arange(100, dtype=np.uint8).reshape(10, 10))
-        held = cipher._schedule(default_keys(), 50)
-        assert cipher._schedule(default_keys(), 50) is held  # an equal key, not the same object
+        held = cipher._schedule(default_keys(), self.DIMS)
+        # an equal key and equal dims, not the same objects
+        assert cipher._schedule(default_keys(), ImageDims(1, 10, 10)) is held
         env = encrypt(img, default_keys())
         assert cipher._held[1] is held
         assert env.to_bytes() == reference_encrypt(img, default_keys()).to_bytes()
         assert np.array_equal(decrypt(env, default_keys()).pixels, img.pixels)
 
-    def assert_misses(self, keys, half_len, other_keys, other_half_len):
-        held = cipher._schedule(keys, half_len)
-        other = cipher._schedule(other_keys, other_half_len)
+    def assert_misses(self, keys, dims, other_keys, other_dims):
+        held = cipher._schedule(keys, dims)
+        other = cipher._schedule(other_keys, other_dims)
         assert other is not held and cipher._held[1] is other
-        expected = build_key_schedule(other_keys, other_half_len)
-        for name in ("xor1", "perm", "xor2"):
-            assert np.array_equal(getattr(other, name), getattr(expected, name))
+        expected = fused_oracle(other_keys, other_dims)
+        assert len(other) == len(expected) == 2
+        for got, want in zip(other, expected):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("which", ["map1", "map2"])
     @pytest.mark.parametrize("field", ["r", "a", "b", "x0", "y0"])
@@ -473,26 +514,41 @@ class TestScheduleMemo:
         keys = default_keys()
         nudged = replace(keys, **{which: perturbed(getattr(keys, which), field, ulp=True)})
         assert getattr(nudged, which) != getattr(keys, which)
-        self.assert_misses(keys, 50, nudged, 50)
+        self.assert_misses(keys, self.DIMS, nudged, self.DIMS)
 
     def test_sign_of_zero_misses(self):
         keys = default_keys()  # Map 1's a is 0.0
         signed = replace(keys, map1=replace(keys.map1, a=-0.0))
         assert signed == keys
-        self.assert_misses(keys, 50, signed, 50)
+        self.assert_misses(keys, self.DIMS, signed, self.DIMS)
 
     @pytest.mark.parametrize("which", ["map1", "map2"])
     def test_transient_misses(self, which):
         keys = default_keys()
         longer = replace(keys, **{which: replace(getattr(keys, which), transient=1001)})
-        self.assert_misses(keys, 50, longer, 50)
+        self.assert_misses(keys, self.DIMS, longer, self.DIMS)
 
     def test_slot_length_misses(self):
-        self.assert_misses(default_keys(), 50, default_keys(), 51)
+        self.assert_misses(default_keys(), self.DIMS, default_keys(), ImageDims(1, 6, 17))
 
-    @pytest.mark.parametrize("name", ["xor1", "perm", "xor2"])
+    @pytest.mark.parametrize("shapes", [((1, 4, 6), (1, 6, 4)), ((1, 2, 6), (3, 2, 2))],
+                             ids=["4x6-6x4", "gray-rgb"])
+    def test_same_pixel_count_misses(self, shapes):
+        # one slot length, two layouts: each misses the other, either way round
+        keys = default_keys()
+        a, b = (ImageDims(*shape) for shape in shapes)
+        self.assert_misses(keys, a, keys, b)
+        self.assert_misses(keys, b, keys, a)
+        rng = np.random.default_rng(17)
+        for shape in shapes + shapes:
+            img = PlainImage.from_array(rng.integers(0, 256, shape, dtype=np.uint8))
+            env = encrypt(img, keys)
+            assert env.to_bytes() == reference_encrypt(img, keys).to_bytes()
+            assert np.array_equal(decrypt(env, keys).pixels, img.pixels)
+
+    @pytest.mark.parametrize("name", ["R", "K"])
     def test_held_arrays_are_read_only(self, name):
-        array = getattr(cipher._schedule(default_keys(), 50), name)
+        array = dict(zip("RK", cipher._schedule(default_keys(), self.DIMS)))[name]
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
         with pytest.raises(ValueError, match="read-only"):
@@ -538,6 +594,49 @@ class TestScheduleMemo:
             sys.setswitchinterval(interval)
         assert not any(helper.is_alive() for helper in helpers)
         assert results == [(True, True)] * 16
+
+
+# (depth, height, width): gray and RGB, even and odd pixel counts
+FUSED_SHAPES = [(1, 1, 1), (1, 1, 2), (3, 3, 5), (1, 31, 49), (3, 4, 6)]
+
+
+def shape_id(shape):
+    return "x".join(map(str, shape))
+
+
+class TestFusedPath:
+    """`encrypt` gathers from the raster and `decrypt` scatters into it, on
+    the kernel and on the fallback, from pixels that are a view of a Netpbm
+    raster (`read_image`) and from a C-contiguous (d, h, w) copy
+    (`PlainImage.from_array`)."""
+
+    @pytest.fixture(autouse=True, params=["compiled", "python_only"])
+    def path(self, request):
+        request.getfixturevalue(request.param)
+
+    @pytest.mark.parametrize("shape", FUSED_SHAPES, ids=shape_id)
+    def test_matches_reference_and_round_trips(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        keys = golden_keys(GOLDEN_KEY_SETS["k2"])
+        copy = PlainImage.from_array(rng.integers(0, 256, shape, dtype=np.uint8))
+        pnm = write_image(copy)
+        view = read_image(pnm)
+        expected = reference_encrypt(copy, keys).to_bytes()
+        for img in (view, copy):
+            env = encrypt(img, keys)
+            assert env.to_bytes() == expected
+            plain = decrypt(CipherEnvelope.from_bytes(env.to_bytes()), keys)
+            assert np.array_equal(plain.pixels, copy.pixels)
+            assert write_image(plain) == pnm
+
+    @pytest.mark.parametrize("shape", [(1, 4, 6), (3, 4, 6)], ids=shape_id)
+    def test_netpbm_pixels_are_gathered_in_place(self, shape):
+        pnm = write_image(PlainImage.from_array(np.zeros(shape, dtype=np.uint8)))
+        img = read_image(pnm)
+        raster = cipher._raster(img, img.dims.pixel_count)
+        assert np.shares_memory(raster, img.pixels)
+        plain = decrypt(encrypt(img, default_keys()), default_keys())
+        assert plain.pixels.transpose(1, 2, 0).flags.c_contiguous  # raster order
 
 
 class TestEncryptDecrypt:

@@ -1,10 +1,12 @@
-"""The compiled map kernel against its pure-Python oracles, `maps.step_function`,
-`analysis.lyapunov_from_step` and `math.hypot`."""
+"""The compiled kernel against its oracles: `maps.step_function`,
+`analysis.lyapunov_from_step` and `math.hypot` for the map loops, numpy's
+gather and scatter for the cipher's byte loops."""
 
 import ctypes
 import hashlib
 import math
 import os
+import re
 import shutil
 import stat
 import tempfile
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosimg import kernel, maps
+from chaosimg import cipher, kernel, maps
 from chaosimg.cipher import KeyMaterial, PlainImage, build_key_schedule, default_keys, encrypt
 from chaosimg.analysis import lyapunov_exponent
 from chaosimg.errors import DivergenceError, TrajectoryCollapseError
@@ -289,3 +291,68 @@ def test_fill_rejects_bad_arguments(request, path):
         fill(params, (0.1, 0.1), read_only)
     with pytest.raises(ValueError):
         fill(params, (0.1, 0.1), np.empty(4), read_only)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 4096, 100_003])
+def test_gather_and_scatter_loops_match_numpy(compiled, size):
+    # the kernel's gathers and scatter against their numpy fallback, and an
+    # int64 index array, which always takes the fallback
+    rng = np.random.default_rng(size)
+    src, key = rng.integers(0, 256, (2, size), dtype=np.uint8)
+    index = rng.permutation(size).astype(np.int32)
+    layout = rng.permutation(size).astype(np.int32)
+    gathered = cipher._gather_xor(src, index, key)
+    scattered = cipher._scatter_xor(src, index, key)
+    composed = cipher._gather_index(layout, index)
+    assert gathered.tobytes() == (src[index] ^ key).tobytes()
+    expected = np.empty_like(src)
+    expected[index] = src ^ key
+    assert scattered.tobytes() == expected.tobytes()
+    assert composed.tobytes() == layout[index].tobytes()
+    wide = index.astype(np.int64)
+    assert cipher._gather_xor(src, wide, key).tobytes() == gathered.tobytes()
+    assert cipher._scatter_xor(src, wide, key).tobytes() == scattered.tobytes()
+    assert np.array_equal(cipher._gather_index(layout.astype(np.int64), wide), composed)
+    with mock.patch.object(kernel, "library", lambda: None):
+        assert cipher._gather_xor(src, index, key).tobytes() == gathered.tobytes()
+        assert cipher._scatter_xor(src, index, key).tobytes() == scattered.tobytes()
+        assert cipher._gather_index(layout, index).tobytes() == composed.tobytes()
+    assert cipher._scatter_xor(gathered, index, key).tobytes() == src.tobytes()
+
+
+def exported_functions(source: str) -> dict[str, str]:
+    """Name -> return type of each function that `source` defines at file
+    scope without `static`."""
+    pattern = re.compile(r"^(?!static\b)([A-Za-z_][\w ]*?[\w*])\s*\**\s*\b(\w+)\(", re.M)
+    return {name: ret for ret, name in pattern.findall(source)}
+
+
+def test_every_export_is_typed(compiled):
+    # an untyped function would take and return C ints, which truncate
+    # 64-bit pointers
+    exports = exported_functions(kernel.SOURCE.read_text())
+    assert exports.pop("chaos_hypot") == "void"  # the tests' own handle, typed where used
+    restypes = {"long long": ctypes.c_longlong, "void": None}
+    assert {name: restypes[ret] for name, ret in exports.items()} == {
+        name: restype for name, (restype, _) in kernel._SIGNATURES.items()}
+    for name, (restype, argtypes) in kernel._SIGNATURES.items():
+        fn = getattr(kernel.library(), name)
+        assert (fn.restype, fn.argtypes) == (restype, argtypes)
+
+
+@pytest.mark.parametrize("path", ["compiled", "python_only"])
+def test_gather_and_scatter_refuse_what_the_kernel_does_not_check(request, path):
+    request.getfixturevalue(path)
+    src, key, index = np.zeros(8, np.uint8), np.zeros(8, np.uint8), np.arange(8, dtype=np.int32)
+    bad = [(src[:7], index, key), (src, index, key[:7]), (src, index[:7], key),
+           (np.zeros(16, np.uint8)[::2], index, key), (src, np.arange(16, dtype=np.int32)[::2], key),
+           (src.astype(np.int32), index, key), (src, index, key.astype(np.int64))]
+    for loop in (cipher._gather_xor, cipher._scatter_xor):
+        for args in bad:
+            with pytest.raises(ValueError):
+                loop(*args)
+    # a byte source would be read 4 bytes an element, past its end
+    for args in [(src, index), (index[:7], index), (index, index[:7]), (index.astype(np.int64), index),
+                 (np.arange(16, dtype=np.int32)[::2], index)]:
+        with pytest.raises(ValueError):
+            cipher._gather_index(*args)

@@ -22,9 +22,8 @@ from chaosimg.cipher import (
     build_key_schedule,
     default_keys,
     encrypt,
-    unflatten,
 )
-from test_cipher import GOLDEN_KEY_SETS, golden_keys
+from test_cipher import GOLDEN_KEY_SETS, golden_keys, unflatten
 
 
 def body(envelope) -> np.ndarray:
@@ -87,3 +86,20 @@ def test_four_chosen_plaintexts_decrypt_without_the_key(name):
     secret = PlainImage.from_array(rng.integers(0, 256, shape, dtype=np.uint8))
     restored = decrypt_without_key(encrypt(secret, keys), perm, zero)
     assert np.array_equal(restored.pixels, secret.pixels)
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_one_pixel_changes_one_ciphertext_byte(depth):
+    # the baseline diffusion of envelope version 1: with no plaintext
+    # feedback, a changed pixel changes only the byte it is gathered to, so
+    # NPCR (the share of ciphertext bytes that differ) is 1/N, not ~99.6%
+    keys = default_keys()
+    rng = np.random.default_rng(depth)
+    pixels = rng.integers(0, 256, (depth, 64, 48), dtype=np.uint8)
+    base = body(encrypt(PlainImage.from_array(pixels), keys))
+    for d, row, col in [(0, 0, 0), (depth - 1, 63, 47), (depth // 2, 17, 30)]:
+        changed = pixels.copy()
+        changed[d, row, col] ^= 1 + int(rng.integers(255))
+        differ = body(encrypt(PlainImage.from_array(changed), keys)) != base
+        assert np.count_nonzero(differ) == 1
+        assert differ.mean() == 1 / base.size
