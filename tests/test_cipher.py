@@ -546,9 +546,14 @@ class TestScheduleMemo:
             assert env.to_bytes() == reference_encrypt(img, keys).to_bytes()
             assert np.array_equal(decrypt(env, keys).pixels, img.pixels)
 
-    @pytest.mark.parametrize("name", ["R", "K"])
+    @pytest.mark.parametrize("name", ["perm", "xor1", "xor2", "R", "K"])
     def test_held_arrays_are_read_only(self, name):
-        array = dict(zip("RK", cipher._schedule(default_keys(), self.DIMS)))[name]
+        # the held pair, and the three schedule arrays that a miss derives it from
+        if name in ("R", "K"):
+            array = dict(zip("RK", cipher._schedule(default_keys(), self.DIMS)))[name]
+        else:
+            schedule = build_key_schedule(default_keys(), self.DIMS.pixel_count // 2)
+            array = getattr(schedule, name)
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
         with pytest.raises(ValueError, match="read-only"):
