@@ -2,9 +2,8 @@
  * a seed, with `maps.step_function` as its oracle, and `chaos_lyapunov`
  * runs `analysis.lyapunov_from_step` over that step. Two byte loops,
  * `chaos_gather_xor` and `chaos_scatter_xor`, make the cipher's one pass
- * over an image, and `chaos_gather_index` composes the image layout into
- * its permutation, with the numpy lines of `cipher._gather_xor`,
- * `cipher._scatter_xor` and `cipher._gather_index` as their oracles.
+ * over an image, with the numpy lines of `cipher._gather_xor` and
+ * `cipher._scatter_xor` as their oracles.
  *
  * Every operation mirrors CPython float semantics, so the bytes match the
  * pure-Python path bit for bit:
@@ -243,13 +242,4 @@ void chaos_scatter_xor(const uint8_t *src, const int32_t *index, const uint8_t *
 {
     for (long long i = 0; i < n; i++)
         out[index[i]] = src[i] ^ key[i];
-}
-
-/* out[i] = src[index[i]] for i < n: the index of encryption's gather,
- * composed once per key schedule. Checks nothing: every index is below the
- * length of src. */
-void chaos_gather_index(const int32_t *src, const int32_t *index, int32_t *out, long long n)
-{
-    for (long long i = 0; i < n; i++)
-        out[i] = src[index[i]];
 }

@@ -306,29 +306,29 @@ def _raster(image: PlainImage, size: int) -> np.ndarray:
     `size` bytes: a view of pixels that `netpbm.read_image` made, unless
     padded."""
     px = image.pixels.transpose(1, 2, 0)
-    if px.size == size:
-        return px.reshape(-1)
+    if px.size == size:  # a strided view, such as a column slice, is copied
+        return np.ascontiguousarray(px.reshape(-1))
     raster = np.zeros(size, np.uint8)
     np.copyto(raster[:px.size].reshape(px.shape), px)
     return raster
 
 
-def _loop(index: np.ndarray, dtype, *arrays: np.ndarray):
+def _loop(index: np.ndarray, *arrays: np.ndarray):
     """The kernel, if it is built and `index` is int32, or None for numpy,
-    to run a gather or scatter by `index` over `arrays`. Raises ValueError
-    unless all are C-contiguous and of one length, and `arrays` of `dtype`.
-    That `index` is a permutation is not checked: `KeySchedule` checks
-    `perm`, and `_layout` is one by construction."""
-    if not all(a.size == index.size and a.flags.c_contiguous and (a is index or a.dtype == dtype)
+    to run a gather or scatter by `index` over the byte `arrays`. Raises
+    ValueError unless all are C-contiguous and of one length, and `arrays`
+    are uint8. That `index` is a permutation is not checked: `KeySchedule`
+    checks `perm`, and `_layout` is one by construction."""
+    if not all(a.size == index.size and a.flags.c_contiguous and (a is index or a.dtype == np.uint8)
                for a in (index, *arrays)):
-        raise ValueError(f"gather and scatter arrays must be C-contiguous, of dtype "
-                         f"{np.dtype(dtype)} and as long as their index")
+        raise ValueError("gather and scatter arrays must be C-contiguous, of dtype "
+                         "uint8 and as long as their index")
     return kernel.library() if index.dtype == np.int32 else None
 
 
 def _gather_xor(src: np.ndarray, index: np.ndarray, key: np.ndarray) -> np.ndarray:
     """`src[index] ^ key`, for bytes and a permutation `index` (`_loop`)."""
-    lib = _loop(index, np.uint8, src, key)
+    lib = _loop(index, src, key)
     if lib is None:
         out = np.take(src, index)
         out ^= key
@@ -341,26 +341,13 @@ def _gather_xor(src: np.ndarray, index: np.ndarray, key: np.ndarray) -> np.ndarr
 
 def _scatter_xor(src: np.ndarray, index: np.ndarray, key: np.ndarray) -> np.ndarray:
     """`out` with `out[index] = src ^ key`, the inverse of `_gather_xor`."""
-    lib = _loop(index, np.uint8, src, key)
+    lib = _loop(index, src, key)
     out = np.empty_like(src)
     if lib is None:
         out[index] = src ^ key
     else:
         lib.chaos_scatter_xor(src.ctypes.data, index.ctypes.data, key.ctypes.data,
                               out.ctypes.data, out.size)
-    return out
-
-
-def _gather_index(src: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """`src[index]` for a permutation `index` and `src` of its dtype. In C
-    it took 2.0 ms at 512² RGB right after a build on a 2-vCPU Xeon,
-    against 5.0 ms for `np.take`, which first copies an int32 index to
-    intp."""
-    lib = _loop(index, index.dtype, src)
-    if lib is None:
-        return np.take(src, index)
-    out = np.empty_like(src)
-    lib.chaos_gather_index(src.ctypes.data, index.ctypes.data, out.ctypes.data, out.size)
     return out
 
 
@@ -389,7 +376,7 @@ def _schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, np.ndarra
         return held[1]
     _held = held = (None, None)  # no reference to the old pair is left
     s = build_key_schedule(keys, (dims.pixel_count + 1) // 2)
-    pair = (_gather_index(_layout(dims, s.perm.size, s.perm.dtype), s.perm),
+    pair = (np.take(_layout(dims, s.perm.size, s.perm.dtype), s.perm),
             _gather_xor(s.xor1, s.perm, s.xor2))
     for array in pair:
         array.flags.writeable = False

@@ -6,13 +6,12 @@ the SHA-256 of the source, the flags and the platform, so a changed
 source builds a new one; a build writes a temporary file and renames it
 into place, so concurrent first runs are safe.
 
-`library()` serves five loops: `chaos_fill`, through which `maps.fill`
+`library()` serves four loops: `chaos_fill`, through which `maps.fill`
 iterates a map for the key schedule, the bifurcation sweep, the phase
 points and the Lyapunov transient; `chaos_lyapunov`, which
-`analysis.lyapunov_exponent` runs for the Lyapunov steps;
+`analysis.lyapunov_exponent` runs for the Lyapunov steps; and
 `chaos_gather_xor` and `chaos_scatter_xor`, the one pass over the image
-of `cipher.encrypt` and `cipher.decrypt`; and `chaos_gather_index`, which
-composes the image layout into the held schedule. Without a compiler, or
+of `cipher.encrypt` and `cipher.decrypt`. Without a compiler, or
 when the build or the cache directory fails, `library()` returns None and
 the callers run Python loops over `maps.step_function`, and numpy's
 gather and scatter, instead. Both paths give the same bytes.
@@ -52,8 +51,6 @@ _SIGNATURES = {
                                            ctypes.c_double, ctypes.c_longlong, ctypes.c_void_p]),
     "chaos_gather_xor": _BYTE_LOOP,
     "chaos_scatter_xor": _BYTE_LOOP,
-    # src, index, out, n
-    "chaos_gather_index": (None, [ctypes.c_void_p] * 3 + [ctypes.c_longlong]),
 }
 
 

@@ -634,6 +634,21 @@ class TestFusedPath:
             assert np.array_equal(plain.pixels, copy.pixels)
             assert write_image(plain) == pnm
 
+    @pytest.mark.parametrize("cut", ["columns", "one column", "broadcast", "channels"])
+    def test_strided_pixels(self, cut):
+        # pixels whose raster numpy can reshape to one strided axis without
+        # a copy: it must still be gathered from a C-contiguous copy
+        rng = np.random.default_rng(17)
+        a = rng.integers(0, 256, (4, 12), dtype=np.uint8)
+        arr = {"columns": a[:, ::2], "one column": a[:, 3:4],
+               "broadcast": np.broadcast_to(np.uint8(7), (4, 12)),
+               "channels": rng.integers(0, 256, (6, 4, 2), dtype=np.uint8)[::2]}[cut]
+        img = PlainImage.from_array(arr)
+        keys = golden_keys(GOLDEN_KEY_SETS["k2"])
+        env = encrypt(img, keys)
+        assert env.to_bytes() == reference_encrypt(img, keys).to_bytes()
+        assert np.array_equal(decrypt(env, keys).pixels, img.pixels)
+
     @pytest.mark.parametrize("shape", [(1, 4, 6), (3, 4, 6)], ids=shape_id)
     def test_netpbm_pixels_are_gathered_in_place(self, shape):
         pnm = write_image(PlainImage.from_array(np.zeros(shape, dtype=np.uint8)))
