@@ -3,20 +3,22 @@
 The image is flattened (column-major, channel-planar) and zero-padded to
 an even length 2N. Map 1 keys slot 0 (the first N bytes) and Map 2 slot 1.
 The paper's split-half chain folds into one keystream XOR, one gather over
-the whole vector and one more XOR, `v = (v ^ X1)[P] ^ Y`
-(`build_key_schedule`). The flatten is itself a gather, `v = raster[L]`
-from the image's Netpbm raster (height, width, depth) and the zero pad
-byte, so the whole cipher is one gather and one XOR:
+the whole vector and one more XOR, `v = (v ^ X1)[P] ^ Y`. The flatten is
+itself a gather, `v = raster[L]` from the image's Netpbm raster (height,
+width, depth) and the zero pad byte, so the whole cipher is one gather and
+one XOR:
 
     c = raster[R] ^ K,    R = L[P],    K = X1[P] ^ Y
 
-Decryption is the scatter mirror, `raster[R] = c ^ K`, and restores the
-plain image byte-for-byte. Both run in the kernel's byte loops when it is
-built (`_gather_xor`, `_scatter_xor`). One loop on the caller iterates
-Map 2 and folds each map's segments into its keys, Map 2's segment and
-then Map 1's. The slot length only chooses who iterates Map 1's orbit,
-the slower of the two: a worker thread from `_SERIAL_BELOW` values per
-slot on, and the caller below it, where no thread is started.
+`build_key_schedule` writes R and K slot by slot from the two maps' keys;
+P, X1 and Y are never made. Decryption is the scatter mirror,
+`raster[R] = c ^ K`, and restores the plain image byte-for-byte. Both run
+in the kernel's byte loops when it is built (`_gather_xor`,
+`_scatter_xor`). One loop on the caller iterates Map 2 and folds each
+map's segments into its keys, Map 2's segment and then Map 1's. The slot
+length only chooses who iterates Map 1's orbit, the slower of the two: a
+worker thread from `_SERIAL_BELOW` values per slot on, and the caller
+below it, where no thread is started.
 
 `encrypt` and `decrypt` take (R, K) from `_schedule`, which holds the most
 recent pair: a call with the same key bits and image dims as the call
@@ -148,31 +150,6 @@ def envelope_length(header: bytes) -> int:
     return _HEADER.size + dims.pixel_count + pad
 
 
-@dataclass(frozen=True)
-class KeySchedule:
-    """Keys for a padded vector of 2N bytes: encryption is `(v ^ xor1)[perm]
-    ^ xor2`. `perm` is checked here, once, as a bijection over 2N, so the
-    pair that `_schedule` derives from it is not checked again. All three
-    arrays are made read-only."""
-
-    xor1: np.ndarray
-    perm: np.ndarray
-    xor2: np.ndarray
-
-    def __post_init__(self):
-        size, perm = self.xor1.size, self.perm
-        if perm.size != size:
-            raise PermutationError(f"length mismatch: xor1 {size}, perm {perm.size}")
-        if size and (perm.min() < 0 or perm.max() >= size):
-            raise PermutationError("permutation index out of range")
-        seen = np.zeros(size, dtype=bool)
-        seen[perm] = True
-        if not seen.all():
-            raise PermutationError("permutation is not a bijection")
-        for array in (self.xor1, perm, self.xor2):
-            array.flags.writeable = False
-
-
 def _segments(params: MapParams, next_buffer, ys: np.ndarray):
     """Iterate the map from its seed through the four segments of its slot
     of len(ys) bytes, each written into a buffer from next_buffer() and
@@ -208,12 +185,16 @@ def _fold(keys: list, xs: np.ndarray, index) -> None:
 _SERIAL_BELOW = 8192
 
 
-def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
-    """The schedule of a padded vector of 2N = 2 * half_len bytes. Gathers
-    compose (`v[P][Q] == v[P[Q]]`), so the split-half chain
-    `((v ^ X1)[P0] ^ X2)[P1][P2][P3]` (half swap in P0) is one gather
-    `R = concat(b0[A] + N, a0[B])` and one mask `Y = concat(y1[A], y2[B])`,
-    from Map 1's keys (x1, y1, a0, A) and Map 2's (x2, y2, b0, B).
+def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only pair (R, K) with which an image of `dims` encrypts as
+    `raster[R] ^ K`, over its padded vector of 2N bytes. Gathers compose
+    (`v[P][Q] == v[P[Q]]`), so the split-half chain
+    `((v ^ X1)[P0] ^ X2)[P1][P2][P3]` (half swap in P0) of the flattened
+    vector `v = raster[L]` (`_layout`) is one gather and one mask. From
+    Map 1's keys (x1, y1, a0, A) and Map 2's (x2, y2, b0, B), slot 0 reads
+    slot 1 through p = b0[A], with R = L[N:][p] and K = x2[p] ^ y1[A], and
+    slot 1 reads slot 0 through p = a0[B], with R = L[:N][p] and
+    K = x1[p] ^ y2[B]. R is checked, once, as a bijection.
 
     One loop makes both maps' keys: the caller iterates Map 2's segment k
     into one reused buffer and folds it, then folds Map 1's segment k and
@@ -227,9 +208,7 @@ def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
     returns or raises. Either way the bytes are the same, and if both maps
     fail, Map 1's error is raised.
     """
-    if half_len < 1:
-        raise ValueError("half_len must be >= 1")
-    n = half_len
+    n = (dims.pixel_count + 1) // 2
     index = np.int32 if 2 * n < 2**31 else np.intp
     threaded = n >= _SERIAL_BELOW
     full, free = queue.SimpleQueue(), queue.SimpleQueue()
@@ -280,12 +259,24 @@ def build_key_schedule(keys: KeyMaterial, half_len: int) -> KeySchedule:
         if threaded:
             free.put(None)  # a worker still waiting for a buffer ends
             worker.join()
-    del xs, xs2, free  # the orbits' buffers go before the schedule's arrays are made
+    del xs, xs2, free, orbit1, map1_xs  # the orbits and their buffers go before the pair
     (y1, x1, a0, a), (y2, x2, b0, b) = keys1, keys2
-    b0 += n  # Map 2's first argsort indexes slot 1
-    return KeySchedule(xor1=np.concatenate([x1, x2]),
-                       perm=np.concatenate([b0[a], a0[b]]),
-                       xor2=np.concatenate([y1[a], y2[b]]))
+    layout = _layout(dims, 2 * n, index)
+    R, K = np.empty(2 * n, index), np.empty(2 * n, np.uint8)
+    # np.take, not indexing: 0.7x the time on numpy 2.4 (2-vCPU Xeon), at
+    # the cost of an intp copy of each index
+    p = np.take(b0, a)
+    R[:n] = np.take(layout[n:], p)
+    K[:n] = np.take(x2, p) ^ np.take(y1, a)
+    p = np.take(a0, b)
+    R[n:] = np.take(layout[:n], p)
+    K[n:] = np.take(x1, p) ^ np.take(y2, b)
+    seen = np.zeros(2 * n, dtype=bool)
+    seen[R] = True
+    if not seen.all():
+        raise PermutationError("permutation is not a bijection")
+    R.flags.writeable = K.flags.writeable = False
+    return R, K
 
 
 def _layout(dims: ImageDims, size: int, index) -> np.ndarray:
@@ -317,8 +308,8 @@ def _loop(index: np.ndarray, *arrays: np.ndarray):
     """The kernel, if it is built and `index` is int32, or None for numpy,
     to run a gather or scatter by `index` over the byte `arrays`. Raises
     ValueError unless all are C-contiguous and of one length, and `arrays`
-    are uint8. That `index` is a permutation is not checked: `KeySchedule`
-    checks `perm`, and `_layout` is one by construction."""
+    are uint8. That `index` is a permutation is not checked here:
+    `build_key_schedule` checks R."""
     if not all(a.size == index.size and a.flags.c_contiguous and (a is index or a.dtype == np.uint8)
                for a in (index, *arrays)):
         raise ValueError("gather and scatter arrays must be C-contiguous, of dtype "
@@ -330,7 +321,7 @@ def _gather_xor(src: np.ndarray, index: np.ndarray, key: np.ndarray) -> np.ndarr
     """`src[index] ^ key`, for bytes and a permutation `index` (`_loop`)."""
     lib = _loop(index, src, key)
     if lib is None:
-        out = np.take(src, index)
+        out = src[index]
         out ^= key
         return out
     out = np.empty_like(src)
@@ -359,14 +350,12 @@ _held = (None, None)  # (tag, (R, K)) of the most recent `_schedule` call
 
 
 def _schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only pair (R, K) with which an image of `dims` encrypts as
-    `raster[R] ^ K`: from `build_key_schedule`'s (xor1, perm, xor2), R =
-    L[perm] and K = xor1[perm] ^ xor2 (`_layout`). A call with the same
-    tag as the call before returns its pair. A miss drops the held pair
-    before it builds the new one, so two are never alive at once, and a
-    build that raises leaves nothing held. There is no lock: `_held` is
-    read once and assigned whole, so threads that miss together each
-    build, and return, their own pair."""
+    """`build_key_schedule(keys, dims)`, held: a call with the same tag as
+    the call before returns its pair. A miss drops the held pair before it
+    builds the new one, so two are never alive at once, and a build that
+    raises leaves nothing held. There is no lock: `_held` is read once and
+    assigned whole, so threads that miss together each build, and return,
+    their own pair."""
     global _held
     m1, m2 = keys.map1, keys.map2
     tag = _TAG.pack(m1.r, m1.a, m1.b, m1.x0, m1.y0, m2.r, m2.a, m2.b, m2.x0, m2.y0,
@@ -375,11 +364,7 @@ def _schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, np.ndarra
     if held[0] == tag:
         return held[1]
     _held = held = (None, None)  # no reference to the old pair is left
-    s = build_key_schedule(keys, (dims.pixel_count + 1) // 2)
-    pair = (np.take(_layout(dims, s.perm.size, s.perm.dtype), s.perm),
-            _gather_xor(s.xor1, s.perm, s.xor2))
-    for array in pair:
-        array.flags.writeable = False
+    pair = build_key_schedule(keys, dims)
     _held = (tag, pair)
     return pair
 

@@ -116,9 +116,8 @@ def fill(
     if lib is None:
         return _fill_orbit(params, state, xs, ys, skip, start)
     last = (ctypes.c_double * 2)(*state)
-    map_number = 1 if params.map_id is MapId.MAP1 else 2
-    bad = lib.chaos_fill(map_number, params.r, params.a * params.r, params.b, last, skip,
-                         xs.ctypes.data, None if ys is None else ys.ctypes.data, len(xs))
+    bad = lib.chaos_fill(params.map_id.value, params.r, params.a * params.r, params.b, last,
+                         skip, xs.ctypes.data, None if ys is None else ys.ctypes.data, len(xs))
     if bad >= 0:
         raise DivergenceError(start + bad)
     return last[0], last[1]

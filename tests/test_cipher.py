@@ -5,6 +5,7 @@ import threading
 import tracemalloc
 from collections import namedtuple
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from chaosimg.cipher import (
     CipherEnvelope,
     ImageDims,
     KeyMaterial,
-    KeySchedule,
     PlainImage,
     build_key_schedule,
     decrypt,
@@ -148,6 +148,22 @@ def reference_encrypt(image, keys):
     return CipherEnvelope(dims=image.dims, pad=pad, body=body)
 
 
+def reference_schedule(keys, half_len):
+    """(P, K) with `v[P] ^ K` the ciphertext of a padded vector v of
+    2 * half_len bytes: the stages of `reference_encrypt` run on the
+    vector's indices and, apart, on its first keystream."""
+    n = half_len
+    s1, s2 = reference_half(keys.map1, n), reference_half(keys.map2, n)
+    i1, i2 = np.arange(n)[s1.perm1], np.arange(n, 2 * n)[s2.perm1]
+    k1, k2 = s1.xor1[s1.perm1], s2.xor1[s2.perm1]
+    # swap, as in reference_encrypt
+    c1, c2, k1, k2 = i2, i1, k2 ^ s1.xor2, k1 ^ s2.xor2
+    for k in range(3):
+        c1, k1 = c1[s1.reperms[k]], k1[s1.reperms[k]]
+        c2, k2 = c2[s2.reperms[k]], k2[s2.reperms[k]]
+    return np.concatenate([c1, c2]), np.concatenate([k1, k2])
+
+
 finite = st.one_of(st.floats(-100, 100), st.floats(allow_nan=False, allow_infinity=False))
 
 
@@ -223,42 +239,58 @@ class TestSplitHalves:
         assert env.pad == 1 and len(env.body) == 2
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            build_key_schedule(default_keys(), 0)
+        # the build takes dims, and no dims of an empty image exist
+        with pytest.raises(DimensionError):
+            build_key_schedule(default_keys(), ImageDims(1, 0, 4))
         with pytest.raises(DimensionError):
             PlainImage.from_array(np.zeros((0, 0), dtype=np.uint8))
 
 
 class TestKeySchedule:
     def test_structure(self):
-        s = build_key_schedule(default_keys(), 8)
-        assert s.xor1.size == s.xor2.size == 16
-        assert sorted(s.perm) == list(range(16))
+        R, K = build_key_schedule(default_keys(), ImageDims(1, 4, 4))
+        assert R.size == K.size == 16
+        assert sorted(R) == list(range(16))
 
     def test_deterministic(self):
-        a = build_key_schedule(default_keys(), 16)
-        b = build_key_schedule(default_keys(), 16)
-        assert np.array_equal(a.xor1, b.xor1)
-        assert np.array_equal(a.xor2, b.xor2)
-        assert np.array_equal(a.perm, b.perm)
+        a = build_key_schedule(default_keys(), ImageDims(1, 4, 8))
+        b = build_key_schedule(default_keys(), ImageDims(1, 4, 8))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
-    def test_permutations_checked_and_read_only(self):
-        s = build_key_schedule(default_keys(), 8)
-        assert not s.perm.flags.writeable
-        bad = np.array([0, 0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15])
-        with pytest.raises(PermutationError):
-            KeySchedule(s.xor1, bad, s.xor2)
-        with pytest.raises(PermutationError):
-            KeySchedule(s.xor1, s.perm[:8], s.xor2)
+    def test_permutations_checked_and_read_only(self, monkeypatch):
+        img = PlainImage.from_array(np.arange(100, dtype=np.uint8).reshape(10, 10))
+        R, K = build_key_schedule(default_keys(), img.dims)
+        for array in (R, K):
+            assert not array.flags.writeable
+
+        def duplicated(values):  # int32, of the right length, not a bijection
+            perm = permutation_from_sequence(values)
+            perm[0] = perm[1]
+            return perm
+
+        # the build checks R, on the caller and with the worker alike, and
+        # a pair of other dims held before it is dropped
+        other = PlainImage.from_array(np.zeros((3, 3), dtype=np.uint8))
+        for serial_below in (sys.maxsize, 0):
+            monkeypatch.setattr(cipher, "_SERIAL_BELOW", serial_below)
+            encrypt(other, default_keys())
+            assert cipher._held[0] is not None
+            monkeypatch.setattr(cipher, "permutation_from_sequence", duplicated)
+            with pytest.raises(PermutationError):
+                encrypt(img, default_keys())
+            assert cipher._held == (None, None)
+            monkeypatch.setattr(cipher, "permutation_from_sequence", permutation_from_sequence)
 
     @staticmethod
     def assert_peak_allocation():
         # the ring of Map 1 buffers, Map 2's buffer, both maps' keys and one
-        # argsort's temporaries; buffers that piled up would show here
+        # argsort's temporaries, then the pair; buffers that piled up would
+        # show here
         n = 4 * maps.BLOCK
         tracemalloc.start()
         try:
-            build_key_schedule(default_keys(), n)
+            build_key_schedule(default_keys(), ImageDims(1, 512, 2 * n // 512))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -271,8 +303,7 @@ class TestKeySchedule:
         self.assert_peak_allocation()
 
     def test_cold_encrypt_peak_allocation(self, compiled):
-        # the build and the derivation of the pair (R, K) that `encrypt`
-        # holds: the derivation must not raise the build's peak
+        # the build of the pair (R, K) that `encrypt` holds, and the gather
         n = 4 * maps.BLOCK
         img = PlainImage.from_array(np.random.default_rng(4).integers(
             0, 256, (1, 512, 2 * n // 512), dtype=np.uint8))
@@ -288,9 +319,10 @@ class TestKeySchedule:
     def test_seed_sensitivity(self):
         keys = default_keys()
         nudged = type(keys)(map1=perturbed(keys.map1, "x0"), map2=keys.map2)
-        a = build_key_schedule(keys, 4096)
-        b = build_key_schedule(nudged, 4096)
-        frac = np.mean(a.xor1[:4096] != b.xor1[:4096])
+        dims = ImageDims(1, 64, 128)  # slots of 4096 bytes
+        a = build_key_schedule(keys, dims)
+        b = build_key_schedule(nudged, dims)
+        frac = np.mean(a[1][:4096] != b[1][:4096])
         assert frac > 0.5
 
 
@@ -318,7 +350,7 @@ class TestTwoMaps:
         """The raised divergence index, or None; no thread is left behind."""
         before = threading.active_count()
         try:
-            build_key_schedule(KeyMaterial(map1, map2), 64)
+            build_key_schedule(KeyMaterial(map1, map2), ImageDims(1, 8, 16))
             index = None
         except DivergenceError as exc:
             index = exc.iteration
@@ -351,7 +383,7 @@ class TestTwoMaps:
         monkeypatch.setattr(cipher, "fill", record("fill", fill))
         monkeypatch.setattr(cipher, "permutation_from_sequence",
                             record("argsort", permutation_from_sequence))
-        build_key_schedule(default_keys(), 64)
+        build_key_schedule(default_keys(), ImageDims(1, 8, 16))
         threads = {}
         for what, thread in calls:
             threads.setdefault(what, []).append(thread)
@@ -376,12 +408,12 @@ class TestTwoMaps:
         # more threads than cores and a short switch interval: a buffer
         # that went back to the worker before its keys were made would
         # change some schedule
-        keys, results = default_keys(), []
-        expected = build_key_schedule(keys, 1000)
+        keys, dims, results = default_keys(), ImageDims(1, 40, 50), []
+        expected = build_key_schedule(keys, dims)
 
         def run():
             for _ in range(5):
-                results.append(build_key_schedule(keys, 1000))
+                results.append(build_key_schedule(keys, dims))
 
         helpers = [threading.Thread(target=run, daemon=True) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -395,10 +427,9 @@ class TestTwoMaps:
             sys.setswitchinterval(interval)
         assert not any(helper.is_alive() for helper in helpers)
         assert len(results) == 20
-        for s in results:
-            assert np.array_equal(s.xor1, expected.xor1)
-            assert np.array_equal(s.perm, expected.perm)
-            assert np.array_equal(s.xor2, expected.xor2)
+        for R, K in results:
+            assert np.array_equal(R, expected[0])
+            assert np.array_equal(K, expected[1])
 
     def failure(self, keys):
         """The error a 4096-byte schedule raises, run on a helper thread
@@ -407,7 +438,7 @@ class TestTwoMaps:
 
         def run():
             try:
-                build_key_schedule(keys, 4096)
+                build_key_schedule(keys, ImageDims(1, 64, 128))
             except Exception as exc:
                 errors.append(exc)
 
@@ -447,12 +478,13 @@ class TestSerialSchedule:
     def test_same_schedule_as_the_worker(self, monkeypatch, n):
         keys = KeyMaterial(perturbed(default_map1(), "r"), default_map2())
         before = threading.active_count()
-        serial = build_key_schedule(keys, n)
+        dims = ImageDims(1, 1, 2 * n)
+        serial = build_key_schedule(keys, dims)
         assert threading.active_count() == before
         monkeypatch.setattr(cipher, "_SERIAL_BELOW", 0)
-        threaded = build_key_schedule(keys, n)
-        for name in ("xor1", "perm", "xor2"):
-            assert np.array_equal(getattr(serial, name), getattr(threaded, name))
+        threaded = build_key_schedule(keys, dims)
+        for s, t in zip(serial, threaded, strict=True):
+            assert np.array_equal(s, t)
 
     def test_no_thread_below_the_bound(self, monkeypatch):
         started, start = [], threading.Thread.start
@@ -462,21 +494,21 @@ class TestSerialSchedule:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", record)
-        build_key_schedule(default_keys(), cipher._SERIAL_BELOW - 1)
+        build_key_schedule(default_keys(), ImageDims(1, 1, 2 * cipher._SERIAL_BELOW - 2))
         assert started == []
-        build_key_schedule(default_keys(), cipher._SERIAL_BELOW)
+        build_key_schedule(default_keys(), ImageDims(1, 1, 2 * cipher._SERIAL_BELOW))
         assert len(started) == 1
 
 
 def fused_oracle(keys, dims):
-    """(R, K) from `build_key_schedule` and the flatten spec: R = L[perm]
-    and K = xor1[perm] ^ xor2, where L is the flatten of the raster's
-    indices, then the pad byte's index."""
+    """(R, K) from the split-half spec alone: `reference_schedule`'s P and
+    K, with R = L[P] for L the `flatten` of the raster's indices, then the
+    pad byte's index."""
     count = dims.pixel_count
-    s = build_key_schedule(keys, (count + 1) // 2)
+    perm, key = reference_schedule(keys, (count + 1) // 2)
     raster_index = np.arange(count).reshape(dims.height, dims.width, dims.depth)
-    layout = np.append(raster_index.transpose(2, 1, 0).reshape(-1), np.arange(count, s.perm.size))
-    return layout[s.perm], s.xor1[s.perm] ^ s.xor2
+    layout = flatten(SimpleNamespace(pixels=raster_index.transpose(2, 0, 1)))
+    return np.append(layout, np.arange(count, perm.size))[perm], key
 
 
 class TestScheduleMemo:
@@ -546,14 +578,9 @@ class TestScheduleMemo:
             assert env.to_bytes() == reference_encrypt(img, keys).to_bytes()
             assert np.array_equal(decrypt(env, keys).pixels, img.pixels)
 
-    @pytest.mark.parametrize("name", ["perm", "xor1", "xor2", "R", "K"])
+    @pytest.mark.parametrize("name", ["R", "K"])
     def test_held_arrays_are_read_only(self, name):
-        # the held pair, and the three schedule arrays that a miss derives it from
-        if name in ("R", "K"):
-            array = dict(zip("RK", cipher._schedule(default_keys(), self.DIMS)))[name]
-        else:
-            schedule = build_key_schedule(default_keys(), self.DIMS.pixel_count // 2)
-            array = getattr(schedule, name)
+        array = dict(zip("RK", cipher._schedule(default_keys(), self.DIMS)))[name]
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
         with pytest.raises(ValueError, match="read-only"):
@@ -648,6 +675,20 @@ class TestFusedPath:
         env = encrypt(img, keys)
         assert env.to_bytes() == reference_encrypt(img, keys).to_bytes()
         assert np.array_equal(decrypt(env, keys).pixels, img.pixels)
+
+    def test_warm_encrypt_peak_allocation(self):
+        # with the pair held, from a Netpbm raster: the body and its bytes,
+        # and no copy of R as a wider index
+        img = read_image(write_image(PlainImage.from_array(np.random.default_rng(8).integers(
+            0, 256, (3, 128, 128), dtype=np.uint8))))
+        encrypt(img, default_keys())
+        tracemalloc.start()
+        try:
+            encrypt(img, default_keys())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * img.dims.pixel_count
 
     @pytest.mark.parametrize("shape", [(1, 4, 6), (3, 4, 6)], ids=shape_id)
     def test_netpbm_pixels_are_gathered_in_place(self, shape):

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosimg import cipher, kernel, maps
-from chaosimg.cipher import KeyMaterial, PlainImage, build_key_schedule, default_keys, encrypt
+from chaosimg.cipher import (ImageDims, KeyMaterial, PlainImage, build_key_schedule,
+                             default_keys, encrypt)
 from chaosimg.analysis import lyapunov_exponent
 from chaosimg.errors import DivergenceError, TrajectoryCollapseError
 from chaosimg.maps import MapId, MapParams, default_map1, default_map2, fill, step_function
@@ -119,7 +120,7 @@ def test_divergence_index_counts_from_seed(request, path, r, transient, half_len
     params = MapParams(MapId.MAP1, r, transient=transient)
     keys = KeyMaterial(map1=params, map2=default_map2())
     with pytest.raises(DivergenceError) as info:
-        build_key_schedule(keys, half_len)
+        build_key_schedule(keys, ImageDims(1, 1, 2 * half_len))
     assert info.value.iteration == first_divergence(params)
 
 
