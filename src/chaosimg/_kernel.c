@@ -15,8 +15,8 @@
  *     takes the sign of the divisor. Below 4*2*pi in magnitude the
  *     remainder comes from at most two exact subtractions; from there on,
  *     and for NaN and +-inf, from fmod (`py_mod`);
- *   - `py_hypot` is the two-argument `math.hypot` of CPython 3.11
- *     (vector_norm in Modules/mathmodule.c).
+ *   - the Lyapunov distance is sqrt(dx*dx + dy*dy) in both languages;
+ *     IEEE-754 rounds sqrt, * and + correctly, so it is the same double.
  * Build with -ffp-contract=off and without -ffast-math: a fused multiply-add
  * or a reassociated sum rounds differently and changes the orbit.
  */
@@ -111,93 +111,6 @@ long long chaos_fill(int map, double r, double ar, double b, double *state,
     return -1;
 }
 
-/* Error-free transformations of Dekker (1971), as CPython writes them */
-typedef struct { double hi, lo; } dl_t;
-
-static inline dl_t dl_fast_sum(double a, double b)  /* needs |a| >= |b| */
-{
-    double x = a + b;
-    double z = x - a;
-    return (dl_t){x, b - z};
-}
-
-static inline dl_t dl_split(double x)
-{
-    double t = x * 134217729.0;  /* 2**27 + 1 */
-    double hi = t - (t - x);
-    return (dl_t){hi, x - hi};
-}
-
-static inline dl_t dl_mul(double x, double y)
-{
-    dl_t xx = dl_split(x), yy = dl_split(y);
-    double p = xx.hi * yy.hi;
-    double q = xx.hi * yy.lo + xx.lo * yy.hi;
-    double z = p + q;
-    return (dl_t){z, p - z + q + xx.lo * yy.lo};
-}
-
-/* math.hypot(a, b): both squares, scaled by a power of two so that the
- * larger lies in [0.25, 1), are summed exactly onto 1.0 with their rounding
- * errors kept apart; the square root of the sum gets one differential
- * correction. Below 2**-1024, where that power of two would overflow, both
- * values are divided by the larger instead and their squares summed with
- * one compensation term.
- */
-static double py_hypot(double a, double b)
-{
-    double v[2] = {fabs(a), fabs(b)};
-    double max = 0.0, csum = 1.0, frac1 = 0.0, frac2 = 0.0, scale, h, x;
-    dl_t pr, sm;
-    int max_e;
-
-    for (int i = 0; i < 2; i++)
-        if (v[i] > max)
-            max = v[i];
-    if (isinf(max))
-        return max;
-    if (isnan(v[0]) || isnan(v[1]))
-        return NAN;
-    if (max == 0.0)
-        return max;
-    frexp(max, &max_e);
-    if (max_e < -1023) {
-        for (int i = 0; i < 2; i++) {
-            x = v[i] / max;
-            x = x * x;
-            double oldcsum = csum;
-            csum += x;
-            frac1 += (oldcsum - csum) + x;
-        }
-        return max * sqrt(csum - 1.0 + frac1);
-    }
-    scale = ldexp(1.0, -max_e);
-    for (int i = 0; i < 2; i++) {
-        x = v[i] * scale;
-        pr = dl_mul(x, x);
-        sm = dl_fast_sum(csum, pr.hi);
-        csum = sm.hi;
-        frac1 += pr.lo;
-        frac2 += sm.lo;
-    }
-    h = sqrt(csum - 1.0 + (frac1 + frac2));
-    pr = dl_mul(-h, h);
-    sm = dl_fast_sum(csum, pr.hi);
-    csum = sm.hi;
-    frac1 += pr.lo;
-    frac2 += sm.lo;
-    x = csum - 1.0 + (frac1 + frac2);
-    h += x / (2.0 * h);
-    return h / scale;
-}
-
-/* py_hypot(xs[i], ys[i]) into out[i] for i < n: the tests' handle on it */
-void chaos_hypot(const double *xs, const double *ys, double *out, long long n)
-{
-    for (long long i = 0; i < n; i++)
-        out[i] = py_hypot(xs[i], ys[i]);
-}
-
 /* `lyapunov_from_step` from (x, y) over `steps` steps of the map, with the
  * companion offset by d0. Returns -1 with the estimate in *out, or the
  * index of the first step whose distance d1 is non-finite or zero, with
@@ -212,15 +125,16 @@ long long chaos_lyapunov(int map, double r, double ar, double b, double x, doubl
     for (long long i = 0; i < steps; i++) {
         s = step(map, r, ar, b, s);
         c = step(map, r, ar, b, c);
-        double d1 = py_hypot(c.x - s.x, c.y - s.y);
+        double dx = c.x - s.x, dy = c.y - s.y;
+        double d1 = sqrt(dx * dx + dy * dy);
         if (!isfinite(d1) || d1 == 0.0) {
             *out = d1;
             return i;
         }
         acc += log(d1 / d0);
         double scale = d0 / d1;
-        c.x = s.x + (c.x - s.x) * scale;
-        c.y = s.y + (c.y - s.y) * scale;
+        c.x = s.x + dx * scale;
+        c.y = s.y + dy * scale;
     }
     *out = acc / (double)steps;
     return -1;

@@ -143,9 +143,9 @@ def lyapunov_from_step(step_fn: StepFn, state0: tuple[float, float], steps: int)
     A companion trajectory offset by D0 is advanced alongside the reference
     and rescaled back to distance D0 after every step; the estimate is the
     mean of ln(d1/D0). Raises DivergenceError(i) when d1 after step i is
-    not finite, as it is when either trajectory is, and
-    TrajectoryCollapseError(i) when it is zero. The oracle of the kernel's
-    `chaos_lyapunov`, which repeats this loop line by line.
+    not finite, as when either trajectory is or dx*dx + dy*dy overflows (d1
+    above about 1.3e154), and TrajectoryCollapseError(i) when it is zero.
+    The oracle of the kernel's `chaos_lyapunov`, which repeats it line by line.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -155,15 +155,15 @@ def lyapunov_from_step(step_fn: StepFn, state0: tuple[float, float], steps: int)
     for i in range(steps):
         x, y = step_fn(x, y)
         cx, cy = step_fn(cx, cy)
-        d1 = math.hypot(cx - x, cy - y)
+        dx, dy = cx - x, cy - y
+        d1 = math.sqrt(dx * dx + dy * dy)
         if not math.isfinite(d1):
             raise DivergenceError(i)
         if d1 == 0.0:
             raise TrajectoryCollapseError(i)
         acc += math.log(d1 / D0)
         scale = D0 / d1
-        cx = x + (cx - x) * scale
-        cy = y + (cy - y) * scale
+        cx, cy = x + dx * scale, y + dy * scale
     return acc / steps
 
 

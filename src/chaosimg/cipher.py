@@ -166,14 +166,14 @@ def _segments(params: MapParams, next_buffer, ys: np.ndarray):
         yield xs
 
 
-def _fold(keys: list, xs: np.ndarray, index) -> None:
+def _fold(keys: list, xs: np.ndarray) -> None:
     """Fold a map's next segment into its keys, in orbit order, after its
     y-bytes: segment 1 adds its x-bytes and argsort s0, and the argsorts of
     segments 2-4 are composed into C = s1[s2][s3] as they come, making
     [y_bytes, x_bytes, s0, C]."""
     if len(keys) == 1:
         keys.append(quantize_to_bytes(xs))
-    s = permutation_from_sequence(xs).astype(index, copy=False)
+    s = permutation_from_sequence(xs)
     keys.append(s if len(keys) < 4 else keys.pop()[s])
 
 
@@ -187,8 +187,8 @@ _SERIAL_BELOW = 8192
 
 def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, np.ndarray]:
     """The read-only pair (R, K) with which an image of `dims` encrypts as
-    `raster[R] ^ K`, over its padded vector of 2N bytes. Gathers compose
-    (`v[P][Q] == v[P[Q]]`), so the split-half chain
+    `raster[R] ^ K`, over its padded vector of 2N < 2**31 bytes (else
+    DimensionError). Gathers compose (`v[P][Q] == v[P[Q]]`), so the chain
     `((v ^ X1)[P0] ^ X2)[P1][P2][P3]` (half swap in P0) of the flattened
     vector `v = raster[L]` (`_layout`) is one gather and one mask. From
     Map 1's keys (x1, y1, a0, A) and Map 2's (x2, y2, b0, B), slot 0 reads
@@ -209,7 +209,8 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
     fail, Map 1's error is raised.
     """
     n = (dims.pixel_count + 1) // 2
-    index = np.int32 if 2 * n < 2**31 else np.intp
+    if 2 * n >= 2**31:  # R is int32; refused before anything is allocated
+        raise DimensionError(f"{dims} pads to {2 * n} bytes; the cipher takes fewer than 2**31")
     threaded = n >= _SERIAL_BELOW
     full, free = queue.SimpleQueue(), queue.SimpleQueue()
     for _ in range(2 if threaded else 1):
@@ -240,13 +241,13 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
             if k == 0:  # the y-bytes first, so that ys is freed before the argsort
                 keys2.append(quantize_to_bytes(ys2))
                 del ys2
-            _fold(keys2, xs, index)
+            _fold(keys2, xs)
             xs = next(map1_xs)
             try:
                 if k == 0:  # Map 1's segment 1 has filled ys1
                     keys1.append(quantize_to_bytes(ys1))
                     del ys1
-                _fold(keys1, xs, index)
+                _fold(keys1, xs)
             finally:  # with a ring of one, Map 1's orbit needs it back to go on
                 free.put(xs)
     except Exception:
@@ -261,8 +262,8 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
             worker.join()
     del xs, xs2, free, orbit1, map1_xs  # the orbits and their buffers go before the pair
     (y1, x1, a0, a), (y2, x2, b0, b) = keys1, keys2
-    layout = _layout(dims, 2 * n, index)
-    R, K = np.empty(2 * n, index), np.empty(2 * n, np.uint8)
+    layout = _layout(dims, 2 * n)
+    R, K = np.empty(2 * n, np.int32), np.empty(2 * n, np.uint8)
     # np.take, not indexing: 0.7x the time on numpy 2.4 (2-vCPU Xeon), at
     # the cost of an intp copy of each index
     p = np.take(b0, a)
@@ -279,14 +280,14 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
     return R, K
 
 
-def _layout(dims: ImageDims, size: int, index) -> np.ndarray:
-    """L of dtype `index`, with `raster[L]` the flattened, padded vector of
+def _layout(dims: ImageDims, size: int) -> np.ndarray:
+    """L, int32, with `raster[L]` the flattened, padded vector of
     an image of `dims` (index d*(H*W) + col*H + row) from its raster of
     `size` bytes (index row*(W*D) + col*D + d, then the pad byte)."""
     d, h, w = dims.depth, dims.height, dims.width
-    layout = np.empty(size, index)
+    layout = np.empty(size, np.int32)
     layout[-1] = size - 1  # the pad byte, if any; a pixel's index otherwise
-    ds, cols, rows = (np.arange(k, dtype=index) for k in (d, w, h))
+    ds, cols, rows = (np.arange(k, dtype=np.int32) for k in (d, w, h))
     np.add((ds[:, None] + cols * d)[:, :, None], rows * (w * d),
            out=layout[:dims.pixel_count].reshape(d, w, h))
     return layout
@@ -305,16 +306,15 @@ def _raster(image: PlainImage, size: int) -> np.ndarray:
 
 
 def _loop(index: np.ndarray, *arrays: np.ndarray):
-    """The kernel, if it is built and `index` is int32, or None for numpy,
-    to run a gather or scatter by `index` over the byte `arrays`. Raises
-    ValueError unless all are C-contiguous and of one length, and `arrays`
-    are uint8. That `index` is a permutation is not checked here:
+    """The kernel, if it is built, or None for numpy, to run a gather or
+    scatter by `index` over the byte `arrays`. Raises ValueError unless all
+    are C-contiguous and of one length, `index` is int32 and `arrays` are
+    uint8. That `index` is a permutation is not checked here:
     `build_key_schedule` checks R."""
-    if not all(a.size == index.size and a.flags.c_contiguous and (a is index or a.dtype == np.uint8)
-               for a in (index, *arrays)):
-        raise ValueError("gather and scatter arrays must be C-contiguous, of dtype "
-                         "uint8 and as long as their index")
-    return kernel.library() if index.dtype == np.int32 else None
+    if not all(a.size == index.size and a.flags.c_contiguous
+               and a.dtype == (np.int32 if a is index else np.uint8) for a in (index, *arrays)):
+        raise ValueError("gather and scatter: C-contiguous uint8 arrays, int32 index, one length")
+    return kernel.library()
 
 
 def _gather_xor(src: np.ndarray, index: np.ndarray, key: np.ndarray) -> np.ndarray:

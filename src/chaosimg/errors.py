@@ -10,10 +10,10 @@ class InvalidStateError(ChaosImgError):
 
 
 class DivergenceError(ChaosImgError):
-    """Iteration produced a non-finite state."""
+    """Iteration produced a non-finite map state or Lyapunov distance."""
 
     def __init__(self, iteration: int):
-        super().__init__(f"state became non-finite at iteration {iteration}")
+        super().__init__(f"non-finite value at iteration {iteration}")
         self.iteration = iteration
 
 

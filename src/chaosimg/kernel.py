@@ -11,10 +11,10 @@ iterates a map for the key schedule, the bifurcation sweep, the phase
 points and the Lyapunov transient; `chaos_lyapunov`, which
 `analysis.lyapunov_exponent` runs for the Lyapunov steps; and
 `chaos_gather_xor` and `chaos_scatter_xor`, the one pass over the image
-of `cipher.encrypt` and `cipher.decrypt`. Without a compiler, or
-when the build or the cache directory fails, `library()` returns None and
-the callers run Python loops over `maps.step_function`, and numpy's
-gather and scatter, instead. Both paths give the same bytes.
+of `cipher.encrypt` and `cipher.decrypt`. Without a compiler, or when
+the build or the cache directory fails, `library()` returns None and the
+callers run Python loops over `maps.step_function`, and numpy's gather
+and scatter, instead. Both paths give the same bytes (see `FLAGS`).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from collections.abc import Iterator
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
-# -ffp-contract=off: no fused multiply-add, which would round differently
-# from CPython's separate multiply and add; no -ffast-math and no -march
+# -ffp-contract=off: no fused multiply-add, which would round the maps and
+# the Lyapunov distance unlike Python; no -ffast-math and no -march
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 # the map's number (1 or 2), r, a*r and b, which both map loops take first

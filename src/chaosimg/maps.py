@@ -166,7 +166,7 @@ def quantize_to_bytes(values) -> np.ndarray:
 
 
 def permutation_from_sequence(values) -> np.ndarray:
-    """`np.argsort(values, kind="stable")`, as int32 below 2**31 values.
+    """`np.argsort(values, kind="stable")` as int32, for 1 to 2**31 - 1 values.
 
     A value's float bits, with -0.0 folded into +0.0 and a negative's
     magnitude bits flipped, are an int64 key that orders like the values.
@@ -176,8 +176,8 @@ def permutation_from_sequence(values) -> np.ndarray:
     by value. Keys are made BLOCK values at a time.
     """
     arr = np.asarray(values, dtype=float).reshape(-1)
-    if arr.size == 0:
-        raise ValueError("empty input")
+    if not 0 < arr.size < 2**31:  # before anything is allocated
+        raise ValueError(f"{arr.size} values; a permutation takes 1 to 2**31 - 1")
     n, b = arr.size, (arr.size - 1).bit_length()
     words = np.arange(n, dtype=np.int64)
     for start in range(0, n, BLOCK):
@@ -187,7 +187,7 @@ def permutation_from_sequence(values) -> np.ndarray:
         words[start:start + BLOCK] |= key
     del key  # from here on: the words, the result and a prefix mask
     words.sort()
-    perm = np.empty(n, dtype=np.int32 if n < 2**31 else np.intp)
+    perm = np.empty(n, dtype=np.int32)
     np.bitwise_and(words, (1 << b) - 1, out=perm, casting="unsafe")
     words >>= b
     at, = (words[1:] == words[:-1]).nonzero()  # neighbours sharing a key prefix

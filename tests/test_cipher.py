@@ -250,6 +250,7 @@ class TestKeySchedule:
     def test_structure(self):
         R, K = build_key_schedule(default_keys(), ImageDims(1, 4, 4))
         assert R.size == K.size == 16
+        assert R.dtype == np.int32
         assert sorted(R) == list(range(16))
 
     def test_deterministic(self):
@@ -281,6 +282,17 @@ class TestKeySchedule:
                 encrypt(img, default_keys())
             assert cipher._held == (None, None)
             monkeypatch.setattr(cipher, "permutation_from_sequence", permutation_from_sequence)
+
+    def test_refuses_2_to_the_31_bytes_before_allocating(self):
+        # R is int32, so a padded vector of 2**31 bytes is refused up front
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError):
+                build_key_schedule(default_keys(), ImageDims(1, 2**16, 2**15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     @staticmethod
     def assert_peak_allocation():

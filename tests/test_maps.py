@@ -256,6 +256,17 @@ class TestPermutationFromSequence:
         with pytest.raises(ValueError):
             permutation_from_sequence([])
 
+    def test_rejects_2_to_the_31_values_before_allocating(self):
+        vals = np.broadcast_to(np.float64(0.5), 2**31)  # a view of one value
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                permutation_from_sequence(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite(self, bad):
         vals = np.linspace(-1, 1, 1001)
