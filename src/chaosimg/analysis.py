@@ -30,6 +30,9 @@ CHI2_BINS = 256
 # most float values a bifurcation sweep or a phase run may hold, and most
 # steps of a Lyapunov estimate
 MAX_VALUES = 10_000_000
+# most map iterates a bifurcation sweep may run, its transients included:
+# about 2 s for Map 2 and 7 s for Map 1 in the kernel
+MAX_ITERATES = 10 * MAX_VALUES
 
 # the Lyapunov estimate's distance between the reference and its companion
 D0 = 1e-8
@@ -88,14 +91,16 @@ def adjacent_correlation(img: PlainImage, direction: str) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def _check_size(count: float, what: str) -> None:
-    if not count <= MAX_VALUES:
-        raise ValueError(f"{count:,} {what} requested; the limit is {MAX_VALUES:,}")
+def _check_size(count: float, what: str, limit: int = MAX_VALUES) -> None:
+    if not count <= limit:
+        raise ValueError(f"{count:,} {what} requested; the limit is {limit:,}")
 
 
-def _r_grid(r_min: float, r_max: float, r_step: float, samples: int) -> np.ndarray:
-    """The r grid, sized before anything is allocated: its `samples` values
-    per r must stay within MAX_VALUES."""
+def _r_grid(r_min: float, r_max: float, r_step: float, samples: int,
+            transient: int) -> np.ndarray:
+    """The r grid, sized before anything is allocated or iterated: its
+    `samples` values per r must stay within MAX_VALUES, and its
+    `transient + samples` iterates per r within MAX_ITERATES."""
     if not all(map(math.isfinite, (r_min, r_max, r_step))):
         raise ValueError("r_min, r_max and r_step must be finite")
     if r_min > r_max:
@@ -105,6 +110,7 @@ def _r_grid(r_min: float, r_max: float, r_step: float, samples: int) -> np.ndarr
     steps = (r_max - r_min) / r_step + 1e-9
     count = int(steps) + 1 if math.isfinite(steps) else math.inf
     _check_size(count * samples, "bifurcation sweep values")
+    _check_size(count * (transient + samples), "bifurcation sweep iterates", MAX_ITERATES)
     return r_min + np.arange(count) * r_step
 
 
@@ -126,7 +132,7 @@ def bifurcation_sweep(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    grid = _r_grid(r_min, r_max, r_step, samples)
+    grid = _r_grid(r_min, r_max, r_step, samples, params.transient)
     xs = np.empty((grid.size, samples))
     for k, r in enumerate(grid.tolist()):
         p = replace(params, r=r)

@@ -15,10 +15,12 @@ P, X1 and Y are never made. Decryption is the scatter mirror,
 `raster[R] = c ^ K`, and restores the plain image byte-for-byte. Both run
 in the kernel's byte loops when it is built (`_gather_xor`,
 `_scatter_xor`). One loop on the caller iterates Map 2 and folds each
-map's segments into its keys, Map 2's segment and then Map 1's. The slot
-length only chooses who iterates Map 1's orbit, the slower of the two: a
-worker thread from `_SERIAL_BELOW` values per slot on, and the caller
-below it, where no thread is started.
+map's segments into its keys, Map 2's segment and then Map 1's, segment 1
+with its y values. Each slot's part of (R, K) is then written by one
+rule, through the other map's keys. The slot length only chooses who
+iterates Map 1's orbit, the slower of the two: a worker thread from
+`_SERIAL_BELOW` values per slot on, and the caller below it, where no
+thread is started.
 
 `encrypt` and `decrypt` take (R, K) from `_schedule`, which holds the most
 recent pair: a call with the same key bits and image dims as the call
@@ -66,19 +68,29 @@ class ImageDims:
 
 @dataclass(frozen=True)
 class PlainImage:
-    """Pixel matrix of shape (depth, height, width), dtype uint8."""
+    """Pixel matrix of shape (depth, height, width), dtype uint8. Pixels of
+    another dtype must be bool, integer or float whole numbers in 0..255
+    (else ValueError): a cast would wrap a 16-bit 300 to 44 and truncate
+    1.7 to 1."""
 
     dims: ImageDims
     pixels: np.ndarray
 
     def __post_init__(self):
         d = self.dims
-        px = np.asarray(self.pixels, dtype=np.uint8).reshape(d.depth, d.height, d.width)
-        object.__setattr__(self, "pixels", px)
+        px = np.asarray(self.pixels)
+        if px.dtype != np.uint8:
+            # strings, objects and complex numbers fail the dtype test, and
+            # NaN fails the range test, with no warning
+            if not (px.dtype.kind in "biuf" and ((px >= 0) & (px <= 255)).all()
+                    and np.array_equal(px.astype(np.uint8), px)):
+                raise ValueError("pixel values must be whole numbers in 0..255")
+            px = px.astype(np.uint8)
+        object.__setattr__(self, "pixels", px.reshape(d.depth, d.height, d.width))
 
     @classmethod
     def from_array(cls, arr) -> "PlainImage":
-        arr = np.asarray(arr, dtype=np.uint8)
+        arr = np.asarray(arr)
         if arr.ndim == 2:
             arr = arr[np.newaxis, :, :]
         if arr.ndim != 3:
@@ -166,12 +178,13 @@ def _segments(params: MapParams, next_buffer, ys: np.ndarray):
         yield xs
 
 
-def _fold(keys: list, xs: np.ndarray) -> None:
-    """Fold a map's next segment into its keys, in orbit order, after its
-    y-bytes: segment 1 adds its x-bytes and argsort s0, and the argsorts of
-    segments 2-4 are composed into C = s1[s2][s3] as they come, making
-    [y_bytes, x_bytes, s0, C]."""
-    if len(keys) == 1:
+def _fold(keys: list, xs: np.ndarray, ys: list) -> None:
+    """Fold a map's next segment into its keys, in orbit order: segment 1
+    adds the bytes of the y values it pops from `ys`, freed before its
+    argsort, its x-bytes and argsort s0, and the argsorts of segments 2-4
+    are composed into C = s1[s2][s3] as they come: [y_bytes, x_bytes, s0, C]."""
+    if ys:
+        keys.append(quantize_to_bytes(ys.pop()))
         keys.append(quantize_to_bytes(xs))
     s = permutation_from_sequence(xs)
     keys.append(s if len(keys) < 4 else keys.pop()[s])
@@ -190,23 +203,23 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
     `raster[R] ^ K`, over its padded vector of 2N < 2**31 bytes (else
     DimensionError). Gathers compose (`v[P][Q] == v[P[Q]]`), so the chain
     `((v ^ X1)[P0] ^ X2)[P1][P2][P3]` (half swap in P0) of the flattened
-    vector `v = raster[L]` (`_layout`) is one gather and one mask. From
-    Map 1's keys (x1, y1, a0, A) and Map 2's (x2, y2, b0, B), slot 0 reads
-    slot 1 through p = b0[A], with R = L[N:][p] and K = x2[p] ^ y1[A], and
-    slot 1 reads slot 0 through p = a0[B], with R = L[:N][p] and
-    K = x1[p] ^ y2[B]. R is checked, once, as a bijection.
+    vector `v = raster[L]` (`_layout`) is one gather and one mask. Slot 0
+    has Map 1's keys (y, x, s0, C) and slot 1 Map 2's, and each slot reads
+    the other through the other map's s0' composed with its own C:
+    p = s0'[C], R = L[other slot][p] and K = x'[p] ^ y[C]. R is checked,
+    once, as a bijection.
 
     One loop makes both maps' keys: the caller iterates Map 2's segment k
-    into one reused buffer and folds it, then folds Map 1's segment k and
-    returns its buffer to `free`, even if the fold raised. The slot length
-    only chooses who iterates Map 1. Below `_SERIAL_BELOW` values the
-    caller does, from a ring of one buffer, and no thread is started. From
-    it on a worker thread does, and nothing else: it takes each buffer from
-    a ring of two that the caller allocated and hands it over full on
-    `full`, so with the kernel every array is allocated on the caller and
-    none in the worker's malloc arena; the worker is joined before this
-    returns or raises. Either way the bytes are the same, and if both maps
-    fail, Map 1's error is raised.
+    into one reused buffer and folds it, segment 1 with its y values, then
+    folds Map 1's segment k likewise and returns its buffer to `free`, even
+    if the fold raised. The slot length only chooses who iterates Map 1.
+    Below `_SERIAL_BELOW` values the caller does, from a ring of one
+    buffer, and no thread is started. From it on a worker thread does, and
+    nothing else: it takes each buffer from a ring of two that the caller
+    allocated and hands it over full on `full`, so with the kernel every
+    array is allocated on the caller and none in the worker's malloc arena;
+    the worker is joined before this returns or raises. Either way the
+    bytes are the same, and if both maps fail, Map 1's error is raised.
     """
     n = (dims.pixel_count + 1) // 2
     if 2 * n >= 2**31:  # R is int32; refused before anything is allocated
@@ -215,8 +228,8 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
     full, free = queue.SimpleQueue(), queue.SimpleQueue()
     for _ in range(2 if threaded else 1):
         free.put(np.empty(n))
-    xs2, ys1, ys2, keys1, keys2 = np.empty(n), np.empty(n), np.empty(n), [], []
-    orbit1 = _segments(keys.map1, free.get, ys1)
+    xs2, ys1, ys2, keys1, keys2 = np.empty(n), [np.empty(n)], [np.empty(n)], [], []
+    orbit1 = _segments(keys.map1, free.get, ys1[0])
 
     def iterate_map1():
         try:
@@ -237,17 +250,11 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
         worker.start()
     map1_xs = map1_segments() if threaded else orbit1
     try:
-        for k, xs in enumerate(_segments(keys.map2, lambda: xs2, ys2)):
-            if k == 0:  # the y-bytes first, so that ys is freed before the argsort
-                keys2.append(quantize_to_bytes(ys2))
-                del ys2
-            _fold(keys2, xs)
+        for xs in _segments(keys.map2, lambda: xs2, ys2[0]):
+            _fold(keys2, xs, ys2)
             xs = next(map1_xs)
             try:
-                if k == 0:  # Map 1's segment 1 has filled ys1
-                    keys1.append(quantize_to_bytes(ys1))
-                    del ys1
-                _fold(keys1, xs)
+                _fold(keys1, xs, ys1)
             finally:  # with a ring of one, Map 1's orbit needs it back to go on
                 free.put(xs)
     except Exception:
@@ -261,17 +268,15 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
             free.put(None)  # a worker still waiting for a buffer ends
             worker.join()
     del xs, xs2, free, orbit1, map1_xs  # the orbits and their buffers go before the pair
-    (y1, x1, a0, a), (y2, x2, b0, b) = keys1, keys2
     layout = _layout(dims, 2 * n)
     R, K = np.empty(2 * n, np.int32), np.empty(2 * n, np.uint8)
     # np.take, not indexing: 0.7x the time on numpy 2.4 (2-vCPU Xeon), at
     # the cost of an intp copy of each index
-    p = np.take(b0, a)
-    R[:n] = np.take(layout[n:], p)
-    K[:n] = np.take(x2, p) ^ np.take(y1, a)
-    p = np.take(a0, b)
-    R[n:] = np.take(layout[:n], p)
-    K[n:] = np.take(x1, p) ^ np.take(y2, b)
+    for at, (y, _, _, c), (_, x, s0, _), src in ((0, keys1, keys2, layout[n:]),
+                                                 (n, keys2, keys1, layout[:n])):
+        p = np.take(s0, c)
+        R[at:at + n] = np.take(src, p)
+        K[at:at + n] = np.take(x, p) ^ np.take(y, c)
     seen = np.zeros(2 * n, dtype=bool)
     seen[R] = True
     if not seen.all():

@@ -9,9 +9,10 @@
 and corr_v= (nan if undefined: under 2 pixels that way, or zero variance).
 
 Exit codes: 0 success; 2 for a bad key file (including one that is not
-UTF-8 or is over 64 KiB) or an invalid value (ValueError); 1 for any other
-chaosimg error, an OS error (missing file, malformed image or envelope) or
-running out of memory.
+UTF-8 or is over 64 KiB) or an invalid value (ValueError), such as a
+bifurcation sweep of more than 10^8 iterates, transients included; 1 for
+any other chaosimg error, an OS error (missing file, malformed image or
+envelope) or running out of memory.
 
 `--in`, `--a` and `--b` are read only as far as the header says the image or
 envelope reaches (an envelope one byte further, to refuse a longer one), in

@@ -314,6 +314,14 @@ class TestKeySchedule:
     def test_peak_allocation_on_the_fallback(self, python_only):
         self.assert_peak_allocation()
 
+    @pytest.mark.parametrize("fill_path", ["compiled", "python_only"])
+    def test_peak_allocation_on_the_serial_path(self, request, monkeypatch, fill_path):
+        # Map 1 on the caller too, from a ring of one buffer: a y buffer
+        # that outlived its fold would still be held when the pair is built
+        monkeypatch.setattr(cipher, "_SERIAL_BELOW", sys.maxsize)
+        request.getfixturevalue(fill_path)
+        self.assert_peak_allocation()
+
     def test_cold_encrypt_peak_allocation(self, compiled):
         # the build of the pair (R, K) that `encrypt` holds, and the gather
         n = 4 * maps.BLOCK
@@ -343,6 +351,8 @@ DIVERGING_MAP1 = MapParams(MapId.MAP1, 1e307)
 DIVERGING_MAP2 = MapParams(MapId.MAP2, 1e308, a=10.0, b=0.3)
 # b*x*x overflows at iteration 6496: in segment 2 of a 4096-byte slot
 LATE_DIVERGING_MAP2 = MapParams(MapId.MAP2, 2.35, a=0.5, b=1.8225e307)
+# DIVERGING_MAP1 with no transient: iteration 253 is in segment 4 of a 64-byte slot
+LATE_DIVERGING_MAP1 = MapParams(MapId.MAP1, 1e307, transient=0)
 
 
 class TestTwoMaps:
@@ -467,8 +477,10 @@ class TestTwoMaps:
         error = self.failure(KeyMaterial(default_map1(), map2))
         assert isinstance(error, DivergenceError) and error.iteration == index
 
-    @pytest.mark.parametrize("failing_call", [2, 5])  # Map 1's segment 1, Map 2's segment 3
-    def test_argsort_fails_on_the_caller(self, path, monkeypatch, failing_call):
+    @staticmethod
+    def fail_argsort(monkeypatch, failing_call):
+        """Make the build's argsort call `failing_call` (from 1) raise
+        MemoryError: odd calls fold Map 2's segments, even ones Map 1's."""
         count = itertools.count(1)
 
         def argsort(values):
@@ -477,8 +489,20 @@ class TestTwoMaps:
             return permutation_from_sequence(values)
 
         monkeypatch.setattr(cipher, "permutation_from_sequence", argsort)
+
+    @pytest.mark.parametrize("failing_call", range(1, 9))
+    def test_argsort_fails_on_the_caller(self, path, monkeypatch, failing_call):
+        self.fail_argsort(monkeypatch, failing_call)
         error = self.failure(default_keys())
         assert isinstance(error, MemoryError) and str(error) == f"argsort call {failing_call}"
+
+    @pytest.mark.parametrize("failing_call", [1, 2, 3])
+    def test_map1_error_wins_over_an_earlier_caller_failure(self, path, monkeypatch,
+                                                             failing_call):
+        # the caller fails in segment 1 or 2, and Map 1 diverges later, at
+        # iteration 253, in segment 4 of the 64-value slot
+        self.fail_argsort(monkeypatch, failing_call)
+        assert self.divergence(LATE_DIVERGING_MAP1, default_map2()) == 253
 
 
 class TestSerialSchedule:
@@ -734,6 +758,31 @@ class TestEncryptDecrypt:
             img = random_image(rng, max_side=24)
             out = decrypt(encrypt(img, keys), keys)
             assert np.array_equal(out.pixels, img.pixels)
+
+    def test_wide_pixels_within_a_byte_are_kept(self):
+        wide = np.array([[0, 1], [254, 255]], dtype=np.uint16)
+        img = PlainImage.from_array(wide)
+        assert img.pixels.dtype == np.uint8
+        assert np.array_equal(img.pixels[0], wide)
+        assert np.array_equal(decrypt(encrypt(img, default_keys()), default_keys()).pixels[0],
+                              wide)
+
+    @pytest.mark.parametrize("pixels", [
+        np.array([[300]], dtype=np.uint16),
+        np.array([[300, 4095], [65535, 256]], dtype=np.uint16),
+        np.array([[1.7]]),
+        np.array([[-1.0]]),
+        np.array([[np.nan]]),
+        np.array([[np.inf]]),
+        [[300]],
+        np.array([["5"]]),
+    ], ids=["uint16-300", "uint16-scan", "1.7", "-1.0", "nan", "inf", "list-300", "str"])
+    def test_pixels_that_do_not_fit_a_byte_raise(self, pixels):
+        # a cast would wrap 300 to 44 and truncate 1.7 to 1
+        with pytest.raises(ValueError, match="whole numbers in 0..255"):
+            PlainImage.from_array(pixels)
+        with pytest.raises(ValueError, match="whole numbers in 0..255"):
+            PlainImage(ImageDims(1, *np.shape(pixels)), pixels)
 
     def test_odd_length_pad_recorded(self):
         img = PlainImage.from_array(np.array([[1, 2, 3]], dtype=np.uint8))

@@ -391,6 +391,18 @@ class TestAnalyzeCommand:
         assert "limit is 10,000,000" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bifurcate_iterates_bounded_exit_2(self, tmp_path, capsys):
+        # one value per r, but 10^7 transient iterates for each of 10^6 r
+        out = tmp_path / "b.csv"
+        t0 = time.monotonic()
+        code = main(["analyze", "bifurcate", "--map", "2", "--r-min", "0",
+                     "--r-max", "1000000", "--r-step", "1", "--samples", "1",
+                     "--transient", "10000000", "--out", str(out)])
+        assert code == 2
+        assert time.monotonic() - t0 < 5
+        assert "iterates requested; the limit is 100,000,000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_lyapunov_r_defaults_to_the_map_default(self, tmp_path):
         out, ref = tmp_path / "l.csv", tmp_path / "ref.csv"
         code = main(["analyze", "lyapunov", "--map", "2", "--steps", "1000",
