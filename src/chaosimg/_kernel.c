@@ -3,7 +3,11 @@
  * runs `analysis.lyapunov_from_step` over that step. Two byte loops,
  * `chaos_gather_xor` and `chaos_scatter_xor`, make the cipher's one pass
  * over an image, with the numpy lines of `cipher._gather_xor` and
- * `cipher._scatter_xor` as their oracles.
+ * `cipher._scatter_xor` as their oracles. Two index loops build the key
+ * schedule without an intp copy of any index: `chaos_gather_in_place`
+ * composes two permutations into the second, and `chaos_slot` writes one
+ * slot of the schedule, with the numpy lines of `cipher._compose` and
+ * `cipher._slot` as their oracles.
  *
  * Every operation mirrors CPython float semantics, so the bytes match the
  * pure-Python path bit for bit:
@@ -156,4 +160,28 @@ void chaos_scatter_xor(const uint8_t *src, const int32_t *index, const uint8_t *
 {
     for (long long i = 0; i < n; i++)
         out[index[i]] = src[i] ^ key[i];
+}
+
+/* index[i] = src[index[i]] for i < n: the gather `src[index]`, written over
+ * its own index. Checks nothing: every index is below the length of src,
+ * which does not overlap index. */
+void chaos_gather_in_place(const int32_t *src, int32_t *index, long long n)
+{
+    for (long long i = 0; i < n; i++)
+        index[i] = src[index[i]];
+}
+
+/* One slot of the key schedule, for i < n: with p = s0[c[i]],
+ * r[i] = p + offset, k[i] = x[p] ^ y[c[i]] and seen[r[i]] = 1. Checks
+ * nothing: every c[i] and p is below n, and every r[i] below the length of
+ * seen. */
+void chaos_slot(const int32_t *c, const int32_t *s0, const uint8_t *x, const uint8_t *y,
+                long long offset, int32_t *r, uint8_t *k, uint8_t *seen, long long n)
+{
+    for (long long i = 0; i < n; i++) {
+        int32_t ci = c[i], p = s0[ci];
+        r[i] = (int32_t)(p + offset);
+        k[i] = x[p] ^ y[ci];
+        seen[p + offset] = 1;
+    }
 }

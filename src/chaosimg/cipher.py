@@ -10,17 +10,19 @@ one XOR:
 
     c = raster[R] ^ K,    R = L[P],    K = X1[P] ^ Y
 
-`build_key_schedule` writes R and K slot by slot from the two maps' keys;
-P, X1 and Y are never made. Decryption is the scatter mirror,
-`raster[R] = c ^ K`, and restores the plain image byte-for-byte. Both run
-in the kernel's byte loops when it is built (`_gather_xor`,
-`_scatter_xor`). One loop on the caller iterates Map 2 and folds each
-map's segments into its keys, Map 2's segment and then Map 1's, segment 1
-with its y values. Each slot's part of (R, K) is then written by one
-rule, through the other map's keys. The slot length only chooses who
-iterates Map 1's orbit, the slower of the two: a worker thread from
-`_SERIAL_BELOW` values per slot on, and the caller below it, where no
-thread is started.
+`build_key_schedule` writes P and K slot by slot from the two maps' keys
+and then gathers R = L[P] over P's own array; X1 and Y are never made.
+Decryption is the scatter mirror, `raster[R] = c ^ K`, and restores the
+plain image byte-for-byte. Both run in the kernel's byte loops when it is
+built (`_gather_xor`, `_scatter_xor`). One loop on the caller iterates
+Map 2 and folds each map's segments into its keys, Map 2's segment and
+then Map 1's, segment 1 with its y values; each fold's argsort consumes
+its segment's buffer, which then carries the other map's next segment.
+Each slot's part of (P, K) is then written by one rule, through the other
+map's keys (`_slot`). No index pass makes an intp copy of its index. The
+slot length only chooses who iterates Map 1's orbit, the slower of the
+two: a worker thread from `_SERIAL_BELOW` values per slot on, and the
+caller below it, where no thread is started.
 
 `encrypt` and `decrypt` take (R, K) from `_schedule`, which holds the most
 recent pair: a call with the same key bits and image dims as the call
@@ -31,6 +33,7 @@ until a call with another key or dims replaces it.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import struct
 import threading
@@ -40,7 +43,7 @@ import numpy as np
 
 from . import kernel
 from .errors import DimensionError, MalformedEnvelopeError, PermutationError
-from .maps import (MapId, MapParams, default_map1, default_map2, fill,
+from .maps import (BLOCK, MapId, MapParams, default_map1, default_map2, fill,
                    permutation_from_sequence, quantize_to_bytes)
 
 ENVELOPE_MAGIC = b"CSE1"
@@ -165,9 +168,11 @@ def envelope_length(header: bytes) -> int:
 def _segments(params: MapParams, next_buffer, ys: np.ndarray):
     """Iterate the map from its seed through the four segments of its slot
     of len(ys) bytes, each written into a buffer from next_buffer() and
-    yielded; a None buffer ends the orbit early. Segment 1's y values also
-    go into ys. Divergence indices count from the seed. The map runs on the
-    thread that advances the generator (`build_key_schedule` says which)."""
+    yielded; a None buffer ends the orbit early. A buffer is free again once
+    the segment's fold has consumed it, so both maps' orbits can take turns
+    in one (`build_key_schedule`). Segment 1's y values also go into ys.
+    Divergence indices count from the seed. The map runs on the thread that
+    advances the generator (`build_key_schedule` says which)."""
     state, skip, start = (params.x0, params.y0), params.transient, 0
     for _ in range(4):
         xs = next_buffer()
@@ -182,12 +187,16 @@ def _fold(keys: list, xs: np.ndarray, ys: list) -> None:
     """Fold a map's next segment into its keys, in orbit order: segment 1
     adds the bytes of the y values it pops from `ys`, freed before its
     argsort, its x-bytes and argsort s0, and the argsorts of segments 2-4
-    are composed into C = s1[s2][s3] as they come: [y_bytes, x_bytes, s0, C]."""
+    are composed into C = s1[s2][s3] as they come, each written over the
+    new argsort's array: [y_bytes, x_bytes, s0, C]. The argsort consumes
+    the values of `xs`, so the buffer is free for the next segment."""
     if ys:
         keys.append(quantize_to_bytes(ys.pop()))
         keys.append(quantize_to_bytes(xs))
     s = permutation_from_sequence(xs)
-    keys.append(s if len(keys) < 4 else keys.pop()[s])
+    if len(keys) == 4:
+        _compose(keys.pop(), s)
+    keys.append(s)
 
 
 # Slot lengths below this are keyed without the worker. On a 2-vCPU Xeon
@@ -206,29 +215,33 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
     vector `v = raster[L]` (`_layout`) is one gather and one mask. Slot 0
     has Map 1's keys (y, x, s0, C) and slot 1 Map 2's, and each slot reads
     the other through the other map's s0' composed with its own C:
-    p = s0'[C], R = L[other slot][p] and K = x'[p] ^ y[C]. R is checked,
-    once, as a bijection.
+    p = s0'[C], P = p + the other slot's start and K = x'[p] ^ y[C]
+    (`_slot`). P is checked, once, as a bijection, and R = L[P] is gathered
+    over P's own array after the keys are dropped.
 
-    One loop makes both maps' keys: the caller iterates Map 2's segment k
-    into one reused buffer and folds it, segment 1 with its y values, then
-    folds Map 1's segment k likewise and returns its buffer to `free`, even
-    if the fold raised. The slot length only chooses who iterates Map 1.
-    Below `_SERIAL_BELOW` values the caller does, from a ring of one
-    buffer, and no thread is started. From it on a worker thread does, and
-    nothing else: it takes each buffer from a ring of two that the caller
-    allocated and hands it over full on `full`, so with the kernel every
-    array is allocated on the caller and none in the worker's malloc arena;
-    the worker is joined before this returns or raises. Either way the
-    bytes are the same, and if both maps fail, Map 1's error is raised.
+    One loop makes both maps' keys, and two orbit buffers, ping-pong, carry
+    the orbits: the caller iterates Map 2's segment k into the buffer it
+    holds and folds it, segment 1 with its y values, which consumes its
+    values; the buffer then goes to `free`, where Map 1's orbit takes it
+    for its next segment, and the caller folds Map 1's segment k and keeps
+    its buffer for Map 2's next one. The slot length only chooses who
+    iterates Map 1. Below `_SERIAL_BELOW` values the caller does, and one
+    buffer serves both orbits; no thread is started. From it on a worker
+    thread does, and nothing else: it starts on a second buffer and hands
+    each one over full on `full`, so with the kernel every array is
+    allocated on the caller and none in the worker's malloc arena; the
+    worker is joined before this returns or raises. Either way the bytes
+    are the same, and if both maps fail, Map 1's error is raised.
     """
     n = (dims.pixel_count + 1) // 2
     if 2 * n >= 2**31:  # R is int32; refused before anything is allocated
         raise DimensionError(f"{dims} pads to {2 * n} bytes; the cipher takes fewer than 2**31")
     threaded = n >= _SERIAL_BELOW
     full, free = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(2 if threaded else 1):
-        free.put(np.empty(n))
-    xs2, ys1, ys2, keys1, keys2 = np.empty(n), [np.empty(n)], [np.empty(n)], [], []
+    if threaded:
+        free.put(np.empty(n))  # Map 1's first segment
+    mine = [np.empty(n)]  # the caller's buffer, for Map 2's next segment
+    ys1, ys2, keys1, keys2 = [np.empty(n)], [np.empty(n)], [], []
     orbit1 = _segments(keys.map1, free.get, ys1[0])
 
     def iterate_map1():
@@ -250,39 +263,65 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
         worker.start()
     map1_xs = map1_segments() if threaded else orbit1
     try:
-        for xs in _segments(keys.map2, lambda: xs2, ys2[0]):
+        for xs in _segments(keys.map2, lambda: mine[0], ys2[0]):
             _fold(keys2, xs, ys2)
-            xs = next(map1_xs)
-            try:
-                _fold(keys1, xs, ys1)
-            finally:  # with a ring of one, Map 1's orbit needs it back to go on
-                free.put(xs)
+            free.put(mine.pop())  # to Map 1's next segment
+            mine.append(next(map1_xs))
+            _fold(keys1, mine[0], ys1)
     except Exception:
-        # Map 1's orbit runs to its end, so that its error, if any, is the
-        # one raised whatever the timing
-        for xs in map1_xs:
+        # the caller's buffer goes back, and Map 1's orbit runs to its end,
+        # so that its error, if any, is the one raised whatever the timing
+        for xs in itertools.chain(mine, map1_xs):
             free.put(xs)
         raise
     finally:
         if threaded:
             free.put(None)  # a worker still waiting for a buffer ends
             worker.join()
-    del xs, xs2, free, orbit1, map1_xs  # the orbits and their buffers go before the pair
-    layout = _layout(dims, 2 * n)
-    R, K = np.empty(2 * n, np.int32), np.empty(2 * n, np.uint8)
-    # np.take, not indexing: 0.7x the time on numpy 2.4 (2-vCPU Xeon), at
-    # the cost of an intp copy of each index
-    for at, (y, _, _, c), (_, x, s0, _), src in ((0, keys1, keys2, layout[n:]),
-                                                 (n, keys2, keys1, layout[:n])):
-        p = np.take(s0, c)
-        R[at:at + n] = np.take(src, p)
-        K[at:at + n] = np.take(x, p) ^ np.take(y, c)
-    seen = np.zeros(2 * n, dtype=bool)
-    seen[R] = True
+    del xs, mine, free, orbit1, map1_xs  # the orbits and their buffers go before the pair
+    R, K, seen = np.empty(2 * n, np.int32), np.empty(2 * n, np.uint8), np.zeros(2 * n, np.uint8)
+    for at, (y, _, _, c), (_, x, s0, _) in ((0, keys1, keys2), (n, keys2, keys1)):
+        _slot(c, s0, x, y, n - at, R[at:at + n], K[at:at + n], seen)
+    del keys1, keys2, c, s0, x, y, _
     if not seen.all():
         raise PermutationError("permutation is not a bijection")
+    del seen
+    _compose(_layout(dims, 2 * n), R)
     R.flags.writeable = K.flags.writeable = False
     return R, K
+
+
+def _compose(src: np.ndarray, index: np.ndarray) -> None:
+    """index[:] = src[index], over int32 arrays that do not overlap, with no
+    intp copy of the index: in the kernel, or BLOCK values at a time."""
+    lib = kernel.library()
+    if lib is not None:
+        lib.chaos_gather_in_place(kernel.address(src), kernel.address(index), index.size)
+        return
+    for start in range(0, index.size, BLOCK):
+        block = index[start:start + BLOCK]
+        block[...] = src[block]
+
+
+def _slot(c: np.ndarray, s0: np.ndarray, x: np.ndarray, y: np.ndarray, offset: int,
+          r: np.ndarray, k: np.ndarray, seen: np.ndarray) -> None:
+    """One slot of the key schedule: with p = s0[c], r[:] = p + offset and
+    k[:] = x[p] ^ y[c], and seen[r] = 1. The keys are those `_fold` made,
+    c and s0 permutations of one length; r is int32 and k and seen uint8.
+    In the kernel, or BLOCK values at a time."""
+    lib = kernel.library()
+    if lib is not None:
+        address = kernel.address
+        lib.chaos_slot(address(c), address(s0), address(x), address(y), offset,
+                       address(r), address(k), address(seen), c.size)
+        return
+    for start in range(0, c.size, BLOCK):
+        block = c[start:start + BLOCK]
+        p = s0[block]
+        k[start:start + BLOCK] = x[p] ^ y[block]
+        p += offset
+        r[start:start + BLOCK] = p
+        seen[p] = 1
 
 
 def _layout(dims: ImageDims, size: int) -> np.ndarray:

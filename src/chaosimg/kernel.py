@@ -6,15 +6,17 @@ the SHA-256 of the source, the flags and the platform, so a changed
 source builds a new one; a build writes a temporary file and renames it
 into place, so concurrent first runs are safe.
 
-`library()` serves four loops: `chaos_fill`, through which `maps.fill`
+`library()` serves six loops: `chaos_fill`, through which `maps.fill`
 iterates a map for the key schedule, the bifurcation sweep, the phase
 points and the Lyapunov transient; `chaos_lyapunov`, which
-`analysis.lyapunov_exponent` runs for the Lyapunov steps; and
+`analysis.lyapunov_exponent` runs for the Lyapunov steps;
 `chaos_gather_xor` and `chaos_scatter_xor`, the one pass over the image
-of `cipher.encrypt` and `cipher.decrypt`. Without a compiler, or when
-the build or the cache directory fails, `library()` returns None and the
-callers run Python loops over `maps.step_function`, and numpy's gather
-and scatter, instead. Both paths give the same bytes (see `FLAGS`).
+of `cipher.encrypt` and `cipher.decrypt`; and `chaos_gather_in_place` and
+`chaos_slot`, the index passes of `cipher.build_key_schedule`. Without a
+compiler, or when the build or the cache directory fails, `library()`
+returns None and the callers run Python loops over `maps.step_function`,
+and numpy's gathers and scatter, instead. Both paths give the same bytes
+(see `FLAGS`).
 """
 
 from __future__ import annotations
@@ -51,7 +53,20 @@ _SIGNATURES = {
                                            ctypes.c_double, ctypes.c_longlong, ctypes.c_void_p]),
     "chaos_gather_xor": _BYTE_LOOP,
     "chaos_scatter_xor": _BYTE_LOOP,
+    # src, index, n
+    "chaos_gather_in_place": (None, [ctypes.c_void_p] * 2 + [ctypes.c_longlong]),
+    # c, s0, x, y, offset, r, k, seen, n
+    "chaos_slot": (None, [ctypes.c_void_p] * 4 + [ctypes.c_longlong]
+                   + [ctypes.c_void_p] * 3 + [ctypes.c_longlong]),
 }
+
+
+def address(array) -> int:
+    """The address of the data of a writeable C-contiguous array, as a
+    kernel argument: `array.ctypes.data` takes 2.5 times as long (1.5 µs
+    against 0.6 µs on numpy 2.4), which small key schedules, with their
+    dozens of kernel calls, feel."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
 
 
 def _sha256(data: bytes) -> str:

@@ -117,7 +117,8 @@ def fill(
         return _fill_orbit(params, state, xs, ys, skip, start)
     last = (ctypes.c_double * 2)(*state)
     bad = lib.chaos_fill(params.map_id.value, params.r, params.a * params.r, params.b, last,
-                         skip, xs.ctypes.data, None if ys is None else ys.ctypes.data, len(xs))
+                         skip, kernel.address(xs), None if ys is None else kernel.address(ys),
+                         len(xs))
     if bad >= 0:
         raise DivergenceError(start + bad)
     return last[0], last[1]
@@ -165,38 +166,61 @@ def quantize_to_bytes(values) -> np.ndarray:
     return out
 
 
-def permutation_from_sequence(values) -> np.ndarray:
-    """`np.argsort(values, kind="stable")` as int32, for 1 to 2**31 - 1 values.
+def permutation_from_sequence(values: np.ndarray) -> np.ndarray:
+    """`np.argsort(values, kind="stable")` as int32, for 1 to 2**31 - 1
+    values, made in the buffer of `values` and consuming them: `values` is
+    a writeable C-contiguous float64 array (else ValueError, before anything
+    is written), and holds no values of its own afterwards.
 
     A value's float bits, with -0.0 folded into +0.0 and a negative's
     magnitude bits flipped, are an int64 key that orders like the values.
-    Its low b = (n-1).bit_length() bits are replaced by the index, so the
-    words are distinct and sort by (key prefix, index). Values that share a
-    prefix can differ, so the members of such runs are sorted again, stably
-    by value. Keys are made BLOCK values at a time.
+    Each key's low b = (n-1).bit_length() bits wait in the result, and the
+    word that takes its value's place is the key with those bits replaced
+    by the index, so the words are distinct and sort in place by (key
+    prefix, index). Values that share a prefix can differ, so the members
+    of such runs are sorted again, stably by their whole key, a window of
+    about BLOCK words at a time. Apart from the result, temporaries hold
+    at most a window's values: BLOCK, or one run of equal prefix if longer.
     """
-    arr = np.asarray(values, dtype=float).reshape(-1)
-    if not 0 < arr.size < 2**31:  # before anything is allocated
-        raise ValueError(f"{arr.size} values; a permutation takes 1 to 2**31 - 1")
-    n, b = arr.size, (arr.size - 1).bit_length()
-    words = np.arange(n, dtype=np.int64)
-    for start in range(0, n, BLOCK):
-        key = (arr[start:start + BLOCK] + 0.0).view(np.int64)  # -0.0 + 0.0 is +0.0
-        key ^= (key >> 63) & (2**63 - 1)
-        key &= -1 << b
-        words[start:start + BLOCK] |= key
-    del key  # from here on: the words, the result and a prefix mask
-    words.sort()
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.flags.c_contiguous and values.flags.writeable):
+        raise ValueError("permutation_from_sequence takes a writeable C-contiguous float64 array")
+    if not 0 < values.size < 2**31:  # before anything is allocated
+        raise ValueError(f"{values.size} values; a permutation takes 1 to 2**31 - 1")
+    arr = values.reshape(-1)
+    words, n, b = arr.view(np.int64), arr.size, (arr.size - 1).bit_length()
+    low = (1 << b) - 1
     perm = np.empty(n, dtype=np.int32)
-    np.bitwise_and(words, (1 << b) - 1, out=perm, casting="unsafe")
-    words >>= b
-    at, = (words[1:] == words[:-1]).nonzero()  # neighbours sharing a key prefix
-    if at.size:
-        member = np.zeros(n, dtype=bool)
-        member[at] = member[at + 1] = True
-        run = perm[member]
-        perm[member] = run[np.argsort(arr[run], kind="stable")]
-    # NaN and +-inf keys lie beyond every finite key, at the two ends
-    if not (math.isfinite(arr[perm[0]]) and math.isfinite(arr[perm[-1]])):
+    for start in range(0, n, BLOCK):
+        stop = min(start + BLOCK, n)
+        key = arr[start:stop]
+        key += 0.0  # -0.0 + 0.0 is +0.0
+        key = key.view(np.int64)
+        key ^= (key >> 63) & (2**63 - 1)
+        np.bitwise_and(key, low, out=perm[start:stop], casting="unsafe")
+        key &= ~low
+        key |= np.arange(start, stop)
+    words.sort()
+    # NaN and +-inf keys lie beyond every finite key, at the two ends; the
+    # bounds are multiples of 2**b, so the words compare as their keys
+    if not (-2**63 + 2**52 <= words[0] and words[-1] < 2**63 - 2**52):
         raise InvalidStateError("non-finite value in permutation input")
+    start = 0
+    while start < n - 1:  # windows of BLOCK words or more, each ending where a run does
+        stop = min(start + BLOCK, n)
+        if stop < n:  # past the run of equal prefix that `stop` may cut
+            stop = int(np.searchsorted(words, ((int(words[stop - 1]) >> b) + 1) << b))
+        window = words[start:stop]
+        prefix = window >> b
+        tie = prefix[1:] == prefix[:-1]  # neighbours sharing a prefix
+        del prefix
+        if tie.any():  # the members' whole keys, while their low bits are in the result
+            member = np.zeros(window.size, dtype=bool)
+            member[1:] = tie
+            member[:-1] |= tie
+            index = window[member] & low
+            window[member] = index[np.argsort((window[member] & ~low) | perm[index],
+                                              kind="stable")]
+        start = stop
+    np.bitwise_and(words, low, out=perm, casting="unsafe")
     return perm

@@ -296,17 +296,19 @@ class TestKeySchedule:
 
     @staticmethod
     def assert_peak_allocation():
-        # the ring of Map 1 buffers, Map 2's buffer, both maps' keys and one
-        # argsort's temporaries, then the pair; buffers that piled up would
-        # show here
-        n = 4 * maps.BLOCK
-        tracemalloc.start()
-        try:
-            build_key_schedule(default_keys(), ImageDims(1, 512, 2 * n // 512))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 60 * n
+        # the two orbit buffers (one on the serial path), both maps' keys
+        # and one argsort's result and BLOCK-value temporaries, then the
+        # pair; buffers that piled up would show here. At 2*BLOCK (a 512²
+        # gray image) each temporary is twice as large a share of n.
+        for blocks, bound in ((2, 50), (4, 45)):
+            n = blocks * maps.BLOCK
+            tracemalloc.start()
+            try:
+                build_key_schedule(default_keys(), ImageDims(1, 512, 2 * n // 512))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * n, f"{peak / n:.1f}n at n = {blocks}*BLOCK"
 
     def test_peak_allocation(self, compiled):
         self.assert_peak_allocation()
@@ -334,7 +336,7 @@ class TestKeySchedule:
         finally:
             tracemalloc.stop()
         assert cipher._held[1][0].size == 2 * n
-        assert peak <= 60 * n
+        assert peak <= 45 * n
 
     def test_seed_sensitivity(self):
         keys = default_keys()
@@ -368,16 +370,35 @@ class TestTwoMaps:
         request.getfixturevalue(fill_path)
         return request.param
 
-    def divergence(self, map1, map2):
-        """The raised divergence index, or None; no thread is left behind."""
-        before = threading.active_count()
-        try:
-            build_key_schedule(KeyMaterial(map1, map2), ImageDims(1, 8, 16))
-            index = None
-        except DivergenceError as exc:
-            index = exc.iteration
+    @staticmethod
+    def outcome(keys, dims):
+        """The pair a build returns, or the error it raises, run on a helper
+        thread that must end within 10 s, so that a lost buffer handoff
+        fails instead of hanging; no thread is left behind."""
+        before, outcomes = threading.active_count(), []
+
+        def run():
+            try:
+                outcomes.append(build_key_schedule(keys, dims))
+            except Exception as exc:
+                outcomes.append(exc)
+
+        helper = threading.Thread(target=run, daemon=True)
+        helper.start()
+        helper.join(timeout=10)
+        assert not helper.is_alive(), "the build still runs after 10 s"
         assert threading.active_count() == before
-        return index
+        [outcome] = outcomes
+        return outcome
+
+    def divergence(self, map1, map2):
+        """The raised divergence index, or None."""
+        outcome = self.outcome(KeyMaterial(map1, map2), ImageDims(1, 8, 16))
+        if isinstance(outcome, DivergenceError):
+            return outcome.iteration
+        if isinstance(outcome, Exception):
+            raise outcome
+        return None
 
     def test_success(self, path):
         assert self.divergence(default_map1(), default_map2()) is None
@@ -419,6 +440,30 @@ class TestTwoMaps:
         assert threads[MapId.MAP2] == [main] * 4
         assert threads["argsort"] == [main] * 8
 
+    @pytest.mark.parametrize("path", ["compiled", "python_only"], indirect=True)
+    def test_worker_runs_ahead(self, path, monkeypatch):
+        # Map 2's fill is slowed until Map 1's fill of its segment is done,
+        # so the worker is always a segment ahead and waits for the buffer
+        # that the caller's Map 2 fold hands on; a caller that took Map 2's
+        # buffer from the worker's `free` queue would wait for ever, and
+        # `outcome` fails the test instead
+        keys, dims = default_keys(), ImageDims(1, 64, 128)
+        expected, map1_done, ends = self.outcome(keys, dims), threading.Semaphore(0), []
+
+        def slowed_fill(params, *args, **kwargs):
+            if params.map_id is MapId.MAP2 and not map1_done.acquire(timeout=5):
+                raise TimeoutError("Map 1 did not run ahead")
+            state = fill(params, *args, **kwargs)
+            ends.append(params.map_id)
+            if params.map_id is MapId.MAP1:
+                map1_done.release()
+            return state
+
+        monkeypatch.setattr(cipher, "fill", slowed_fill)
+        R, K = self.outcome(keys, dims)
+        assert ends == [MapId.MAP1, MapId.MAP2] * 4
+        assert np.array_equal(R, expected[0]) and np.array_equal(K, expected[1])
+
     @pytest.mark.parametrize("path", ["serial-compiled", "serial-python_only"], indirect=True)
     def test_all_on_the_caller(self, path, monkeypatch):
         main = threading.main_thread()
@@ -454,22 +499,9 @@ class TestTwoMaps:
             assert np.array_equal(K, expected[1])
 
     def failure(self, keys):
-        """The error a 4096-byte schedule raises, run on a helper thread
-        that must end within 10 s; no thread is left behind."""
-        before, errors = threading.active_count(), []
-
-        def run():
-            try:
-                build_key_schedule(keys, ImageDims(1, 64, 128))
-            except Exception as exc:
-                errors.append(exc)
-
-        helper = threading.Thread(target=run, daemon=True)
-        helper.start()
-        helper.join(timeout=10)
-        assert not helper.is_alive()
-        assert threading.active_count() == before
-        [error] = errors
+        """The error a 4096-byte schedule raises (`outcome`)."""
+        error = self.outcome(keys, ImageDims(1, 64, 128))
+        assert isinstance(error, Exception)
         return error
 
     @pytest.mark.parametrize("map2, index", [(DIVERGING_MAP2, 0), (LATE_DIVERGING_MAP2, 6496)])

@@ -285,6 +285,31 @@ def test_gather_and_scatter_loops_match_numpy(compiled, size):
     assert cipher._scatter_xor(gathered, index, key).tobytes() == src.tobytes()
 
 
+@pytest.mark.parametrize("size", [1, 2, 7, 4096, maps.BLOCK + 3])
+def test_index_loops_match_numpy(compiled, size):
+    # the kernel's in-place gather and slot loop against their numpy
+    # fallback, which works BLOCK values at a time; the gather is written
+    # over its own index, which need not be a permutation
+    rng = np.random.default_rng(size)
+    src, c, s0 = (rng.permutation(size).astype(np.int32) for _ in range(3))
+    index = rng.integers(0, size, size, dtype=np.int32)
+    x, y = rng.integers(0, 256, (2, size), dtype=np.uint8)
+    offset = int(rng.integers(0, size + 1))
+    p = s0[c]
+    expected_seen = np.zeros(2 * size + 1, np.uint8)
+    expected_seen[p + offset] = 1
+    expected = [src[index], p + offset, x[p] ^ y[c], expected_seen]
+    for library in (kernel.library, lambda: None):
+        with mock.patch.object(kernel, "library", library):
+            composed = index.copy()
+            cipher._compose(src, composed)
+            r, k, seen = (np.zeros(size, np.int32), np.zeros(size, np.uint8),
+                          np.zeros(2 * size + 1, np.uint8))
+            cipher._slot(c, s0, x, y, offset, r, k, seen)
+        for got, want in zip((composed, r, k, seen), expected, strict=True):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def exported_functions(source: str) -> dict[str, str]:
     """Name -> return type of each function that `source` defines at file
     scope without `static`."""

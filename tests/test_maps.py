@@ -230,16 +230,19 @@ def prefix_run_cases() -> dict[str, np.ndarray]:
 
 
 class TestPermutationFromSequence:
+    # permutation_from_sequence consumes its argument, so every call below
+    # gets a fresh float64 array
+
     def test_hand_sort(self):
-        assert list(permutation_from_sequence([0.5, 0.1, 0.9])) == [1, 0, 2]
+        assert list(permutation_from_sequence(np.array([0.5, 0.1, 0.9]))) == [1, 0, 2]
 
     def test_stable_tie_break(self):
-        assert list(permutation_from_sequence([0.3, 0.3])) == [0, 1]
+        assert list(permutation_from_sequence(np.array([0.3, 0.3]))) == [0, 1]
 
     def test_matches_comparison_sort_oracle(self):
         rng = np.random.default_rng(9)
         vals = rng.uniform(-1, 1, size=1000)
-        perm = permutation_from_sequence(vals)
+        perm = permutation_from_sequence(vals.copy())
         oracle = sorted(range(1000), key=lambda i: (vals[i], i))
         assert list(perm) == oracle
         assert sorted(perm) == list(range(1000))
@@ -249,12 +252,12 @@ class TestPermutationFromSequence:
         rng = np.random.default_rng(10)
         for vals in (rng.integers(0, 50, 5000).astype(float),
                      np.array([0.0, -0.0] * 100), rng.uniform(-1, 1, 5000)):
-            assert np.array_equal(permutation_from_sequence(vals),
+            assert np.array_equal(permutation_from_sequence(vals.copy()),
                                   np.argsort(vals, kind="stable"))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            permutation_from_sequence([])
+            permutation_from_sequence(np.empty(0))
 
     def test_rejects_2_to_the_31_values_before_allocating(self):
         vals = np.broadcast_to(np.float64(0.5), 2**31)  # a view of one value
@@ -277,20 +280,68 @@ class TestPermutationFromSequence:
     @pytest.mark.parametrize("vals",
                              [pytest.param(v, id=k) for k, v in prefix_run_cases().items()])
     def test_prefix_runs_take_the_stable_order(self, vals):
-        perm = permutation_from_sequence(vals)
+        perm = permutation_from_sequence(vals.copy())
         assert perm.dtype == np.int32
         assert np.array_equal(perm, np.argsort(vals, kind="stable"))
 
     def test_temporaries_bounded(self):
-        # 8n for the words, 4n for the int32 result and n for the prefix mask
-        vals = np.random.default_rng(15).uniform(-4, 4, 8 * BLOCK)
-        tracemalloc.start()
-        try:
-            permutation_from_sequence(vals)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 14 * vals.size
+        # the words take the place of the values, so only the int32 result
+        # grows with n; a key block, a prefix block and its comparison, and
+        # the few run members of "low-bits", stay within two BLOCK-value
+        # int64 temporaries
+        for vals in (np.random.default_rng(15).uniform(-4, 4, 8 * BLOCK),
+                     prefix_run_cases()["low-bits"]):
+            tracemalloc.start()
+            try:
+                permutation_from_sequence(vals)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * vals.size + 2 * 8 * BLOCK
+
+    def test_tied_temporaries_bounded(self):
+        # nearly every value tied, as in a weak key's short periodic orbit:
+        # the runs are fixed a window of about BLOCK words at a time, so
+        # the temporaries stay a few BLOCK values instead of growing with
+        # n; with 3 values the runs are longer than a window
+        rng = np.random.default_rng(17)
+        for vals, bound in ((rng.integers(0, 50, 8 * BLOCK).astype(float), 6 * 8 * BLOCK),
+                            (rng.integers(0, 3, 3 * BLOCK + 5) * 0.5, None)):
+            expected = np.argsort(vals, kind="stable")
+            tracemalloc.start()
+            try:
+                perm = permutation_from_sequence(vals)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(perm, expected)
+            if bound is not None:
+                assert peak <= 4 * vals.size + bound
+
+    def test_overwrites_its_argument_and_nothing_else(self):
+        # a slice of a larger array: the words replace its values, and the
+        # values around it are left alone
+        rng = np.random.default_rng(16)
+        around = rng.uniform(-1, 1, 3000)
+        before = around.copy()
+        vals = around[1000:2000]
+        perm = permutation_from_sequence(vals)
+        assert np.array_equal(perm, np.argsort(before[1000:2000], kind="stable"))
+        assert not np.array_equal(vals, before[1000:2000])
+        assert np.array_equal(around[:1000], before[:1000])
+        assert np.array_equal(around[2000:], before[2000:])
+
+    def test_refuses_what_it_cannot_overwrite_before_writing(self):
+        read_only = np.linspace(-1, 1, 10)
+        read_only.flags.writeable = False
+        strided = np.linspace(-1, 1, 20)
+        for bad in (read_only, strided[::2], np.linspace(-1, 1, 10, dtype=np.float32),
+                    np.arange(10), [0.5, 0.1, 0.9]):
+            before = np.array(bad, copy=True)
+            with pytest.raises(ValueError):
+                permutation_from_sequence(bad)
+            assert np.array_equal(np.asarray(bad), before)
+        assert np.array_equal(strided, np.linspace(-1, 1, 20))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -302,7 +353,7 @@ clustered = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324]),
 @settings(max_examples=300, deadline=None)
 @given(arrays(np.float64, st.integers(1, 300), elements=clustered))
 def test_permutation_is_the_stable_argsort(vals):
-    assert np.array_equal(permutation_from_sequence(vals), np.argsort(vals, kind="stable"))
+    assert np.array_equal(permutation_from_sequence(vals.copy()), np.argsort(vals, kind="stable"))
 
 
 def quantize_reference(v: float) -> int:
