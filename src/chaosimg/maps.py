@@ -208,8 +208,9 @@ def permutation_from_sequence(values: np.ndarray) -> np.ndarray:
     start = 0
     while start < n - 1:  # windows of BLOCK words or more, each ending where a run does
         stop = min(start + BLOCK, n)
-        if stop < n:  # past the run of equal prefix that `stop` may cut
-            stop = int(np.searchsorted(words, ((int(words[stop - 1]) >> b) + 1) << b))
+        if stop < n:  # past the run of equal prefix that `stop` may cut; only
+            # words[stop:] is still sorted, the fixed windows hold bare indices
+            stop += int(np.searchsorted(words[stop:], ((int(words[stop - 1]) >> b) + 1) << b))
         window = words[start:stop]
         prefix = window >> b
         tie = prefix[1:] == prefix[:-1]  # neighbours sharing a prefix

@@ -223,10 +223,21 @@ def prefix_run_cases() -> dict[str, np.ndarray]:
     below = np.nextafter(big, 0)
     extremes = rng.choice([big, -big, below, -below, 0.0, -0.0, 1.0], 5000)
     extremes[::3] = big * rng.uniform(-1, 1, extremes[::3].size)
-    return {"low-bits": low_bits, "ties": ties, "signed-zeros": zeros, "subnormals": subnormals,
-            "extremes": extremes, "n=1": np.array([2.5]), "n=1-negative-zero": np.array([-0.0]),
-            "one-zero-each": np.array([0.0, -1.0, -0.0, 1.0]),
-            "n=2**b": rng.integers(-3, 4, 1024) * 0.5, "n=2**b+1": rng.integers(-3, 4, 1025) * 0.5}
+    cases = {"low-bits": low_bits, "ties": ties, "signed-zeros": zeros, "subnormals": subnormals,
+             "extremes": extremes, "n=1": np.array([2.5]), "n=1-negative-zero": np.array([-0.0]),
+             "one-zero-each": np.array([0.0, -1.0, -0.0, 1.0]),
+             "n=2**b": rng.integers(-3, 4, 1024) * 0.5, "n=2**b+1": rng.integers(-3, 4, 1025) * 0.5}
+    # tied over several fix-up windows: negative words sort below the bare
+    # indices that the windows before leave behind; runs longer than a window
+    cases["negative-ties"] = -rng.integers(1, 9, 8 * BLOCK).astype(float)
+    cases["signed-ties"] = rng.integers(-20, 21, 8 * BLOCK + 3) * 0.125
+    cases["runs-longer-than-a-window"] = rng.integers(0, 3, 3 * BLOCK + 5) * 0.5
+    # a weak Map 2 key, a rotation by pi/3: six clusters of values a few
+    # ulps apart, a slot of a 512x512 RGB image
+    rotation = MapParams(MapId.MAP2, math.pi / 3, a=1.0, x0=-0.3, y0=0.0, transient=100)
+    cases["map2-rotation"] = np.empty(6 * BLOCK)
+    fill(rotation, (rotation.x0, rotation.y0), cases["map2-rotation"], skip=rotation.transient)
+    return cases
 
 
 class TestPermutationFromSequence:
@@ -302,21 +313,17 @@ class TestPermutationFromSequence:
     def test_tied_temporaries_bounded(self):
         # nearly every value tied, as in a weak key's short periodic orbit:
         # the runs are fixed a window of about BLOCK words at a time, so
-        # the temporaries stay a few BLOCK values instead of growing with
-        # n; with 3 values the runs are longer than a window
-        rng = np.random.default_rng(17)
-        for vals, bound in ((rng.integers(0, 50, 8 * BLOCK).astype(float), 6 * 8 * BLOCK),
-                            (rng.integers(0, 3, 3 * BLOCK + 5) * 0.5, None)):
-            expected = np.argsort(vals, kind="stable")
-            tracemalloc.start()
-            try:
-                perm = permutation_from_sequence(vals)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert np.array_equal(perm, expected)
-            if bound is not None:
-                assert peak <= 4 * vals.size + bound
+        # the temporaries stay a few BLOCK values instead of growing with n
+        vals = np.random.default_rng(17).integers(0, 50, 8 * BLOCK).astype(float)
+        expected = np.argsort(vals, kind="stable")
+        tracemalloc.start()
+        try:
+            perm = permutation_from_sequence(vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(perm, expected)
+        assert peak <= 4 * vals.size + 6 * 8 * BLOCK
 
     def test_overwrites_its_argument_and_nothing_else(self):
         # a slice of a larger array: the words replace its values, and the
