@@ -6,8 +6,8 @@
  * `cipher._scatter_xor` as their oracles. Two index loops build the key
  * schedule without an intp copy of any index: `chaos_gather_in_place`
  * composes two permutations into the second, and `chaos_slot` writes one
- * slot of the schedule, with the numpy lines of `cipher._compose` and
- * `cipher._slot` as their oracles.
+ * slot of the final pair (R, K) through the layout, with the numpy lines
+ * of `cipher._compose` and `cipher._slot` as their oracles.
  *
  * Every operation mirrors CPython float semantics, so the bytes match the
  * pure-Python path bit for bit:
@@ -15,10 +15,10 @@
  *     are pure, so the order of the calls is free, but each expression
  *     keeps the evaluation order of the Python code;
  *   - `mod_two_pi` is CPython's float `%` by 2*pi (float_rem): the remainder
- *     with the sign of the dividend, then a sign fix, then a zero result
- *     takes the sign of the divisor. Below 4*2*pi in magnitude the
- *     remainder comes from at most two exact subtractions; from there on,
- *     and for NaN and +-inf, from fmod (`py_mod`);
+ *     with the sign of the dividend, from fmod at 4*2*pi and more in
+ *     magnitude and for NaN and +-inf, and from at most two exact
+ *     subtractions below that; then one sign fix, for both: a negative
+ *     remainder takes 2*pi, and a zero one the sign of the divisor;
  *   - the Lyapunov distance is sqrt(dx*dx + dy*dy) in both languages;
  *     IEEE-754 rounds sqrt, * and + correctly, so it is the same double.
  * Build with -ffp-contract=off and without -ffast-math: a fused multiply-add
@@ -30,36 +30,28 @@
 static const double PI = 3.141592653589793;
 static const double TWO_PI = 6.283185307179586;
 
-static double py_mod(double v, double w)
-{
-    double mod = fmod(v, w);
-    if (mod) {
-        if ((w < 0) != (mod < 0))
-            mod += w;
-    } else {
-        mod = copysign(0.0, w);
-    }
-    return mod;
-}
-
-/* v % TWO_PI as CPython computes it. For |v| < 4w (w = TWO_PI) the remainder
- * with v's sign is found by subtracting 2w when |v| >= 2w, then w when what
- * is left is still >= w in magnitude. Each subtraction is exact (Sterbenz:
- * its operands are within a factor of two), so the result is fmod's up to
- * the sign of a zero, which the sign fix overrides as py_mod's does.
+/* v % TWO_PI as CPython computes it (float_rem): the remainder with v's
+ * sign, then a sign fix. From 4w (w = TWO_PI) up in magnitude, and for NaN
+ * and +-inf, fmod gives the remainder. Below that, subtracting 2w when
+ * |v| >= 2w, then w when what is left is still >= w in magnitude, gives
+ * fmod's value: each subtraction is exact (Sterbenz: its operands are
+ * within a factor of two). A negative remainder then takes w, and a zero
+ * one the sign of w.
  */
 static double mod_two_pi(double v)
 {
     if (!(fabs(v) < 4 * TWO_PI))  /* also NaN and +-inf */
-        return py_mod(v, TWO_PI);
-    if (v >= 2 * TWO_PI)
-        v -= 2 * TWO_PI;
-    else if (v <= -2 * TWO_PI)
-        v += 2 * TWO_PI;
-    if (v >= TWO_PI)
-        v -= TWO_PI;
-    else if (v <= -TWO_PI)
-        v += TWO_PI;
+        v = fmod(v, TWO_PI);
+    else {
+        if (v >= 2 * TWO_PI)
+            v -= 2 * TWO_PI;
+        else if (v <= -2 * TWO_PI)
+            v += 2 * TWO_PI;
+        if (v >= TWO_PI)
+            v -= TWO_PI;
+        else if (v <= -TWO_PI)
+            v += TWO_PI;
+    }
     if (v < 0)
         v += TWO_PI;
     else if (v == 0)
@@ -172,16 +164,17 @@ void chaos_gather_in_place(const int32_t *src, int32_t *index, long long n)
 }
 
 /* One slot of the key schedule, for i < n: with p = s0[c[i]],
- * r[i] = p + offset, k[i] = x[p] ^ y[c[i]] and seen[r[i]] = 1. Checks
- * nothing: every c[i] and p is below n, and every r[i] below the length of
- * seen. */
+ * r[i] = layout[p], k[i] = x[p] ^ y[c[i]] and seen[p] = 1, where layout
+ * and seen are the other slot's part of L and of the bijection check.
+ * Checks nothing: every c[i] and p is below n.
+ */
 void chaos_slot(const int32_t *c, const int32_t *s0, const uint8_t *x, const uint8_t *y,
-                long long offset, int32_t *r, uint8_t *k, uint8_t *seen, long long n)
+                const int32_t *layout, int32_t *r, uint8_t *k, uint8_t *seen, long long n)
 {
     for (long long i = 0; i < n; i++) {
         int32_t ci = c[i], p = s0[ci];
-        r[i] = (int32_t)(p + offset);
+        r[i] = layout[p];
         k[i] = x[p] ^ y[ci];
-        seen[p + offset] = 1;
+        seen[p] = 1;
     }
 }

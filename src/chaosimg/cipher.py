@@ -10,17 +10,16 @@ one XOR:
 
     c = raster[R] ^ K,    R = L[P],    K = X1[P] ^ Y
 
-`build_key_schedule` writes P and K slot by slot from the two maps' keys
-and then gathers R = L[P] over P's own array; X1 and Y are never made.
 Decryption is the scatter mirror, `raster[R] = c ^ K`, and restores the
 plain image byte-for-byte. Both run in the kernel's byte loops when it is
-built (`_gather_xor`, `_scatter_xor`). One loop on the caller iterates
-Map 2 and folds each map's segments into its keys, Map 2's segment and
-then Map 1's, segment 1 with its y values; each fold's argsort consumes
-its segment's buffer, which then carries the other map's next segment.
-Each slot's part of (P, K) is then written by one rule, through the other
-map's keys (`_slot`). No index pass makes an intp copy of its index. The
-slot length only chooses who iterates Map 1's orbit, the slower of the
+built (`_gather_xor`, `_scatter_xor`). In `build_key_schedule` one loop on
+the caller iterates Map 2 and folds each map's segments into its keys,
+Map 2's segment and then Map 1's, segment 1 with its y values; each fold's
+argsort consumes its segment's buffer, which then carries the other map's
+next segment. Each slot's part of (R, K) is then written by one rule,
+through the other map's keys and the other slot's part of L (`_slot`), so
+P, X1 and Y are never made. No index pass makes an intp copy of its index.
+The slot length only chooses who iterates Map 1's orbit, the slower of the
 two: a worker thread from `_SERIAL_BELOW` values per slot on, and the
 caller below it, where no thread is started.
 
@@ -214,10 +213,10 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
     `((v ^ X1)[P0] ^ X2)[P1][P2][P3]` (half swap in P0) of the flattened
     vector `v = raster[L]` (`_layout`) is one gather and one mask. Slot 0
     has Map 1's keys (y, x, s0, C) and slot 1 Map 2's, and each slot reads
-    the other through the other map's s0' composed with its own C:
-    p = s0'[C], P = p + the other slot's start and K = x'[p] ^ y[C]
-    (`_slot`). P is checked, once, as a bijection, and R = L[P] is gathered
-    over P's own array after the keys are dropped.
+    the other through the other map's s0' composed with its own C: with
+    p = s0'[C], R = L'[p] and K = x'[p] ^ y[C], where L' is the other
+    slot's part of L (`_slot`). L is built after the orbits are dropped,
+    and the p of both slots are checked, once, as a bijection.
 
     One loop makes both maps' keys, and two orbit buffers, ping-pong, carry
     the orbits: the caller iterates Map 2's segment k into the buffer it
@@ -230,8 +229,9 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
     thread does, and nothing else: it starts on a second buffer and hands
     each one over full on `full`, so with the kernel every array is
     allocated on the caller and none in the worker's malloc arena; the
-    worker is joined before this returns or raises. Either way the bytes
-    are the same, and if both maps fail, Map 1's error is raised.
+    worker is joined before this returns or raises, and is a daemon, so a
+    stuck one cannot keep the interpreter alive. Either way the bytes are
+    the same, and if both maps fail, Map 1's error is raised.
     """
     n = (dims.pixel_count + 1) // 2
     if 2 * n >= 2**31:  # R is int32; refused before anything is allocated
@@ -259,7 +259,7 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
             yield xs
 
     if threaded:
-        worker = threading.Thread(target=iterate_map1)
+        worker = threading.Thread(target=iterate_map1, daemon=True)
         worker.start()
     map1_xs = map1_segments() if threaded else orbit1
     try:
@@ -278,22 +278,21 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
         if threaded:
             free.put(None)  # a worker still waiting for a buffer ends
             worker.join()
-    del xs, mine, free, orbit1, map1_xs  # the orbits and their buffers go before the pair
+    del xs, mine, free, orbit1, map1_xs  # the orbits and their buffers go before L and the pair
+    layout = _layout(dims, 2 * n)
     R, K, seen = np.empty(2 * n, np.int32), np.empty(2 * n, np.uint8), np.zeros(2 * n, np.uint8)
-    for at, (y, _, _, c), (_, x, s0, _) in ((0, keys1, keys2), (n, keys2, keys1)):
-        _slot(c, s0, x, y, n - at, R[at:at + n], K[at:at + n], seen)
-    del keys1, keys2, c, s0, x, y, _
+    for own, other, (y, _, _, c), (_, x, s0, _) in ((slice(n), slice(n, None), keys1, keys2),
+                                                    (slice(n, None), slice(n), keys2, keys1)):
+        _slot(c, s0, x, y, layout[other], R[own], K[own], seen[other])
     if not seen.all():
         raise PermutationError("permutation is not a bijection")
-    del seen
-    _compose(_layout(dims, 2 * n), R)
     R.flags.writeable = K.flags.writeable = False
     return R, K
 
 
 def _compose(src: np.ndarray, index: np.ndarray) -> None:
-    """index[:] = src[index], over int32 arrays that do not overlap, with no
-    intp copy of the index: in the kernel, or BLOCK values at a time."""
+    """index[:] = src[index] for `_fold`, over int32 arrays that do not
+    overlap, with no intp copy: in the kernel, or BLOCK values at a time."""
     lib = kernel.library()
     if lib is not None:
         lib.chaos_gather_in_place(kernel.address(src), kernel.address(index), index.size)
@@ -303,24 +302,23 @@ def _compose(src: np.ndarray, index: np.ndarray) -> None:
         block[...] = src[block]
 
 
-def _slot(c: np.ndarray, s0: np.ndarray, x: np.ndarray, y: np.ndarray, offset: int,
+def _slot(c: np.ndarray, s0: np.ndarray, x: np.ndarray, y: np.ndarray, layout: np.ndarray,
           r: np.ndarray, k: np.ndarray, seen: np.ndarray) -> None:
-    """One slot of the key schedule: with p = s0[c], r[:] = p + offset and
-    k[:] = x[p] ^ y[c], and seen[r] = 1. The keys are those `_fold` made,
-    c and s0 permutations of one length; r is int32 and k and seen uint8.
-    In the kernel, or BLOCK values at a time."""
+    """One slot of the key schedule, over the keys `_fold` made: with
+    p = s0[c], r[:] = layout[p], k[:] = x[p] ^ y[c] and seen[p] = 1, where
+    layout (int32, as r) and seen are the other slot's part of L and of the
+    bijection check. In the kernel, or BLOCK values at a time."""
     lib = kernel.library()
     if lib is not None:
         address = kernel.address
-        lib.chaos_slot(address(c), address(s0), address(x), address(y), offset,
+        lib.chaos_slot(address(c), address(s0), address(x), address(y), address(layout),
                        address(r), address(k), address(seen), c.size)
         return
     for start in range(0, c.size, BLOCK):
         block = c[start:start + BLOCK]
         p = s0[block]
         k[start:start + BLOCK] = x[p] ^ y[block]
-        p += offset
-        r[start:start + BLOCK] = p
+        r[start:start + BLOCK] = layout[p]
         seen[p] = 1
 
 

@@ -128,9 +128,11 @@ def _cmd_metrics(args) -> None:
 
 
 def _map_params(args) -> MapParams:
-    params = default_map1() if args.map == 1 else default_map2()
-    given = {k: getattr(args, k) for k in (*_MAP_FLOATS, "transient")}
-    return replace(params, **{k: v for k, v in given.items() if v is not None})
+    """The chosen map's parameters with the flags given; Map 1 has no a or b."""
+    given = {k: v for k in (*_MAP_FLOATS, "transient") if (v := vars(args).get(k)) is not None}
+    if args.map == 1 and (ignored := [f"--{k}" for k in ("a", "b") if k in given]):
+        raise ValueError(f"Map 1 has no {' or '.join(ignored)}")
+    return replace(default_map1() if args.map == 1 else default_map2(), **given)
 
 
 def _cmd_analyze(args) -> None:
@@ -151,10 +153,10 @@ def _cmd_analyze(args) -> None:
         analysis.write_histogram_csv(args.out, hist)
 
 
-def _add_map_flags(parser: argparse.ArgumentParser) -> None:
+def _add_map_flags(parser: argparse.ArgumentParser, floats=_MAP_FLOATS) -> None:
     """Map selection; an omitted parameter keeps the map's default."""
     parser.add_argument("--map", type=int, choices=(1, 2), default=1)
-    for name in _MAP_FLOATS:
+    for name in floats:
         parser.add_argument(f"--{name}", type=float)
     parser.add_argument("--transient", type=int)
 
@@ -188,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     asub = p.add_subparsers(dest="analysis", required=True)
 
     pb = asub.add_parser("bifurcate")
-    _add_map_flags(pb)
+    _add_map_flags(pb, _MAP_FLOATS[1:])  # no --r: the sweep takes r from its grid
     pb.add_argument("--r-min", type=float, required=True)
     pb.add_argument("--r-max", type=float, required=True)
     pb.add_argument("--r-step", type=float, required=True)

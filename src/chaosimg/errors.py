@@ -29,7 +29,7 @@ class TrajectoryCollapseError(ChaosImgError, ValueError):
 
 
 class PermutationError(ChaosImgError):
-    """Permutation vector is not a bijection or length-mismatched."""
+    """Permutation vector is not a bijection."""
 
 
 class DimensionError(ChaosImgError):

@@ -55,9 +55,8 @@ _SIGNATURES = {
     "chaos_scatter_xor": _BYTE_LOOP,
     # src, index, n
     "chaos_gather_in_place": (None, [ctypes.c_void_p] * 2 + [ctypes.c_longlong]),
-    # c, s0, x, y, offset, r, k, seen, n
-    "chaos_slot": (None, [ctypes.c_void_p] * 4 + [ctypes.c_longlong]
-                   + [ctypes.c_void_p] * 3 + [ctypes.c_longlong]),
+    # c, s0, x, y, layout, r, k, seen, n
+    "chaos_slot": (None, [ctypes.c_void_p] * 8 + [ctypes.c_longlong]),
 }
 
 

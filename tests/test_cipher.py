@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import sys
 import threading
+import time
 import tracemalloc
 from collections import namedtuple
 from dataclasses import replace
@@ -246,6 +247,31 @@ class TestSplitHalves:
             PlainImage.from_array(np.zeros((0, 0), dtype=np.uint8))
 
 
+def run_bounded(build, *args):
+    """`build(*args)` on a daemon helper thread that must end within 10 s:
+    what it returns, or what it raises (a KeyboardInterrupt too) raised
+    here. A lost buffer handoff then fails the test instead of hanging it,
+    and the stuck worker, a daemon, does not keep the interpreter alive. No
+    thread is left behind."""
+    before, outcomes = threading.active_count(), []
+
+    def run():
+        try:
+            outcomes.append((build(*args), None))
+        except BaseException as exc:
+            outcomes.append((None, exc))
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(timeout=10)
+    assert not helper.is_alive(), "the build still runs after 10 s"
+    assert threading.active_count() == before
+    [(result, error)] = outcomes
+    if error is not None:
+        raise error
+    return result
+
+
 class TestKeySchedule:
     def test_structure(self):
         R, K = build_key_schedule(default_keys(), ImageDims(1, 4, 4))
@@ -275,11 +301,11 @@ class TestKeySchedule:
         other = PlainImage.from_array(np.zeros((3, 3), dtype=np.uint8))
         for serial_below in (sys.maxsize, 0):
             monkeypatch.setattr(cipher, "_SERIAL_BELOW", serial_below)
-            encrypt(other, default_keys())
+            run_bounded(encrypt, other, default_keys())
             assert cipher._held[0] is not None
             monkeypatch.setattr(cipher, "permutation_from_sequence", duplicated)
             with pytest.raises(PermutationError):
-                encrypt(img, default_keys())
+                run_bounded(encrypt, img, default_keys())
             assert cipher._held == (None, None)
             monkeypatch.setattr(cipher, "permutation_from_sequence", permutation_from_sequence)
 
@@ -304,7 +330,7 @@ class TestKeySchedule:
             n = blocks * maps.BLOCK
             tracemalloc.start()
             try:
-                build_key_schedule(default_keys(), ImageDims(1, 512, 2 * n // 512))
+                run_bounded(build_key_schedule, default_keys(), ImageDims(1, 512, 2 * n // 512))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -331,7 +357,7 @@ class TestKeySchedule:
             0, 256, (1, 512, 2 * n // 512), dtype=np.uint8))
         tracemalloc.start()
         try:
-            encrypt(img, default_keys())
+            run_bounded(encrypt, img, default_keys())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -371,33 +397,12 @@ class TestTwoMaps:
         return request.param
 
     @staticmethod
-    def outcome(keys, dims):
-        """The pair a build returns, or the error it raises, run on a helper
-        thread that must end within 10 s, so that a lost buffer handoff
-        fails instead of hanging; no thread is left behind."""
-        before, outcomes = threading.active_count(), []
-
-        def run():
-            try:
-                outcomes.append(build_key_schedule(keys, dims))
-            except Exception as exc:
-                outcomes.append(exc)
-
-        helper = threading.Thread(target=run, daemon=True)
-        helper.start()
-        helper.join(timeout=10)
-        assert not helper.is_alive(), "the build still runs after 10 s"
-        assert threading.active_count() == before
-        [outcome] = outcomes
-        return outcome
-
-    def divergence(self, map1, map2):
+    def divergence(map1, map2):
         """The raised divergence index, or None."""
-        outcome = self.outcome(KeyMaterial(map1, map2), ImageDims(1, 8, 16))
-        if isinstance(outcome, DivergenceError):
-            return outcome.iteration
-        if isinstance(outcome, Exception):
-            raise outcome
+        try:
+            run_bounded(build_key_schedule, KeyMaterial(map1, map2), ImageDims(1, 8, 16))
+        except DivergenceError as exc:
+            return exc.iteration
         return None
 
     def test_success(self, path):
@@ -412,9 +417,9 @@ class TestTwoMaps:
 
     @staticmethod
     def threads(monkeypatch):
-        """The threads that iterate each map and make the argsorts of a
-        64-byte schedule, in call order."""
-        calls = []  # (map id or "argsort", thread)
+        """The thread that runs the build of a 64-byte schedule, and the
+        threads that iterate each map and make the argsorts, in call order."""
+        calls, builder = [], []  # calls: (map id or "argsort", thread)
 
         def record(name, function):
             def recorded(*args, **kwargs):
@@ -426,19 +431,24 @@ class TestTwoMaps:
         monkeypatch.setattr(cipher, "fill", record("fill", fill))
         monkeypatch.setattr(cipher, "permutation_from_sequence",
                             record("argsort", permutation_from_sequence))
-        build_key_schedule(default_keys(), ImageDims(1, 8, 16))
+
+        def build():
+            builder.append(threading.current_thread())
+            return build_key_schedule(default_keys(), ImageDims(1, 8, 16))
+
+        run_bounded(build)
         threads = {}
         for what, thread in calls:
             threads.setdefault(what, []).append(thread)
-        return threads
+        return builder[0], threads
 
     @pytest.mark.parametrize("path", ["compiled", "python_only"], indirect=True)
     def test_map1_on_a_worker(self, path, monkeypatch):
-        threads, main = self.threads(monkeypatch), threading.main_thread()
+        builder, threads = self.threads(monkeypatch)
         assert len(threads[MapId.MAP1]) == 4
-        assert len(set(threads[MapId.MAP1])) == 1 and threads[MapId.MAP1][0] is not main
-        assert threads[MapId.MAP2] == [main] * 4
-        assert threads["argsort"] == [main] * 8
+        assert len(set(threads[MapId.MAP1])) == 1 and threads[MapId.MAP1][0] is not builder
+        assert threads[MapId.MAP2] == [builder] * 4
+        assert threads["argsort"] == [builder] * 8
 
     @pytest.mark.parametrize("path", ["compiled", "python_only"], indirect=True)
     def test_worker_runs_ahead(self, path, monkeypatch):
@@ -446,9 +456,10 @@ class TestTwoMaps:
         # so the worker is always a segment ahead and waits for the buffer
         # that the caller's Map 2 fold hands on; a caller that took Map 2's
         # buffer from the worker's `free` queue would wait for ever, and
-        # `outcome` fails the test instead
+        # `run_bounded` fails the test instead
         keys, dims = default_keys(), ImageDims(1, 64, 128)
-        expected, map1_done, ends = self.outcome(keys, dims), threading.Semaphore(0), []
+        expected = run_bounded(build_key_schedule, keys, dims)
+        map1_done, ends = threading.Semaphore(0), []
 
         def slowed_fill(params, *args, **kwargs):
             if params.map_id is MapId.MAP2 and not map1_done.acquire(timeout=5):
@@ -460,15 +471,15 @@ class TestTwoMaps:
             return state
 
         monkeypatch.setattr(cipher, "fill", slowed_fill)
-        R, K = self.outcome(keys, dims)
+        R, K = run_bounded(build_key_schedule, keys, dims)
         assert ends == [MapId.MAP1, MapId.MAP2] * 4
         assert np.array_equal(R, expected[0]) and np.array_equal(K, expected[1])
 
     @pytest.mark.parametrize("path", ["serial-compiled", "serial-python_only"], indirect=True)
     def test_all_on_the_caller(self, path, monkeypatch):
-        main = threading.main_thread()
-        assert self.threads(monkeypatch) == {
-            MapId.MAP1: [main] * 4, MapId.MAP2: [main] * 4, "argsort": [main] * 8
+        builder, threads = self.threads(monkeypatch)
+        assert threads == {
+            MapId.MAP1: [builder] * 4, MapId.MAP2: [builder] * 4, "argsort": [builder] * 8
         }
 
     def test_concurrent_schedules(self, path):
@@ -476,7 +487,7 @@ class TestTwoMaps:
         # that went back to the worker before its keys were made would
         # change some schedule
         keys, dims, results = default_keys(), ImageDims(1, 40, 50), []
-        expected = build_key_schedule(keys, dims)
+        expected = run_bounded(build_key_schedule, keys, dims)
 
         def run():
             for _ in range(5):
@@ -488,8 +499,9 @@ class TestTwoMaps:
         try:
             for helper in helpers:
                 helper.start()
+            deadline = time.monotonic() + 60  # for all helpers, not each
             for helper in helpers:
-                helper.join(timeout=60)
+                helper.join(timeout=deadline - time.monotonic())
         finally:
             sys.setswitchinterval(interval)
         assert not any(helper.is_alive() for helper in helpers)
@@ -498,11 +510,12 @@ class TestTwoMaps:
             assert np.array_equal(R, expected[0])
             assert np.array_equal(K, expected[1])
 
-    def failure(self, keys):
-        """The error a 4096-byte schedule raises (`outcome`)."""
-        error = self.outcome(keys, ImageDims(1, 64, 128))
-        assert isinstance(error, Exception)
-        return error
+    @staticmethod
+    def failure(keys):
+        """The error a 4096-byte schedule raises."""
+        with pytest.raises(Exception) as info:
+            run_bounded(build_key_schedule, keys, ImageDims(1, 64, 128))
+        return info.value
 
     @pytest.mark.parametrize("map2, index", [(DIVERGING_MAP2, 0), (LATE_DIVERGING_MAP2, 6496)])
     def test_map2_diverges_while_map1_runs(self, path, map2, index):
@@ -510,14 +523,14 @@ class TestTwoMaps:
         assert isinstance(error, DivergenceError) and error.iteration == index
 
     @staticmethod
-    def fail_argsort(monkeypatch, failing_call):
+    def fail_argsort(monkeypatch, failing_call, error=MemoryError):
         """Make the build's argsort call `failing_call` (from 1) raise
-        MemoryError: odd calls fold Map 2's segments, even ones Map 1's."""
+        `error`: odd calls fold Map 2's segments, even ones Map 1's."""
         count = itertools.count(1)
 
         def argsort(values):
             if next(count) == failing_call:
-                raise MemoryError(f"argsort call {failing_call}")
+                raise error(f"argsort call {failing_call}")
             return permutation_from_sequence(values)
 
         monkeypatch.setattr(cipher, "permutation_from_sequence", argsort)
@@ -527,6 +540,15 @@ class TestTwoMaps:
         self.fail_argsort(monkeypatch, failing_call)
         error = self.failure(default_keys())
         assert isinstance(error, MemoryError) and str(error) == f"argsort call {failing_call}"
+
+    @pytest.mark.parametrize("path", ["compiled", "python_only"], indirect=True)
+    @pytest.mark.parametrize("failing_call", range(1, 9))
+    def test_interrupt_ends_the_worker(self, path, monkeypatch, failing_call):
+        # a BaseException passes the drain (`except Exception`) by; the
+        # None put on `free` ends a worker that waits for a buffer
+        self.fail_argsort(monkeypatch, failing_call, KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt, match=f"^argsort call {failing_call}$"):
+            run_bounded(build_key_schedule, default_keys(), ImageDims(1, 64, 128))
 
     @pytest.mark.parametrize("failing_call", [1, 2, 3])
     def test_map1_error_wins_over_an_earlier_caller_failure(self, path, monkeypatch,
@@ -545,26 +567,26 @@ class TestSerialSchedule:
     @pytest.mark.parametrize("n", [1, 63, 1000, cipher._SERIAL_BELOW - 1, cipher._SERIAL_BELOW])
     def test_same_schedule_as_the_worker(self, monkeypatch, n):
         keys = KeyMaterial(perturbed(default_map1(), "r"), default_map2())
-        before = threading.active_count()
         dims = ImageDims(1, 1, 2 * n)
-        serial = build_key_schedule(keys, dims)
-        assert threading.active_count() == before
+        serial = run_bounded(build_key_schedule, keys, dims)
         monkeypatch.setattr(cipher, "_SERIAL_BELOW", 0)
-        threaded = build_key_schedule(keys, dims)
+        threaded = run_bounded(build_key_schedule, keys, dims)
         for s, t in zip(serial, threaded, strict=True):
             assert np.array_equal(s, t)
 
     def test_no_thread_below_the_bound(self, monkeypatch):
-        started, start = [], threading.Thread.start
+        started, start, caller = [], threading.Thread.start, threading.current_thread()
 
-        def record(thread):
-            started.append(thread)
+        def record(thread):  # the build's starts, not that of `run_bounded`'s helper
+            if threading.current_thread() is not caller:
+                started.append(thread)
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", record)
-        build_key_schedule(default_keys(), ImageDims(1, 1, 2 * cipher._SERIAL_BELOW - 2))
+        run_bounded(build_key_schedule, default_keys(),
+                    ImageDims(1, 1, 2 * cipher._SERIAL_BELOW - 2))
         assert started == []
-        build_key_schedule(default_keys(), ImageDims(1, 1, 2 * cipher._SERIAL_BELOW))
+        run_bounded(build_key_schedule, default_keys(), ImageDims(1, 1, 2 * cipher._SERIAL_BELOW))
         assert len(started) == 1
 
 
@@ -688,8 +710,9 @@ class TestScheduleMemo:
         try:
             for helper in helpers:
                 helper.start()
+            deadline = time.monotonic() + 60  # for all helpers, not each
             for helper in helpers:
-                helper.join(timeout=60)
+                helper.join(timeout=deadline - time.monotonic())
         finally:
             sys.setswitchinterval(interval)
         assert not any(helper.is_alive() for helper in helpers)

@@ -160,6 +160,27 @@ class TestEncryptDecryptCommands:
         main(["encrypt", "--key", str(keyfile), "--in", str(golden_pgm), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    @pytest.mark.parametrize("map1_r, index", [("17.0", 0), ("1e307", 253)])
+    def test_diverging_key_exit_1(self, tmp_path, keyfile, capsys, command, map1_r, index):
+        # an untrusted key file whose orbits diverge: Map 2's a*r overflows
+        # at iteration 0, and Map 1 at r = 1e307 diverges at 253, whose
+        # error wins, as in the split-half reference; no --out is written
+        plain, envelope, out = tmp_path / "p.pgm", tmp_path / "c.cse", tmp_path / "out"
+        plain.write_bytes(write_image(PlainImage.from_array(
+            np.random.default_rng(7).integers(0, 256, (40, 50), dtype=np.uint8))))
+        assert main(["encrypt", "--key", str(keyfile), "--in", str(plain),
+                     "--out", str(envelope)]) == 0
+        key = tmp_path / "diverging.txt"
+        key.write_text(DEFAULT_KEY_TEXT.replace("map1.r=17.0", f"map1.r={map1_r}")
+                       .replace("map2.r=2.35", "map2.r=1e308").replace("map2.a=0.5", "map2.a=10"))
+        source = plain if command == "encrypt" else envelope
+        capsys.readouterr()
+        assert main([command, "--key", str(key), "--in", str(source), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"chaosimg: error: non-finite value at iteration {index}\n")
+        assert not out.exists()
+
     def test_decrypt_golden(self, tmp_path, keyfile, golden_pgm):
         env = tmp_path / "c.cse"
         env.write_bytes(GOLDEN_ENVELOPE)
@@ -362,6 +383,30 @@ class TestAnalyzeCommand:
                      "--r-max", "1e308", "--r-step", "1", "--samples", "1",
                      "--out", str(out)])
         assert code == 2
+
+    def test_bifurcate_refuses_r(self, tmp_path, capsys):
+        # the sweep takes r from its grid, so bifurcate has no --r flag
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as info:
+            main(["analyze", "bifurcate", "--map", "1", "--r", "99", "--r-min", "17",
+                  "--r-max", "17", "--r-step", "1", "--out", str(out)])
+        assert info.value.code == 2
+        assert "--r could match" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("analysis, flags", [
+        ("lyapunov", ["--a", "7", "--b", "9"]),
+        ("phase", ["--b", "9"]),
+        ("bifurcate", ["--a", "7", "--r-min", "17", "--r-max", "17", "--r-step", "1"]),
+    ])
+    def test_map1_refuses_a_and_b_exit_2(self, tmp_path, capsys, analysis, flags):
+        # Map 1 has no a or b: a flag it would ignore is refused
+        out = tmp_path / "x.csv"
+        assert main(["analyze", analysis, "--map", "1", *flags, "--out", str(out)]) == 2
+        named = " or ".join(flag for flag in flags if flag in ("--a", "--b"))
+        assert capsys.readouterr().err == f"chaosimg: error: Map 1 has no {named}\n"
+        assert not out.exists()
+        assert main(["analyze", analysis, "--map", "2", *flags, "--out", str(out)]) == 0
 
     def test_lyapunov_positive_at_r17(self, tmp_path):
         out = tmp_path / "l.csv"
