@@ -5,8 +5,10 @@ uniformity, adjacent-pixel correlation), plus their CSV serializers.
 Every map iteration runs in the compiled kernel when it is loaded: the
 sweeps, the phase points and the Lyapunov transient through `maps.fill`,
 the Lyapunov steps through `chaos_lyapunov`. Without it, both fall back
-to Python loops over `maps.step_function` that give the same bits. Each
-CSV is formatted in one pass and written at once.
+to Python loops over `maps.step_function` that give the same bits. The
+kernel's `chaos_format_rows` also formats the bifurcation and phase CSVs,
+BLOCK rows at a time, in the bytes of `_write_csv`, which formats the
+rows it refuses and every CSV without the kernel, in one pass.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from . import kernel
 from .cipher import PlainImage
 from .errors import DimensionError, DivergenceError, TrajectoryCollapseError
-from .maps import MapParams, StepFn, fill, step_function
+from .maps import BLOCK, MapParams, StepFn, fill, step_function
 from .outfile import open_over
 
 PEAK = 255.0
@@ -36,6 +38,10 @@ MAX_ITERATES = 10 * MAX_VALUES
 
 # the Lyapunov estimate's distance between the reference and its companion
 D0 = 1e-8
+
+# most bytes of one CSV row that `chaos_format_rows` writes: two fields of
+# at most 18 bytes, such as -1.23456789012e-16, a comma and CRLF
+ROW_BYTES = 39
 
 
 def mse(img_a: PlainImage, img_b: PlainImage) -> float:
@@ -214,23 +220,49 @@ def phase_points(params: MapParams, count: int) -> np.ndarray:
     return np.column_stack([xs, ys])
 
 
+def _lines(rows: Iterable[Iterable], spec: str = ".12g") -> str:
+    return "".join([f"{a:{spec}},{b:{spec}}\r\n" for a, b in rows])
+
+
 def _write_csv(path, header: str, rows: Iterable[Iterable], spec: str = ".12g") -> None:
     """The header line and one line of two fields per row, formatted with
     `spec` and written at once. The bytes are csv.writer's in the excel
     dialect: CRLF line ends, and no field needs quoting."""
-    text = "".join([f"{a:{spec}},{b:{spec}}\r\n" for a, b in rows])
+    text = _lines(rows, spec)
     with open_over(path, "w", newline="") as fh:
         fh.write(f"{header}\r\n")
         fh.write(text)
 
 
+def _write_columns(path, header: str, a: np.ndarray, b: np.ndarray) -> None:
+    """`_write_csv(path, header, zip(a.tolist(), b.tolist()))`, the same
+    bytes, for two float columns of one length: the kernel's
+    `chaos_format_rows` formats and writes BLOCK rows at a time, and a block
+    in which it refuses a value is formatted by `_write_csv`'s expression
+    instead."""
+    lib = kernel.library()
+    if lib is None:
+        _write_csv(path, header, zip(a.tolist(), b.tolist()))
+        return
+    n = len(a)
+    pairs = np.empty((min(n, BLOCK), 2))
+    text = bytearray(ROW_BYTES * len(pairs))
+    with open_over(path, "wb") as fh:
+        fh.write(f"{header}\r\n".encode())
+        for start in range(0, n, BLOCK):
+            stop = min(start + BLOCK, n)
+            block = pairs[:stop - start]
+            block[:, 0], block[:, 1] = a[start:stop], b[start:stop]
+            size = lib.chaos_format_rows(kernel.address(block), len(block), kernel.address(text))
+            fh.write(memoryview(text)[:size] if size >= 0 else _lines(block.tolist()).encode())
+
+
 def write_bifurcation_csv(path, sweep: Sweep) -> None:
-    r, x = sweep
-    _write_csv(path, "r,x", zip(r.tolist(), x.tolist()))
+    _write_columns(path, "r,x", *sweep)
 
 
 def write_phase_csv(path, points: np.ndarray) -> None:
-    _write_csv(path, "x,y", zip(points[:, 0].tolist(), points[:, 1].tolist()))
+    _write_columns(path, "x,y", points[:, 0], points[:, 1])
 
 
 def write_lyapunov_csv(path, rows: list[tuple[float, float]]) -> None:

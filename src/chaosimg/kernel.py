@@ -6,17 +6,18 @@ the SHA-256 of the source, the flags and the platform, so a changed
 source builds a new one; a build writes a temporary file and renames it
 into place, so concurrent first runs are safe.
 
-`library()` serves six loops: `chaos_fill`, through which `maps.fill`
+`library()` serves seven loops: `chaos_fill`, through which `maps.fill`
 iterates a map for the key schedule, the bifurcation sweep, the phase
 points and the Lyapunov transient; `chaos_lyapunov`, which
 `analysis.lyapunov_exponent` runs for the Lyapunov steps;
 `chaos_gather_xor` and `chaos_scatter_xor`, the one pass over the image
-of `cipher.encrypt` and `cipher.decrypt`; and `chaos_gather_in_place` and
-`chaos_slot`, the index passes of `cipher.build_key_schedule`. Without a
-compiler, or when the build or the cache directory fails, `library()`
-returns None and the callers run Python loops over `maps.step_function`,
-and numpy's gathers and scatter, instead. Both paths give the same bytes
-(see `FLAGS`).
+of `cipher.encrypt` and `cipher.decrypt`; `chaos_gather_in_place` and
+`chaos_slot`, the index passes of `cipher.build_key_schedule`; and
+`chaos_format_rows`, which formats the bifurcation and phase CSVs.
+Without a compiler, or when the build or the cache directory fails,
+`library()` returns None and the callers run Python loops over
+`maps.step_function`, numpy's gathers and scatter, and Python's float
+formatting instead. Both paths give the same bytes (see `FLAGS`).
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ _SIGNATURES = {
     "chaos_gather_in_place": (None, [ctypes.c_void_p] * 2 + [ctypes.c_longlong]),
     # c, s0, x, y, layout, r, k, seen, n
     "chaos_slot": (None, [ctypes.c_void_p] * 8 + [ctypes.c_longlong]),
+    # pairs, n, out
+    "chaos_format_rows": (ctypes.c_longlong, [ctypes.c_void_p, ctypes.c_longlong,
+                                              ctypes.c_void_p]),
 }
 
 

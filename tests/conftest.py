@@ -52,7 +52,7 @@ def compiled():
 def python_only(monkeypatch, tmp_path):
     """No compiler and an empty cache, so the one cached loader,
     `kernel.library`, finds no kernel: `fill` and `lyapunov_exponent` run
-    their Python loops."""
+    their Python loops, and the CSV writers format in Python."""
     monkeypatch.setattr(kernel, "_compiler", lambda: None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     kernel.library.cache_clear()

@@ -1,12 +1,16 @@
 import csv
+import hashlib
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaosimg import analysis
+from chaosimg import analysis, kernel
 from chaosimg.analysis import (
     adjacent_correlation,
     bifurcation_sweep,
@@ -24,7 +28,7 @@ from chaosimg.analysis import (
 )
 from chaosimg.cipher import PlainImage, decrypt, default_keys, encrypt
 from chaosimg.errors import DimensionError, DivergenceError
-from chaosimg.maps import default_map1, default_map2, fill, step_function
+from chaosimg.maps import BLOCK, default_map1, default_map2, fill, step_function
 from conftest import CHI2_CRIT_DF255_P05, structured_image
 
 
@@ -338,6 +342,131 @@ class TestQualityReportAndCsv:
                     writer.writerows([f"{a:.12g}", f"{b:.12g}"] for a, b in rows)
             write(tmp_path / "got.csv", data)
             assert (tmp_path / "got.csv").read_bytes() == expected.read_bytes(), write.__name__
+
+
+# SHA-256 of analysis CSVs, pinned from the Python formatter before the
+# kernel formatted any: 3000-row phase runs of the default maps, and a Map 1
+# sweep over r = 17 and the divergent r = 1e307, whose 80,000 rows (40,000
+# of them NaN) span two BLOCKs
+GOLDEN_CSV_DIGESTS = {
+    "phase/map1": "bbc6f6b209edea32c922abd39cec1913864b8ba08bfb7e0af9e8ab5b55d4750c",
+    "phase/map2": "9c4d7a8c02be504f2e599ed62b20d48bd38da39c98701612540675d3e6198ab4",
+    "bifurcate/map1": "2db712366197748a6d5faf557bcc6efb59bb92d901eee45381a969c372f88144",
+}
+
+
+def write_golden_csv(name, path):
+    kind, map_name = name.split("/")
+    params = default_map1() if map_name == "map1" else default_map2()
+    if kind == "phase":
+        write_phase_csv(path, phase_points(params, 3000))
+    else:
+        write_bifurcation_csv(path, bifurcation_sweep(replace(params, transient=0), 17.0, 1e307,
+                                                      1e307 - 17.0, samples=40_000))
+
+
+def kernel_lines(rows) -> bytes | None:
+    """`chaos_format_rows` on rows of two floats: the CSV lines, or None
+    where it refuses a value."""
+    pairs = np.array(rows, dtype=np.float64).reshape(-1, 2)
+    out = bytearray(analysis.ROW_BYTES * len(pairs))
+    size = kernel.library().chaos_format_rows(kernel.address(pairs), len(pairs),
+                                              kernel.address(out))
+    return None if size < 0 else bytes(out[:size])
+
+
+def refused(v: float) -> bool:
+    """Whether the kernel leaves v to Python: finite and nonzero with |v|
+    below 2**-53 or above 1e12 + 0.5."""
+    return math.isfinite(v) and v != 0 and not 2.0**-53 <= abs(v) <= 1e12 + 0.5
+
+
+def assert_kernel_matches_oracle(values):
+    """Each value, in a row with its negation, formatted by the kernel as by
+    `_write_csv`'s expression, or refused where `refused` says so."""
+    for v in values:
+        got = kernel_lines([v, -v])
+        assert got == (None if refused(v) else analysis._lines([(v, -v)]).encode()), repr(v)
+
+
+def ulps_around(value, count=3):
+    below = above = value
+    out = [value]
+    for _ in range(count):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def written(write, data, tmp_path) -> bytes:
+    path = tmp_path / "written.csv"
+    write(path, data)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("path", ["compiled", "python_only"])
+@pytest.mark.parametrize("name", list(GOLDEN_CSV_DIGESTS))
+def test_csv_golden_digests(request, tmp_path, path, name):
+    request.getfixturevalue(path)
+    write_golden_csv(name, tmp_path / "golden.csv")
+    digest = hashlib.sha256((tmp_path / "golden.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_CSV_DIGESTS[name]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(st.tuples(st.floats(), st.floats()), min_size=1, max_size=40))
+def test_kernel_formatter_matches_oracle(compiled, tmp_path_factory, rows):
+    # st.floats() draws NaN of either sign, +-inf, +-0 and subnormals too
+    for row in rows:
+        got = kernel_lines(row)
+        assert got == (None if any(map(refused, row)) else analysis._lines([row]).encode())
+    tmp_path = tmp_path_factory.mktemp("csv")
+    oracle = tmp_path / "oracle.csv"
+    analysis._write_csv(oracle, "x,y", rows)
+    points = np.array(rows, dtype=np.float64)
+    assert written(write_phase_csv, points, tmp_path) == oracle.read_bytes()
+    oracle.write_bytes(oracle.read_bytes().replace(b"x,y", b"r,x", 1))
+    sweep = (points[:, 0].copy(), points[:, 1].copy())
+    assert written(write_bifurcation_csv, sweep, tmp_path) == oracle.read_bytes()
+
+
+def test_kernel_formatter_exact_ties_round_half_to_even(compiled):
+    ties = []
+    for j, c, t in itertools.product(range(12), (1, 4, 9), (1, 3, 5, 7)):
+        v = (c * 10**(11 - j) * 2**(j + 1) + t) / 2**(j + 1)  # exact: below 2**53
+        digits = Fraction(v) * 10**j  # t is odd: 12 digits and a half
+        assert digits.denominator == 2 and 10**11 <= digits < 10**12
+        ties.append(v)
+    assert_kernel_matches_oracle(ties)
+    assert kernel_lines([1234567890.125, 1234567890.375]) == b"1234567890.12,1234567890.38\r\n"
+
+
+def test_kernel_formatter_edge_values_match_oracle(compiled):
+    negative_nan = np.frombuffer(np.uint64(0xFFF8_0000_0000_1234).tobytes(), np.float64)[0]
+    # each with its negation: signed zeros, NaNs and infinities, subnormals,
+    # and values that must be refused
+    values = [0.0, math.nan, negative_nan, math.inf, 1e-320, 5e-324, 2.0**-54, 1e-17, 2e12, 1e300]
+    for d in range(-17, 14):
+        # the neighbours of each decade, and of the 12-digit tie below it:
+        # the values above 9.999999999995 * 10**d carry into the decade
+        values += ulps_around(10.0**d) + ulps_around(9.999999999995 * 10.0**d)
+    for edge in (1e-5, 1e-4, 1e11, 1e12, 1e12 + 0.5, 999999999999.5, 2.0**-53):
+        values += ulps_around(edge, 5)
+    assert_kernel_matches_oracle(values)
+    assert kernel_lines([999999999999.5, 999999999998.5]) == b"1e+12,999999999998\r\n"
+    assert kernel_lines([9.9999999999995e-5, 9.999999999995e-5]) == b"0.0001,9.99999999999e-05\r\n"
+    assert kernel_lines([negative_nan, -0.0]) == b"nan,-0\r\n"
+    assert kernel_lines([0.5, 1e300]) is None and kernel_lines([5e-324, 0.5]) is None
+
+
+def test_refused_block_is_formatted_in_python(compiled, tmp_path):
+    # the kernel formats the first BLOCK rows and refuses the second block,
+    # which `_write_csv`'s expression formats instead
+    points = phase_points(default_map2(), BLOCK + 10)
+    points[BLOCK + 3, 1] = 1e300
+    assert kernel_lines(points[:BLOCK]) is not None and kernel_lines(points[BLOCK:]) is None
+    analysis._write_csv(tmp_path / "oracle.csv", "x,y", points.tolist())
+    assert written(write_phase_csv, points, tmp_path) == (tmp_path / "oracle.csv").read_bytes()
 
 
 def decrypt_free_view(envelope):

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosimg import cipher, kernel, maps
+from chaosimg import analysis, cipher, kernel, maps
 from chaosimg.cipher import (ImageDims, KeyMaterial, PlainImage, build_key_schedule,
                              default_keys, encrypt)
 from chaosimg.analysis import lyapunov_exponent
@@ -327,6 +327,28 @@ def test_every_export_is_typed(compiled):
     for name, (restype, argtypes) in kernel._SIGNATURES.items():
         fn = getattr(kernel.library(), name)
         assert (fn.restype, fn.argtypes) == (restype, argtypes)
+
+
+def test_kernel_without_128_bit_integers_formats_no_row(compiled, monkeypatch, tmp_path):
+    # built as by a compiler without unsigned __int128: every other loop is
+    # there and gives the same bytes, and the CSV writers format in Python
+    monkeypatch.setattr(kernel, "FLAGS", (*kernel.FLAGS, "-U__SIZEOF_INT128__"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    kernel.library.cache_clear()
+    try:
+        lib = kernel.library()
+        assert lib is not None  # it has every function in _SIGNATURES
+        pairs, out = np.full((1, 2), 0.5), bytearray(analysis.ROW_BYTES)
+        assert lib.chaos_format_rows(kernel.address(pairs), 1, kernel.address(out)) == -1
+        env = encrypt(PlainImage.from_array(GOLDEN_IMAGES["gray64x48"]()),
+                      golden_keys(GOLDEN_KEY_SETS["k1"]))
+        assert hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS["gray64x48/k1"]
+        points = analysis.phase_points(default_map1(), 100)
+        analysis.write_phase_csv(tmp_path / "got.csv", points)
+        analysis._write_csv(tmp_path / "oracle.csv", "x,y", points.tolist())
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    finally:
+        kernel.library.cache_clear()
 
 
 @pytest.mark.parametrize("path", ["compiled", "python_only"])
