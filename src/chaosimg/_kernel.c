@@ -40,7 +40,9 @@ static const double TWO_PI = 6.283185307179586;
  * |v| >= 2w, then w when what is left is still >= w in magnitude, gives
  * fmod's value: each subtraction is exact (Sterbenz: its operands are
  * within a factor of two). A negative remainder then takes w, and a zero
- * one the sign of w.
+ * one the sign of w. The subtractions stand in for fmod below 4w because
+ * every Map 2 iterate wraps twice on its loop-carried chain, and fmod's
+ * library call is the slower way there.
  */
 static double mod_two_pi(double v)
 {

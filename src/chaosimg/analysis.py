@@ -228,9 +228,8 @@ def _write_csv(path, header: str, rows: Iterable[Iterable], spec: str = ".12g") 
     """The header line and one line of two fields per row, formatted with
     `spec` and written at once. The bytes are csv.writer's in the excel
     dialect: CRLF line ends, and no field needs quoting."""
-    text = _lines(rows, spec)
-    with open_over(path, "w", newline="") as fh:
-        fh.write(f"{header}\r\n")
+    text = f"{header}\r\n{_lines(rows, spec)}".encode()
+    with open_over(path) as fh:
         fh.write(text)
 
 
@@ -247,7 +246,7 @@ def _write_columns(path, header: str, a: np.ndarray, b: np.ndarray) -> None:
     n = len(a)
     pairs = np.empty((min(n, BLOCK), 2))
     text = bytearray(ROW_BYTES * len(pairs))
-    with open_over(path, "wb") as fh:
+    with open_over(path) as fh:
         fh.write(f"{header}\r\n".encode())
         for start in range(0, n, BLOCK):
             stop = min(start + BLOCK, n)

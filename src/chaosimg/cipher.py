@@ -228,10 +228,13 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
     buffer serves both orbits; no thread is started. From it on a worker
     thread does, and nothing else: it starts on a second buffer and hands
     each one over full on `full`, so with the kernel every array is
-    allocated on the caller and none in the worker's malloc arena; the
-    worker is joined before this returns or raises, and is a daemon, so a
-    stuck one cannot keep the interpreter alive. Either way the bytes are
-    the same, and if both maps fail, Map 1's error is raised.
+    allocated on the caller and none in the worker's malloc arena, where
+    glibc would keep its pages after they are freed and raise the peak RSS.
+    Map 2 never takes a buffer from `free`: a worker that ran ahead could
+    then hold both, and neither side could go on. The worker is joined
+    before this returns or raises, and is a daemon, so a stuck one cannot
+    keep the interpreter alive. Either way the bytes are the same, and if
+    both maps fail, Map 1's error is raised.
     """
     n = (dims.pixel_count + 1) // 2
     if 2 * n >= 2**31:  # R is int32; refused before anything is allocated
@@ -270,7 +273,8 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
             _fold(keys1, mine[0], ys1)
     except Exception:
         # the caller's buffer goes back, and Map 1's orbit runs to its end,
-        # so that its error, if any, is the one raised whatever the timing
+        # so that its error, if any, is the one raised whatever the timing;
+        # serial, that orbit has no other buffer to go on with
         for xs in itertools.chain(mine, map1_xs):
             free.put(xs)
         raise
@@ -360,7 +364,9 @@ def _loop(index: np.ndarray, *arrays: np.ndarray):
 
 
 def _gather_xor(src: np.ndarray, index: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """`src[index] ^ key`, for bytes and a permutation `index` (`_loop`)."""
+    """`src[index] ^ key`, for bytes and a permutation `index` (`_loop`).
+    Without the kernel it indexes, which casts the int32 index to intp a
+    chunk at a time, where `np.take` would first copy all of it."""
     lib = _loop(index, src, key)
     if lib is None:
         out = src[index]

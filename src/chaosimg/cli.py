@@ -23,7 +23,9 @@ An existing `--out` file is written over and then cut to length, not emptied
 first (`outfile.open_over`).
 
 The argparse parser is built once per process, on the first `main` call, and
-shared by every later call; callers must not modify it.
+shared by every later call; callers must not modify it. Its 9 parsers and 49
+arguments cost more to build than the rest of a `main` call on a small image,
+and `import chaosimg` loads neither argparse nor this module.
 """
 
 from __future__ import annotations

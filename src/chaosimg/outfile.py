@@ -11,10 +11,10 @@ _FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 @contextlib.contextmanager
-def open_over(path, mode: str = "wb", **kwargs):
-    """`open(path, mode, **kwargs)` for writing, except that an existing
-    regular file is written over from its start and cut to the length
-    written when the block ends, instead of being emptied by the open.
+def open_over(path):
+    """`open(path, "wb")`, except that an existing regular file is written
+    over from its start and cut to the length written when the block ends,
+    instead of being emptied by the open.
 
     ext4 writes a file back to disk when it is closed after being emptied
     and rewritten, so every output waited on the disk: 0.1-0.6 ms a file on
@@ -23,7 +23,7 @@ def open_over(path, mode: str = "wb", **kwargs):
     length waits on nothing. A block that raises leaves the file uncut: the
     new bytes, then any old bytes past them."""
     fd = os.open(path, _FLAGS, 0o666)
-    with open(fd, mode, **kwargs) as fh:
+    with open(fd, "wb") as fh:
         yield fh
         if stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe or a device cannot be cut
             fh.truncate()

@@ -21,6 +21,12 @@ map2.y0=0.1
 transient=1000
 """
 
+# the 2x2 golden vector, frozen from the straight-line hand-trace oracle (run
+# before the build): grayscale rows [[1,2],[3,4]] under the default keys
+GOLDEN_PLAIN = np.array([[1, 2], [3, 4]], dtype=np.uint8)
+GOLDEN_BODY = bytes([156, 253, 31, 163])
+GOLDEN_ENVELOPE = bytes.fromhex("4353453101010000000200000002009cfd1fa3")
+
 # chi-square critical value, df=255, alpha=0.05 (frozen from the inverse CDF)
 CHI2_CRIT_DF255_P05 = 293.25
 

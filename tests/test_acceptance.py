@@ -30,11 +30,15 @@ from chaosimg.cipher import (
 )
 from chaosimg.maps import MapId, MapParams, default_map1, default_map2, fill, step_function
 from chaosimg.netpbm import read_image, write_image
-from conftest import CHI2_CRIT_DF255_P05, perturbed, random_image, structured_image
-
-GOLDEN_PLAIN = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-GOLDEN_BODY = bytes([156, 253, 31, 163])
-GOLDEN_ENVELOPE = bytes.fromhex("4353453101010000000200000002009cfd1fa3")
+from conftest import (
+    CHI2_CRIT_DF255_P05,
+    GOLDEN_BODY,
+    GOLDEN_ENVELOPE,
+    GOLDEN_PLAIN,
+    perturbed,
+    random_image,
+    structured_image,
+)
 
 
 def report(criterion: str, passed: bool) -> None:

@@ -41,13 +41,7 @@ from chaosimg.maps import (
     quantize_to_bytes,
 )
 from chaosimg.netpbm import read_image, write_image
-from conftest import perturbed, random_image
-
-# frozen from the straight-line hand-trace oracle (run before the build):
-# 2x2 grayscale rows [[1,2],[3,4]], default keys
-GOLDEN_PLAIN = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-GOLDEN_BODY = bytes([156, 253, 31, 163])
-GOLDEN_ENVELOPE = bytes.fromhex("4353453101010000000200000002009cfd1fa3")
+from conftest import GOLDEN_BODY, GOLDEN_ENVELOPE, GOLDEN_PLAIN, perturbed, random_image
 
 # SHA-256 of encrypt(...).to_bytes(), recorded from the pure-Python keystream
 # path; a faster map kernel must reproduce them bit for bit. The images use
@@ -276,7 +270,7 @@ class TestKeySchedule:
     def test_structure(self):
         R, K = build_key_schedule(default_keys(), ImageDims(1, 4, 4))
         assert R.size == K.size == 16
-        assert R.dtype == np.int32
+        assert R.dtype == np.int32 and K.dtype == np.uint8
         assert sorted(R) == list(range(16))
 
     def test_deterministic(self):

@@ -1,15 +1,20 @@
-"""Every public top-level name in the package has a caller in the package.
+"""Every public top-level name in the package has a caller in the package,
+and every test that README cites exists.
 
 A def, class or constant that only tests reach is library code without a
-library use: it belongs in the tests, or gets a caller, or goes.
+library use: it belongs in the tests, or gets a caller, or goes. A figure
+that README says a test bounds is only as good as that test's name.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import chaosimg
 
 SRC = Path(chaosimg.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def public_definitions(tree: ast.Module):
@@ -62,3 +67,33 @@ def test_every_public_name_has_a_caller_in_src():
         f"public names that nothing in {SRC.name}/ uses: {', '.join(unused)}; "
         "give each a caller in the package, move it into the tests, or delete it"
     )
+
+
+def defined_tests(tests: Path) -> set[str]:
+    """Each `test_*` function and `Test*` class defined under `tests`."""
+    return {
+        node.name
+        for path in tests.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith(("test_", "Test"))
+    }
+
+
+def stale_citations(readme: Path, tests: Path) -> list[str]:
+    """Each `tests/*.py` path, `Test*` class and `test_*` name in `readme`
+    that `tests` does not hold; a name that ends in `*` cites every test it
+    begins."""
+    text = readme.read_text()
+    stale = [p for p in re.findall(r"\btests/\w+\.py\b", text)
+             if not (tests.parent / p).is_file()]
+    defined = defined_tests(tests)
+    for name, star in re.findall(r"\b((?:test_|Test[A-Z])\w*)\b(?!\.py)(\*?)", text):
+        if not (any(d.startswith(name) for d in defined) if star else name in defined):
+            stale.append(name + star)
+    return stale
+
+
+def test_readme_cites_only_tests_that_exist():
+    stale = stale_citations(README, TESTS)
+    assert not stale, f"README cites tests that do not exist: {', '.join(stale)}"
