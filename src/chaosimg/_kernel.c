@@ -7,9 +7,13 @@
  * schedule without an intp copy of any index: `chaos_gather_in_place`
  * composes two permutations into the second, and `chaos_slot` writes one
  * slot of the final pair (R, K) through the layout, with the numpy lines
- * of `cipher._compose` and `cipher._slot` as their oracles. One text loop,
- * `chaos_format_rows`, writes the rows of the analysis CSVs in the bytes
- * of Python's `.12g` format from integer digits (see `format_g12`).
+ * of `cipher._compose` and `cipher._slot` as their oracles. Three loops
+ * turn an orbit into keys with the numpy lines of `maps` as their oracles:
+ * `chaos_quantize` makes its bytes, and `chaos_pack` and `chaos_unpack`
+ * make its stable argsort in place, before and after numpy sorts the
+ * words. One text loop, `chaos_format_rows`, writes the rows of the
+ * analysis CSVs in the bytes of Python's `.12g` format from integer digits
+ * (see `format_g12`).
  *
  * Every operation mirrors CPython float semantics, so the bytes match the
  * pure-Python path bit for bit:
@@ -22,9 +26,11 @@
  *     subtractions below that; then one sign fix, for both: a negative
  *     remainder takes 2*pi, and a zero one the sign of the divisor;
  *   - the Lyapunov distance is sqrt(dx*dx + dy*dy) in both languages;
- *     IEEE-754 rounds sqrt, * and + correctly, so it is the same double.
+ *     IEEE-754 rounds sqrt, * and + correctly, so it is the same double;
+ *   - the quantizer rounds |v| * 1e12 and then adds 0.5, as numpy does.
  * Build with -ffp-contract=off and without -ffast-math: a fused multiply-add
- * or a reassociated sum rounds differently and changes the orbit.
+ * or a reassociated sum rounds differently and changes the orbit and the
+ * quantized bytes.
  */
 #include <math.h>
 #include <stdint.h>
@@ -183,6 +189,120 @@ void chaos_slot(const int32_t *c, const int32_t *s0, const uint8_t *x, const uin
         k[i] = x[p] ^ y[ci];
         seen[p] = 1;
     }
+}
+
+/* out[i] = mod(round(1e12 * src[i]), 256), rounded half away from zero, for
+ * i < n, as `maps.quantize_to_bytes` computes it with numpy: |v| clamped to
+ * 2**62 / 1e12, then copysign(|v| * 1e12 + 0.5, v) cut to an integer, whose
+ * low byte is the result. Returns -1, or the index of the first non-finite
+ * value, with the bytes before it written. */
+long long chaos_quantize(const double *src, uint8_t *out, long long n)
+{
+    const double clamp = 4611686018427387904.0 / 1e12;  /* 2**62 / 1e12 */
+
+    for (long long i = 0; i < n; i++) {
+        double v = src[i], q = fabs(v);
+        if (!isfinite(v))
+            return i;
+        q = q < clamp ? q : clamp;
+        out[i] = (uint8_t)(int64_t)copysign(q * 1e12 + 0.5, v);
+    }
+    return -1;
+}
+
+/* The argsort of `maps.permutation_from_sequence`, with its numpy lines as
+ * the oracle, in two passes around numpy's sort of the words. chaos_pack
+ * writes each value's word over it, in the value's own 8 bytes: the float
+ * bits with -0.0 folded into +0.0 and a negative's magnitude bits flipped
+ * are a key that orders like the values; its low b bits go to perm[i], and
+ * the word is the key with those bits replaced by i. Returns -1, or the
+ * index of the first non-finite value, with the words before it written.
+ */
+long long chaos_pack(int64_t *words, int32_t *perm, long long n, int b)
+{
+    const int64_t low = ((int64_t)1 << b) - 1;
+
+    for (long long i = 0; i < n; i++) {
+        double v;
+        int64_t key;
+
+        memcpy(&v, words + i, sizeof v);
+        if (!isfinite(v))
+            return i;
+        v += 0.0;  /* -0.0 + 0.0 is +0.0 */
+        memcpy(&key, &v, sizeof key);
+        if (key < 0)
+            key ^= INT64_MAX;
+        perm[i] = (int32_t)(key & low);
+        words[i] = (key & ~low) | i;
+    }
+    return -1;
+}
+
+/* Move w[i] down the max-heap w[0..m) to its place. */
+static void sift_down(int64_t *w, long long i, long long m)
+{
+    int64_t v = w[i];
+
+    for (long long c; (c = 2 * i + 1) < m; i = c) {
+        if (c + 1 < m && w[c + 1] > w[c])
+            c++;
+        if (w[c] <= v)
+            break;
+        w[i] = w[c];
+    }
+    w[i] = v;
+}
+
+/* Sort w[0..m) ascending in place, with no allocation: insertion sort for
+ * a short run, heap sort for a long one, whose m log m bounds the run of a
+ * weak key's few repeated values. The words are distinct, so the order of
+ * equal ones does not arise. */
+static void sort_run(int64_t *w, long long m)
+{
+    if (m <= 16) {
+        for (long long i = 1; i < m; i++) {
+            int64_t v = w[i];
+            long long j = i;
+            for (; j > 0 && w[j - 1] > v; j--)
+                w[j] = w[j - 1];
+            w[j] = v;
+        }
+        return;
+    }
+    for (long long i = m / 2; i-- > 0;)
+        sift_down(w, i, m);
+    while (--m > 0) {
+        int64_t top = w[0];
+        w[0] = w[m];
+        w[m] = top;
+        sift_down(w, 0, m);
+    }
+}
+
+/* The second pass of the argsort, over the words of chaos_pack once they
+ * are sorted: they order by (key prefix, index), so only a run of words
+ * that share a prefix can be out of the stable order. Within a run the
+ * prefix is the same, so each word becomes (low bits << b) | index, at most
+ * 62 bits and distinct, and the run is sorted in place. Then perm[j] takes
+ * the index in words[j]. */
+void chaos_unpack(int64_t *words, int32_t *perm, long long n, int b)
+{
+    const int64_t low = ((int64_t)1 << b) - 1;
+
+    for (long long start = 0, stop; start < n; start = stop) {
+        for (stop = start + 1; stop < n && !((uint64_t)(words[stop] ^ words[start]) >> b); stop++)
+            ;
+        if (stop - start > 1) {
+            for (long long j = start; j < stop; j++) {
+                int64_t index = words[j] & low;
+                words[j] = (int64_t)perm[index] << b | index;
+            }
+            sort_run(words + start, stop - start);
+        }
+    }
+    for (long long j = 0; j < n; j++)
+        perm[j] = (int32_t)(words[j] & low);
 }
 
 

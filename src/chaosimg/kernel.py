@@ -6,18 +6,23 @@ the SHA-256 of the source, the flags and the platform, so a changed
 source builds a new one; a build writes a temporary file and renames it
 into place, so concurrent first runs are safe.
 
-`library()` serves seven loops: `chaos_fill`, through which `maps.fill`
+`library()` serves ten loops: `chaos_fill`, through which `maps.fill`
 iterates a map for the key schedule, the bifurcation sweep, the phase
 points and the Lyapunov transient; `chaos_lyapunov`, which
 `analysis.lyapunov_exponent` runs for the Lyapunov steps;
 `chaos_gather_xor` and `chaos_scatter_xor`, the one pass over the image
 of `cipher.encrypt` and `cipher.decrypt`; `chaos_gather_in_place` and
-`chaos_slot`, the index passes of `cipher.build_key_schedule`; and
+`chaos_slot`, the index passes of `cipher.build_key_schedule`;
+`chaos_quantize`, the byte pass of `maps.quantize_to_bytes`;
+`chaos_pack` and `chaos_unpack`, the passes of
+`maps.permutation_from_sequence` before and after numpy's sort; and
 `chaos_format_rows`, which formats the bifurcation and phase CSVs.
 Without a compiler, or when the build or the cache directory fails,
 `library()` returns None and the callers run Python loops over
-`maps.step_function`, numpy's gathers and scatter, and Python's float
-formatting instead. Both paths give the same bytes (see `FLAGS`).
+`maps.step_function`, numpy's gathers, scatter, quantizer and argsort
+passes, and Python's float formatting instead. Both paths give the same
+bytes (see `FLAGS`). A process that cannot build creates no cache
+directory.
 """
 
 from __future__ import annotations
@@ -58,6 +63,11 @@ _SIGNATURES = {
     "chaos_gather_in_place": (None, [ctypes.c_void_p] * 2 + [ctypes.c_longlong]),
     # c, s0, x, y, layout, r, k, seen, n
     "chaos_slot": (None, [ctypes.c_void_p] * 8 + [ctypes.c_longlong]),
+    # src, out, n
+    "chaos_quantize": (ctypes.c_longlong, [ctypes.c_void_p] * 2 + [ctypes.c_longlong]),
+    # words, perm, n, b
+    "chaos_pack": (ctypes.c_longlong, [ctypes.c_void_p] * 2 + [ctypes.c_longlong, ctypes.c_int]),
+    "chaos_unpack": (None, [ctypes.c_void_p] * 2 + [ctypes.c_longlong, ctypes.c_int]),
     # pairs, n, out
     "chaos_format_rows": (ctypes.c_longlong, [ctypes.c_void_p, ctypes.c_longlong,
                                               ctypes.c_void_p]),
@@ -95,24 +105,25 @@ def _cache_dirs() -> Iterator[Path]:
     yield Path(tempfile.gettempdir(), f"chaosimg-{os.getuid()}")
 
 
-def _private(directory: Path) -> bool:
-    """Create `directory` if missing; True if it is a real directory owned
-    by this user with mode 0700."""
+def _private(directory: Path, create: bool) -> bool:
+    """True if `directory` is a real directory owned by this user with mode
+    0700. With `create`, a missing one is made first; without, a missing one
+    is True as well: it holds no kernel, and none will be built there."""
     try:
-        directory.parent.mkdir(parents=True, exist_ok=True)
-        with contextlib.suppress(FileExistsError):
-            directory.mkdir(mode=0o700)
+        if create:
+            directory.parent.mkdir(parents=True, exist_ok=True)
+            with contextlib.suppress(FileExistsError):
+                directory.mkdir(mode=0o700)
         st = os.lstat(directory)
+    except FileNotFoundError:
+        return not create
     except OSError:
         return False
     return (stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid()
             and stat.S_IMODE(st.st_mode) == 0o700)
 
 
-def _build(source: bytes, target: Path) -> bool:
-    cc = _compiler()
-    if cc is None:
-        return False
+def _build(cc: str, source: bytes, target: Path) -> bool:
     import subprocess
 
     fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=target.parent)
@@ -146,11 +157,12 @@ def library():
     tag = _sha256(b"\0".join(
         [source, " ".join(FLAGS).encode(), sysconfig.get_platform().encode()]
     ))
-    directory = next(filter(_private, _cache_dirs()), None)
+    cc = _compiler()  # without one, no directory is made
+    directory = next((d for d in _cache_dirs() if _private(d, cc is not None)), None)
     if directory is None:
         return None
     path = directory / f"kernel-{tag[:32]}.so"
-    if not path.exists() and not _build(source, path):
+    if not path.exists() and (cc is None or not _build(cc, source, path)):
         return None
     try:
         lib = ctypes.CDLL(str(path))

@@ -149,10 +149,17 @@ def quantize_to_bytes(values) -> np.ndarray:
     into uint8 keeps its low byte, the integer mod 256. From |1e12 * v| >=
     2**61 on, every float is a multiple of 512 and so quantizes to 0; |v| is
     clamped to 2**62 / 1e12 first, so the product never overflows and the
-    cast stays exact. Temporaries hold at most BLOCK values.
+    cast stays exact. A C-contiguous input is quantized in the kernel
+    (`chaos_quantize`) when it is loaded; otherwise numpy makes the same
+    bytes, and its temporaries hold at most BLOCK values.
     """
     arr = np.asarray(values, dtype=float)
     out = np.empty(arr.shape, dtype=np.uint8)
+    lib = kernel.library()
+    if lib is not None and arr.flags.c_contiguous:
+        if lib.chaos_quantize(arr.ctypes.data, out.ctypes.data, arr.size) >= 0:
+            raise InvalidStateError("non-finite value in quantizer input")
+        return out
     arr, flat = arr.reshape(-1), out.reshape(-1)
     for start in range(0, arr.size, BLOCK):
         block = arr[start:start + BLOCK]
@@ -178,9 +185,14 @@ def permutation_from_sequence(values: np.ndarray) -> np.ndarray:
     word that takes its value's place is the key with those bits replaced
     by the index, so the words are distinct and sort in place by (key
     prefix, index). Values that share a prefix can differ, so the members
-    of such runs are sorted again, stably by their whole key, a window of
-    about BLOCK words at a time. Apart from the result, temporaries hold
-    at most a window's values: BLOCK, or one run of equal prefix if longer.
+    of such runs are sorted again, stably by their whole key.
+
+    When the kernel is loaded, `chaos_pack` writes the words and
+    `chaos_unpack` sorts each run in place after numpy's sort, so nothing
+    but the result is allocated. Otherwise numpy makes the same
+    permutation, fixing the runs a window of about BLOCK words at a time;
+    apart from the result, its temporaries hold at most a window's values:
+    BLOCK, or one run of equal prefix if longer.
     """
     if not (isinstance(values, np.ndarray) and values.dtype == np.float64
             and values.flags.c_contiguous and values.flags.writeable):
@@ -189,8 +201,16 @@ def permutation_from_sequence(values: np.ndarray) -> np.ndarray:
         raise ValueError(f"{values.size} values; a permutation takes 1 to 2**31 - 1")
     arr = values.reshape(-1)
     words, n, b = arr.view(np.int64), arr.size, (arr.size - 1).bit_length()
-    low = (1 << b) - 1
     perm = np.empty(n, dtype=np.int32)
+    lib = kernel.library()
+    if lib is not None:
+        at, perm_at = kernel.address(words), kernel.address(perm)
+        if lib.chaos_pack(at, perm_at, n, b) >= 0:
+            raise InvalidStateError("non-finite value in permutation input")
+        words.sort()
+        lib.chaos_unpack(at, perm_at, n, b)
+        return perm
+    low = (1 << b) - 1
     for start in range(0, n, BLOCK):
         stop = min(start + BLOCK, n)
         key = arr[start:stop]

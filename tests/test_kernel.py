@@ -13,6 +13,7 @@ import stat
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -227,6 +228,59 @@ def test_cache_is_private_and_reused(compiled, monkeypatch, tmp_path):
         assert kernel.library() is not None  # loaded, not built
     finally:
         kernel.library.cache_clear()
+
+
+def test_no_compiler_makes_no_cache_directory(monkeypatch, tmp_path):
+    for name in ("xdg", "tmp"):
+        (tmp_path / name).mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.setattr(kernel, "_compiler", lambda: None)
+    kernel.library.cache_clear()
+    try:
+        assert kernel.library() is None
+    finally:
+        kernel.library.cache_clear()
+    assert list(tmp_path.glob("*/*")) == []
+
+
+def cached_kernel(directory, mode):
+    """A copy of this process's kernel in `directory`, made with `mode`."""
+    directory.mkdir(parents=True)
+    directory.chmod(mode)
+    built = Path(kernel.library()._name)
+    shutil.copy(built, directory / built.name)
+
+
+def test_cached_kernel_loads_without_a_compiler(compiled, monkeypatch, tmp_path):
+    cached_kernel(tmp_path / "chaosimg", 0o700)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(kernel, "_compiler", lambda: None)
+    kernel.library.cache_clear()
+    try:
+        lib = kernel.library()
+        assert lib is not None and Path(lib._name).parent == tmp_path / "chaosimg"
+    finally:
+        kernel.library.cache_clear()
+
+
+def test_cached_kernel_in_a_shared_directory_is_refused(compiled, monkeypatch, tmp_path):
+    cached_kernel(tmp_path / "xdg" / "chaosimg", 0o755)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    monkeypatch.setattr(kernel, "_compiler", lambda: None)
+    kernel.library.cache_clear()
+    try:
+        assert kernel.library() is None
+    finally:
+        kernel.library.cache_clear()
+    assert not (tmp_path / "tmp").exists()
+
+
+def test_kernel_allocates_nothing():
+    # tracemalloc cannot see malloc, so the peak tests would miss a loop's
+    # allocation: every buffer comes from the caller
+    assert not re.search(r"\b(malloc|calloc|realloc|alloca)\s*\(", kernel.SOURCE.read_text())
 
 
 def test_flags_keep_both_paths_rounding_alike():

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -376,3 +376,101 @@ def quantize_reference(v: float) -> int:
               elements=st.one_of(finite, st.floats(-1e-9, 1e-9), st.floats(-1e7, 1e7))))
 def test_quantize_matches_the_integer_reference(vals):
     assert list(quantize_to_bytes(vals)) == [quantize_reference(v) for v in vals.tolist()]
+
+
+@pytest.fixture(params=["compiled", "python_only"])
+def loops(request):
+    """Runs a test on the kernel's quantizer and argsort loops, and on the
+    numpy lines that are their oracle and fallback."""
+    request.getfixturevalue(request.param)
+
+
+# lengths just below, at and just above each 2**k, where the argsort's b grows
+around_powers_of_two = st.integers(0, 12).flatmap(
+    lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1])).filter(bool)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_loops_match_on_clustered_values(loops, data):
+    vals = data.draw(arrays(np.float64, data.draw(around_powers_of_two), elements=clustered))
+    assert np.array_equal(permutation_from_sequence(vals.copy()), np.argsort(vals, kind="stable"))
+    assert list(quantize_to_bytes(vals)) == [quantize_reference(v) for v in vals.tolist()]
+
+
+def test_one_run_of_equal_values(loops):
+    vals = np.full(8 * BLOCK, -0.75)
+    assert np.array_equal(permutation_from_sequence(vals), np.arange(8 * BLOCK))
+
+
+def test_long_runs_of_a_shared_prefix(loops):
+    # 8*BLOCK = 2**19 values, half of them within 2**19 ulps above 1.5 and
+    # half below -1.5, with repeats, shuffled: two runs of 2**18 words
+    # that share their key's prefix and differ in its low 19 bits
+    rng = np.random.default_rng(18)
+    half = 4 * BLOCK
+    ulps = rng.integers(0, 2 * half, 2 * half)
+    vals = np.concatenate([np.float64(1.5).view(np.int64) + ulps[:half],
+                           np.float64(-1.5).view(np.int64) + ulps[half:]]).view(np.float64)
+    vals = rng.permutation(vals)
+    assert np.array_equal(permutation_from_sequence(vals.copy()), np.argsort(vals, kind="stable"))
+
+
+# perfbench cipher-large seed 919's second key: Map 2 falls into short cycles
+WEAK_MAP2 = MapParams(MapId.MAP2, 2.3494748700747423, a=0.4999318529093235,
+                      b=0.2998222948797915, x0=0.09985798176185914, y0=0.10077438414679867)
+
+
+@pytest.fixture(scope="module")
+def weak_orbit():
+    """The weak key's first two x segments of a 512x512 gray image, and the
+    y values of the first."""
+    xs, ys = np.empty((2, 2 * BLOCK)), np.empty(2 * BLOCK)
+    state = fill(WEAK_MAP2, (WEAK_MAP2.x0, WEAK_MAP2.y0), xs[0], ys, skip=WEAK_MAP2.transient)
+    fill(WEAK_MAP2, state, xs[1])
+    return xs, ys
+
+
+def test_weak_key_orbit(loops, weak_orbit):
+    xs, ys = weak_orbit
+    assert [np.unique(x).size for x in xs] == [393, 71]
+    for x in xs:
+        assert np.array_equal(permutation_from_sequence(x.copy()), np.argsort(x, kind="stable"))
+    for v in (xs[0], ys):
+        assert list(quantize_to_bytes(v)) == [quantize_reference(u) for u in v.tolist()]
+
+
+def test_quantizer_bounds(loops):
+    # the clamp's edges; +-0.5e-12, which rounds half away from zero; and
+    # |1e12 * v| from 2**52 on, where adding 0.5 rounds the rounded product
+    # (a fused multiply-add would round the exact one)
+    edges = [2.0**e / 1e12 for e in (52, 53, 61, 62, 63)] + [0.5e-12, 1.5e-12]
+    vals = [np.nextafter(x, to) for x in edges for to in (0, x, np.inf)]
+    vals = np.concatenate([vals, np.random.default_rng(20).uniform(2**52 / 1e12, 2**54 / 1e12, 500)])
+    vals = np.concatenate([vals, -vals])
+    assert list(quantize_to_bytes(vals)) == [quantize_reference(v) for v in vals.tolist()]
+
+
+@pytest.mark.parametrize("at", [0, 500, 1000])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_loops_reject_nonfinite(loops, at, bad):
+    vals = np.linspace(-1, 1, 1001)
+    vals[at] = bad
+    with pytest.raises(InvalidStateError):
+        quantize_to_bytes(vals)
+    with pytest.raises(InvalidStateError):
+        permutation_from_sequence(vals)
+
+
+def test_quantize_takes_lists_and_strided_arrays(loops):
+    vals = np.random.default_rng(19).uniform(-1e4, 1e4, 2 * BLOCK + 6)
+    expected = np.array([quantize_reference(v) for v in vals.tolist()], dtype=np.uint8)
+    read_only = vals.copy()
+    read_only.flags.writeable = False
+    assert np.array_equal(quantize_to_bytes(vals.tolist()), expected)
+    assert np.array_equal(quantize_to_bytes(vals[::2]), expected[::2])
+    assert np.array_equal(quantize_to_bytes(vals[::-3]), expected[::-3])
+    assert np.array_equal(quantize_to_bytes(read_only), expected)
+    assert np.array_equal(quantize_to_bytes(vals.reshape(2, -1).T), expected.reshape(2, -1).T)
+    assert quantize_to_bytes([]).shape == (0,)
