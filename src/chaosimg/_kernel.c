@@ -254,22 +254,12 @@ static void sift_down(int64_t *w, long long i, long long m)
     w[i] = v;
 }
 
-/* Sort w[0..m) ascending in place, with no allocation: insertion sort for
- * a short run, heap sort for a long one, whose m log m bounds the run of a
- * weak key's few repeated values. The words are distinct, so the order of
- * equal ones does not arise. */
+/* Sort w[0..m) ascending in place by heap sort, with no allocation: its
+ * m log m bounds the run of a weak key's few repeated values, and the short
+ * runs of a healthy orbit are too rare to pay for a second sort. The words
+ * are distinct, so the order of equal ones does not arise. */
 static void sort_run(int64_t *w, long long m)
 {
-    if (m <= 16) {
-        for (long long i = 1; i < m; i++) {
-            int64_t v = w[i];
-            long long j = i;
-            for (; j > 0 && w[j - 1] > v; j--)
-                w[j] = w[j - 1];
-            w[j] = v;
-        }
-        return;
-    }
     for (long long i = m / 2; i-- > 0;)
         sift_down(w, i, m);
     while (--m > 0) {
@@ -432,10 +422,9 @@ static int format_g12(double v, char *out)
 
 /* The CSV lines "a,b\r\n" of the n rows pairs[2i], pairs[2i + 1], each
  * field Python's f"{v:.12g}", at out (at most 39 bytes a row), with
- * `analysis._write_csv`'s expression as their oracle. Returns the number
- * of bytes written, or -1 if `format_g12` refuses a value, and always -1
- * where the compiler has no 128-bit integers: the caller then formats the
- * rows in Python. */
+ * `analysis._lines` as their oracle. Returns the number of bytes written,
+ * or -1 if `format_g12` refuses a value, and always -1 where the compiler
+ * has no 128-bit integers: the caller then formats the rows in Python. */
 long long chaos_format_rows(const double *pairs, long long n, char *out)
 {
 #ifdef __SIZEOF_INT128__

@@ -6,9 +6,10 @@ Every map iteration runs in the compiled kernel when it is loaded: the
 sweeps, the phase points and the Lyapunov transient through `maps.fill`,
 the Lyapunov steps through `chaos_lyapunov`. Without it, both fall back
 to Python loops over `maps.step_function` that give the same bits. The
-kernel's `chaos_format_rows` also formats the bifurcation and phase CSVs,
-BLOCK rows at a time, in the bytes of `_write_csv`, which formats the
-rows it refuses and every CSV without the kernel, in one pass.
+bifurcation, phase and Lyapunov CSVs are written by `_write_columns`,
+BLOCK rows at a time: the kernel's `chaos_format_rows` formats a block,
+and `_lines` formats, in the same bytes, a block in which it refuses a
+value, or every block without the kernel.
 """
 
 from __future__ import annotations
@@ -220,29 +221,17 @@ def phase_points(params: MapParams, count: int) -> np.ndarray:
     return np.column_stack([xs, ys])
 
 
-def _lines(rows: Iterable[Iterable], spec: str = ".12g") -> str:
-    return "".join([f"{a:{spec}},{b:{spec}}\r\n" for a, b in rows])
-
-
-def _write_csv(path, header: str, rows: Iterable[Iterable], spec: str = ".12g") -> None:
-    """The header line and one line of two fields per row, formatted with
-    `spec` and written at once. The bytes are csv.writer's in the excel
-    dialect: CRLF line ends, and no field needs quoting."""
-    text = f"{header}\r\n{_lines(rows, spec)}".encode()
-    with open_over(path) as fh:
-        fh.write(text)
+def _lines(rows: Iterable[Iterable]) -> str:
+    return "".join([f"{a:.12g},{b:.12g}\r\n" for a, b in rows])
 
 
 def _write_columns(path, header: str, a: np.ndarray, b: np.ndarray) -> None:
-    """`_write_csv(path, header, zip(a.tolist(), b.tolist()))`, the same
-    bytes, for two float columns of one length: the kernel's
-    `chaos_format_rows` formats and writes BLOCK rows at a time, and a block
-    in which it refuses a value is formatted by `_write_csv`'s expression
-    instead."""
+    """The header line and one line per row of two float columns of one
+    length, each field f"{v:.12g}": csv.writer's bytes in the excel dialect,
+    with CRLF line ends and no field that needs quoting. The kernel's
+    `chaos_format_rows` formats BLOCK rows at a time, and `_lines` formats a
+    block in which it refuses a value, or every block without the kernel."""
     lib = kernel.library()
-    if lib is None:
-        _write_csv(path, header, zip(a.tolist(), b.tolist()))
-        return
     n = len(a)
     pairs = np.empty((min(n, BLOCK), 2))
     text = bytearray(ROW_BYTES * len(pairs))
@@ -252,7 +241,8 @@ def _write_columns(path, header: str, a: np.ndarray, b: np.ndarray) -> None:
             stop = min(start + BLOCK, n)
             block = pairs[:stop - start]
             block[:, 0], block[:, 1] = a[start:stop], b[start:stop]
-            size = lib.chaos_format_rows(kernel.address(block), len(block), kernel.address(text))
+            size = -1 if lib is None else lib.chaos_format_rows(
+                kernel.address(block), len(block), kernel.address(text))
             fh.write(memoryview(text)[:size] if size >= 0 else _lines(block.tolist()).encode())
 
 
@@ -265,8 +255,10 @@ def write_phase_csv(path, points: np.ndarray) -> None:
 
 
 def write_lyapunov_csv(path, rows: list[tuple[float, float]]) -> None:
-    _write_csv(path, "r,lambda", rows)
+    _write_columns(path, "r,lambda", *np.array(rows, dtype=np.float64).reshape(-1, 2).T)
 
 
 def write_histogram_csv(path, hist) -> None:
-    _write_csv(path, "value,count", enumerate(np.asarray(hist).tolist()), spec="d")
+    text = "".join([f"{v:d},{c:d}\r\n" for v, c in enumerate(np.asarray(hist).tolist())])
+    with open_over(path) as fh:
+        fh.write(f"value,count\r\n{text}".encode())

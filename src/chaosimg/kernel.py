@@ -16,7 +16,7 @@ of `cipher.encrypt` and `cipher.decrypt`; `chaos_gather_in_place` and
 `chaos_quantize`, the byte pass of `maps.quantize_to_bytes`;
 `chaos_pack` and `chaos_unpack`, the passes of
 `maps.permutation_from_sequence` before and after numpy's sort; and
-`chaos_format_rows`, which formats the bifurcation and phase CSVs.
+`chaos_format_rows`, which formats the bifurcation, phase and Lyapunov CSVs.
 Without a compiler, or when the build or the cache directory fails,
 `library()` returns None and the callers run Python loops over
 `maps.step_function`, numpy's gathers, scatter, quantizer and argsort

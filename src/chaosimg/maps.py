@@ -149,15 +149,15 @@ def quantize_to_bytes(values) -> np.ndarray:
     into uint8 keeps its low byte, the integer mod 256. From |1e12 * v| >=
     2**61 on, every float is a multiple of 512 and so quantizes to 0; |v| is
     clamped to 2**62 / 1e12 first, so the product never overflows and the
-    cast stays exact. A C-contiguous input is quantized in the kernel
-    (`chaos_quantize`) when it is loaded; otherwise numpy makes the same
-    bytes, and its temporaries hold at most BLOCK values.
+    cast stays exact. A writeable, C-contiguous, non-empty input is
+    quantized in the kernel (`chaos_quantize`) when it is loaded; otherwise
+    numpy makes the same bytes, and its temporaries hold at most BLOCK values.
     """
     arr = np.asarray(values, dtype=float)
     out = np.empty(arr.shape, dtype=np.uint8)
     lib = kernel.library()
-    if lib is not None and arr.flags.c_contiguous:
-        if lib.chaos_quantize(arr.ctypes.data, out.ctypes.data, arr.size) >= 0:
+    if lib is not None and arr.flags.c_contiguous and arr.flags.writeable and arr.size:
+        if lib.chaos_quantize(kernel.address(arr), kernel.address(out), arr.size) >= 0:
             raise InvalidStateError("non-finite value in quantizer input")
         return out
     arr, flat = arr.reshape(-1), out.reshape(-1)

@@ -320,15 +320,19 @@ class TestQualityReportAndCsv:
         assert rows[0] == ["value", "count"] and len(rows) == 257
         assert sum(int(r[1]) for r in rows[1:]) == 32 * 32
 
-    def test_csv_bytes_are_csv_writers(self, tmp_path):
-        # the writers' one-pass text against csv.writer in the excel dialect
+    @pytest.mark.parametrize("path", ["compiled", "python_only"])
+    def test_csv_bytes_are_csv_writers(self, request, tmp_path, path):
+        # the writers' text against csv.writer in the excel dialect; the
+        # kernel refuses 1e-320, 123456789012345.0, 2.5e300, 1e300 and 1e-300
+        request.getfixturevalue(path)
         values = [0.1, -0.0, 1e-320, 123456789012345.0, 2.5e300, math.inf, -math.inf, math.nan]
         points = np.array([values, values[::-1]]).T
         hist = histogram(structured_image(16))
+        lyapunov = [(17.0, 0.896), (1e300, 1e-300)]
         cases = [
             (write_bifurcation_csv, (points[:, 0], points[:, 1]), ["r", "x"], points.tolist()),
             (write_phase_csv, points, ["x", "y"], points.tolist()),
-            (write_lyapunov_csv, [(17.0, 0.896)], ["r", "lambda"], [(17.0, 0.896)]),
+            (write_lyapunov_csv, lyapunov, ["r", "lambda"], lyapunov),
             (write_histogram_csv, hist, ["value", "count"], None),
         ]
         for write, data, header, rows in cases:
@@ -383,7 +387,7 @@ def refused(v: float) -> bool:
 
 def assert_kernel_matches_oracle(values):
     """Each value, in a row with its negation, formatted by the kernel as by
-    `_write_csv`'s expression, or refused where `refused` says so."""
+    `_lines`, or refused where `refused` says so."""
     for v in values:
         got = kernel_lines([v, -v])
         assert got == (None if refused(v) else analysis._lines([(v, -v)]).encode()), repr(v)
@@ -421,13 +425,12 @@ def test_kernel_formatter_matches_oracle(compiled, tmp_path_factory, rows):
         got = kernel_lines(row)
         assert got == (None if any(map(refused, row)) else analysis._lines([row]).encode())
     tmp_path = tmp_path_factory.mktemp("csv")
-    oracle = tmp_path / "oracle.csv"
-    analysis._write_csv(oracle, "x,y", rows)
+    oracle = b"x,y\r\n" + analysis._lines(rows).encode()
     points = np.array(rows, dtype=np.float64)
-    assert written(write_phase_csv, points, tmp_path) == oracle.read_bytes()
-    oracle.write_bytes(oracle.read_bytes().replace(b"x,y", b"r,x", 1))
+    assert written(write_phase_csv, points, tmp_path) == oracle
+    oracle = oracle.replace(b"x,y", b"r,x", 1)
     sweep = (points[:, 0].copy(), points[:, 1].copy())
-    assert written(write_bifurcation_csv, sweep, tmp_path) == oracle.read_bytes()
+    assert written(write_bifurcation_csv, sweep, tmp_path) == oracle
 
 
 def test_kernel_formatter_exact_ties_round_half_to_even(compiled):
@@ -461,12 +464,12 @@ def test_kernel_formatter_edge_values_match_oracle(compiled):
 
 def test_refused_block_is_formatted_in_python(compiled, tmp_path):
     # the kernel formats the first BLOCK rows and refuses the second block,
-    # which `_write_csv`'s expression formats instead
+    # which `_lines` formats instead
     points = phase_points(default_map2(), BLOCK + 10)
     points[BLOCK + 3, 1] = 1e300
     assert kernel_lines(points[:BLOCK]) is not None and kernel_lines(points[BLOCK:]) is None
-    analysis._write_csv(tmp_path / "oracle.csv", "x,y", points.tolist())
-    assert written(write_phase_csv, points, tmp_path) == (tmp_path / "oracle.csv").read_bytes()
+    oracle = b"x,y\r\n" + analysis._lines(points.tolist()).encode()
+    assert written(write_phase_csv, points, tmp_path) == oracle
 
 
 def decrypt_free_view(envelope):

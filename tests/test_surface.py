@@ -1,12 +1,16 @@
 """Every public top-level name in the package has a caller in the package,
-and every test that README cites exists.
+every test that README cites exists, and so does every `module.name` that
+the package's source or README cites.
 
 A def, class or constant that only tests reach is library code without a
 library use: it belongs in the tests, or gets a caller, or goes. A figure
-that README says a test bounds is only as good as that test's name.
+that README says a test bounds is only as good as that test's name, and a
+comment that names another module's function as its oracle only as good as
+that name.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -97,3 +101,25 @@ def stale_citations(readme: Path, tests: Path) -> list[str]:
 def test_readme_cites_only_tests_that_exist():
     stale = stale_citations(README, TESTS)
     assert not stale, f"README cites tests that do not exist: {', '.join(stale)}"
+
+
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+CITATION = re.compile(rf"`({'|'.join(MODULES)})\.(?!py\b)(\w+)")
+
+
+def stale_attribute_citations(paths) -> list[str]:
+    """Each backticked `module.name` in the files at `paths`, with module
+    one of the package's modules, whose module has no attribute `name`. A
+    file name such as `cipher.py` is not a citation."""
+    return [f"{path.name}: {module}.{name}"
+            for path in paths
+            for module, name in CITATION.findall(path.read_text())
+            if not hasattr(importlib.import_module(f"chaosimg.{module}"), name)]
+
+
+def test_source_cites_only_names_that_exist(tmp_path):
+    probe = tmp_path / "probe.c"
+    probe.write_text("`analysis._no_such_name`'s expression, `cipher.py`, `maps.fill`")
+    assert stale_attribute_citations([probe]) == ["probe.c: analysis._no_such_name"]
+    stale = stale_attribute_citations([*sorted(SRC.glob("*.py")), SRC / "_kernel.c", README])
+    assert not stale, f"citations of names that do not exist: {', '.join(stale)}"
