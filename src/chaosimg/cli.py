@@ -26,7 +26,9 @@ The argparse parser is built once per process, on the first `main` call, and
 shared by every later call; callers must not modify it. Its 9 parsers and 50
 actions (39 options, nine `-h` and two sub-command groups) cost more to build
 than the rest of a `main` call on a small image, and `import chaosimg` loads
-neither argparse nor this module.
+neither argparse nor this module. Each call is parsed once, by the parser of
+its command path (`analyze lyapunov`, say), not once per level of the tree;
+so an extra token is reported with that sub-command's usage line.
 """
 
 from __future__ import annotations
@@ -78,11 +80,11 @@ def _load_image(path):
     after those bytes if that is further."""
     with open(path, "rb") as fh:
         data = _read(fh, _MAX_HEADER)
-        length = netpbm.image_length(data)
-        if length is not None:
+        if len(data) == _MAX_HEADER:  # else data is the whole file, which read_image parses
+            length = netpbm.image_length(data)
+            if length is None:
+                raise NetpbmError(f"header does not end within {_MAX_HEADER:,} bytes", len(data))
             data += _read(fh, length - len(data))
-        elif len(data) == _MAX_HEADER:  # a shorter file ends in its header: read_image says how
-            raise NetpbmError(f"header does not end within {_MAX_HEADER:,} bytes", len(data))
     return netpbm.read_image(data)
 
 
@@ -138,22 +140,25 @@ def _map_params(args) -> MapParams:
     return replace(default_map1() if args.map == 1 else default_map2(), **given)
 
 
-def _cmd_analyze(args) -> None:
-    if args.analysis == "bifurcate":
-        sweep = analysis.bifurcation_sweep(
-            _map_params(args), args.r_min, args.r_max, args.r_step, samples=args.samples
-        )
-        analysis.write_bifurcation_csv(args.out, sweep)
-    elif args.analysis == "lyapunov":
-        params = _map_params(args)
-        lam = analysis.lyapunov_exponent(params, steps=args.steps)
-        analysis.write_lyapunov_csv(args.out, [(params.r, lam)])
-    elif args.analysis == "phase":
-        points = analysis.phase_points(_map_params(args), count=args.count)
-        analysis.write_phase_csv(args.out, points)
-    else:  # histogram
-        hist = analysis.histogram(_load_image(args.infile))
-        analysis.write_histogram_csv(args.out, hist)
+def _cmd_bifurcate(args) -> None:
+    sweep = analysis.bifurcation_sweep(
+        _map_params(args), args.r_min, args.r_max, args.r_step, samples=args.samples
+    )
+    analysis.write_bifurcation_csv(args.out, sweep)
+
+
+def _cmd_lyapunov(args) -> None:
+    params = _map_params(args)
+    lam = analysis.lyapunov_exponent(params, steps=args.steps)
+    analysis.write_lyapunov_csv(args.out, [(params.r, lam)])
+
+
+def _cmd_phase(args) -> None:
+    analysis.write_phase_csv(args.out, analysis.phase_points(_map_params(args), count=args.count))
+
+
+def _cmd_histogram(args) -> None:
+    analysis.write_histogram_csv(args.out, analysis.histogram(_load_image(args.infile)))
 
 
 def _add_map_flags(parser: argparse.ArgumentParser, floats=_MAP_FLOATS) -> None:
@@ -164,11 +169,17 @@ def _add_map_flags(parser: argparse.ArgumentParser, floats=_MAP_FLOATS) -> None:
     parser.add_argument("--transient", type=int)
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `chaosimg` parser, built on the first call and returned by every
     later one: callers share it and must not modify it. `parse_args` leaves
     it as it is, so concurrent and repeated calls see the same parser."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The `chaosimg` parser, and the sub-parser of each command path that it
+    defines: `encrypt`, `decrypt`, `metrics` and `analyze` with an analysis."""
     parser = argparse.ArgumentParser(prog="chaosimg")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -199,30 +210,46 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--r-step", type=float, required=True)
     pb.add_argument("--samples", type=int, default=200)
     pb.add_argument("--out", required=True)
-    pb.set_defaults(func=_cmd_analyze)
+    pb.set_defaults(func=_cmd_bifurcate)
 
     pl = asub.add_parser("lyapunov")
     _add_map_flags(pl)
     pl.add_argument("--steps", type=int, default=10000)
     pl.add_argument("--out", required=True)
-    pl.set_defaults(func=_cmd_analyze)
+    pl.set_defaults(func=_cmd_lyapunov)
 
     pp = asub.add_parser("phase")
     _add_map_flags(pp)
     pp.add_argument("--count", type=int, default=1000)
     pp.add_argument("--out", required=True)
-    pp.set_defaults(func=_cmd_analyze)
+    pp.set_defaults(func=_cmd_phase)
 
     ph = asub.add_parser("histogram")
     ph.add_argument("--in", dest="infile", required=True)
     ph.add_argument("--out", required=True)
-    ph.set_defaults(func=_cmd_analyze)
+    ph.set_defaults(func=_cmd_histogram)
 
-    return parser
+    paths = {(name,): q for name, q in sub.choices.items() if name != "analyze"}
+    paths.update({("analyze", name): q for name, q in asub.choices.items()})
+    return parser, paths
+
+
+def _parse(argv=None) -> argparse.Namespace:
+    """`argv` parsed in one pass, by the sub-parser of the command path it
+    starts with: the values, exit code and messages of the whole tree's
+    parse, without its `command` and `analysis`. An extra token is reported
+    with the sub-command's usage line. Any other argv, such as `analyze`
+    alone, `-h` or a typo, goes to the whole tree."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    paths = _parsers()[1]
+    for n in (1, 2):
+        if (parser := paths.get(tuple(argv[:n]))) is not None:
+            return parser.parse_args(argv[n:])
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         args.func(args)
     except (KeyFileError, ValueError) as exc:

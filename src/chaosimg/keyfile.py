@@ -49,7 +49,7 @@ def parse_key_text(text: str) -> KeyMaterial:
     if missing:
         raise KeyFileError(f"missing required key(s): {', '.join(missing)}")
 
-    parsed: dict[str, float] = {}
+    num: dict[str, float] = {}
     for name in FLOAT_KEYS:
         try:
             v = float(values[name])
@@ -57,19 +57,19 @@ def parse_key_text(text: str) -> KeyMaterial:
             raise KeyFileError(f"key {name!r}: not a decimal: {values[name]!r}")
         if not math.isfinite(v):
             raise KeyFileError(f"key {name!r}: value must be finite")
-        parsed[name] = v
+        num[name] = v
     try:
         transient = int(values["transient"])
     except ValueError:
         raise KeyFileError(f"key 'transient': not an integer: {values['transient']!r}")
 
-    def map_params(map_id: MapId) -> MapParams:
-        prefix = f"map{map_id.value}."
-        fields = {k[len(prefix):]: v for k, v in parsed.items() if k.startswith(prefix)}
-        return MapParams(map_id, transient=transient, **fields)
-
     try:  # MapParams bounds the transient
-        return KeyMaterial(map1=map_params(MapId.MAP1), map2=map_params(MapId.MAP2))
+        return KeyMaterial(
+            map1=MapParams(MapId.MAP1, r=num["map1.r"], x0=num["map1.x0"],
+                           y0=num["map1.y0"], transient=transient),
+            map2=MapParams(MapId.MAP2, r=num["map2.r"], a=num["map2.a"], b=num["map2.b"],
+                           x0=num["map2.x0"], y0=num["map2.y0"], transient=transient),
+        )
     except ValueError as exc:
         raise KeyFileError(str(exc)) from None
 

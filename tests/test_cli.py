@@ -1,5 +1,8 @@
+import argparse
 import contextlib
 import csv
+import io
+import itertools
 import os
 import struct
 import subprocess
@@ -10,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chaosimg
 from chaosimg import cli
@@ -215,6 +220,16 @@ class TestEncryptDecryptCommands:
         src.write_bytes(b"P5" + b" " * cli._MAX_HEADER + b"2 2 255\n" + bytes([1, 2, 3, 4]))
         assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(env)]) == 1
         assert "header does not end within 1,048,576 bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", [16, 112, 113, 123, 124, 1 << 20])
+    def test_raster_read_past_the_header_limit(self, tmp_path, monkeypatch, limit):
+        # a 113-byte image, then 10 bytes of another: the first read ends in
+        # the raster, at its end, at the end of the file, or takes it all
+        pixels = np.arange(100, dtype=np.uint8).reshape(10, 10)
+        src = tmp_path / "p.pgm"
+        src.write_bytes(write_image(PlainImage.from_array(pixels)) + b"next image")
+        monkeypatch.setattr(cli, "_MAX_HEADER", limit)
+        np.testing.assert_array_equal(cli._load_image(src).pixels[0], pixels)
 
     def test_envelope_longer_than_its_header_exit_1(self, tmp_path, keyfile, capsys):
         env = tmp_path / "c.cse"
@@ -655,7 +670,7 @@ class TestSharedParser:
 
     def test_threads_get_their_own_values(self):
         def argv_and_values(i, j):
-            """Thread i's argv in round j, and what parse_args must give."""
+            """Thread i's argv in round j, and what `main`'s parse must give."""
             tag = f"{i}.{j}"
             return [
                 (["encrypt", "--key", f"k{tag}", "--in", f"p{tag}", "--out", f"c{tag}"],
@@ -665,7 +680,7 @@ class TestSharedParser:
                 (["metrics", "--a", f"a{tag}", "--b", f"b{tag}"],
                  {"func": cli._cmd_metrics, "a": f"a{tag}", "b": f"b{tag}"}),
                 (["analyze", "phase", "--map", "2", "--count", str(j + 1), "--out", f"o{tag}"],
-                 {"func": cli._cmd_analyze, "map": 2, "count": j + 1, "r": None}),
+                 {"func": cli._cmd_phase, "map": 2, "count": j + 1, "r": None}),
             ][i]
 
         done, wrong = [0] * 4, []
@@ -673,7 +688,7 @@ class TestSharedParser:
         def parse(i):
             for j in range(50):
                 argv, want = argv_and_values(i, j)
-                args = build_parser().parse_args(argv)
+                args = cli._parse(argv)
                 got = {name: getattr(args, name) for name in want}
                 if got != want:
                     wrong.append((argv, got))
@@ -691,3 +706,113 @@ class TestSharedParser:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert done == [50] * 4 and wrong == []
+
+
+# each command path's flags, as README documents them
+_MAP = ["--map", "--a", "--b", "--x0", "--y0", "--transient"]
+PATH_FLAGS = {
+    ("encrypt",): ["--key", "--in", "--out"],
+    ("decrypt",): ["--key", "--in", "--out"],
+    ("metrics",): ["--a", "--b"],
+    ("analyze", "bifurcate"): [*_MAP, "--r-min", "--r-max", "--r-step", "--samples", "--out"],
+    ("analyze", "lyapunov"): [*_MAP, "--r", "--steps", "--out"],
+    ("analyze", "phase"): [*_MAP, "--r", "--count", "--out"],
+    ("analyze", "histogram"): ["--in", "--out"],
+}
+# "1" and "2" suit every flag, --map included; half the values are one of them
+VALUES = st.one_of(st.sampled_from(["1", "2"]),
+                   st.sampled_from(["7", "0.5", "-3", "1e3", "3.9", "x", "inf", "", "o.csv"]))
+
+
+@st.composite
+def flag_tokens(draw, flag):
+    """One use of `flag`: with a value, as --flag=value, abbreviated (which
+    may be ambiguous, as bifurcate's --r is), or with its value missing."""
+    prefixes = [flag[:k] for k in range(3, len(flag) + 1)]
+    name = draw(st.one_of(st.just(flag), st.sampled_from(prefixes)))
+    value = draw(VALUES)
+    return draw(st.sampled_from([[name, value]] * 4 + [[f"{name}={value}"]] * 2 + [[name]]))
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of one command path: each flag mostly once, sometimes missing
+    or repeated, in any order, with now and then -h or an extra token."""
+    path = draw(st.sampled_from(sorted(PATH_FLAGS)))
+    items = [draw(flag_tokens(flag)) for flag in PATH_FLAGS[path]
+             for _ in range(draw(st.sampled_from([1, 1, 1, 1, 0, 2])))]
+    items += draw(st.lists(st.sampled_from(
+        [["-h"], ["--help"], ["extra"], ["--bogus", "1"], ["-q"], ["--"], ["--map", "3"]]
+    ), max_size=2))
+    items = draw(st.permutations(items))
+    return path, [*path, *itertools.chain.from_iterable(items)]
+
+
+def parse_outcome(parse, argv):
+    """(attributes or exit code, stdout, stderr) of `parse(argv)`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestDispatch:
+    """`main` parses argv once, at the parser of its command path, with the
+    whole tree's result."""
+
+    def test_one_parse_per_call(self, tmp_path, keyfile, golden_pgm, monkeypatch, capsys):
+        key, plain = str(keyfile), str(golden_pgm)
+        cse, pgm, csv_out = (str(tmp_path / name) for name in ("c.cse", "p.pgm", "o.csv"))
+        calls = [
+            ["encrypt", "--key", key, "--in", plain, "--out", cse],
+            ["decrypt", "--key", key, "--in", cse, "--out", pgm],
+            ["metrics", "--a", plain, "--b", pgm],
+            ["analyze", "bifurcate", "--r-min", "1", "--r-max", "2", "--r-step", "0.5",
+             "--samples", "2", "--transient", "0", "--out", csv_out],
+            ["analyze", "lyapunov", "--steps", "1000", "--out", csv_out],
+            ["analyze", "phase", "--count", "3", "--out", csv_out],
+            ["analyze", "histogram", "--in", pgm, "--out", csv_out],
+        ]
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+        parses = []
+
+        def counted(self, *args, **kwargs):
+            parses.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        for argv in calls:
+            parses.clear()
+            assert main(argv) == 0, capsys.readouterr().err
+            assert parses == ["chaosimg " + " ".join(argv[:2 if argv[0] == "analyze" else 1])]
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=command_lines())
+    def test_parses_like_the_tree(self, case):
+        path, argv = case
+        want, want_out, want_err = parse_outcome(build_parser().parse_args, argv)
+        got, out, err = parse_outcome(cli._parse, argv)
+        if isinstance(want, dict):  # the sub-commands' names, which nothing reads
+            assert want.pop("command") == path[0] and want.pop("analysis", path[-1]) == path[-1]
+        assert (got, out) == (want, want_out)
+        _, unrecognized, tokens = want_err.rpartition("error: unrecognized arguments: ")
+        if not unrecognized:
+            assert err == want_err
+            return
+        # the one difference: the sub-command's parser reports an extra token
+        sub = cli._parsers()[1][path]
+        assert want_err == f"{build_parser().format_usage()}chaosimg: {unrecognized}{tokens}"
+        assert err == f"{sub.format_usage()}{sub.prog}: {unrecognized}{tokens}"
+        assert err.startswith(f"usage: chaosimg {' '.join(path)} [-h]")
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help", "encrypt"], ["analyze"], ["analyze", "-h"],
+        ["analyze", "typo", "--out", "o"], ["encrpyt", "--key", "k"], ["-x", "encrypt"],
+    ])
+    def test_other_argv_goes_to_the_tree(self, argv):
+        want = parse_outcome(build_parser().parse_args, argv)
+        assert parse_outcome(cli._parse, argv) == want
+        assert want[0] in (0, 2)
