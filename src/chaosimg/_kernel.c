@@ -1,6 +1,7 @@
 /* Compiled loops of the two chaotic maps: `chaos_fill` iterates a map from
- * a seed, with `maps.step_function` as its oracle, and `chaos_lyapunov`
- * runs `analysis.lyapunov_from_step` over that step. Two byte loops,
+ * a seed, with `maps.step_function` as its oracle, `chaos_sweep` makes every
+ * row of a bifurcation sweep in one call, and `chaos_lyapunov` runs
+ * `analysis.lyapunov_from_step` over that step. Two byte loops,
  * `chaos_gather_xor` and `chaos_scatter_xor`, make the cipher's one pass
  * over an image, with the numpy lines of `cipher._gather_xor` and
  * `cipher._scatter_xor` as their oracles. Two index loops build the key
@@ -12,8 +13,10 @@
  * `chaos_quantize` makes its bytes, and `chaos_pack` and `chaos_unpack`
  * make its stable argsort in place, before and after numpy sorts the
  * words. One text loop, `chaos_format_rows`, writes the rows of the
- * analysis CSVs in the bytes of Python's `.12g` format from integer digits
- * (see `format_g12`).
+ * analysis CSVs in the bytes of Python's `.12g` format: it reads each
+ * float's exponent and mantissa from its bits and rounds its digits once,
+ * in 128-bit integers, so no float operation touches them (see
+ * `format_g12`).
  *
  * Every operation mirrors CPython float semantics, so the bytes match the
  * pure-Python path bit for bit:
@@ -117,6 +120,24 @@ long long chaos_fill(int map, double r, double ar, double b, double *state,
     state[0] = s.x;
     state[1] = s.y;
     return -1;
+}
+
+/* The rows of `analysis.bifurcation_sweep`, with its Python loop as their
+ * oracle: for each of the `count` values r in rs, the map with a*r iterated
+ * from (x0, y0) as `chaos_fill` iterates it, `skip` states discarded and the
+ * x of the next n written to row xs[i*n .. (i+1)*n). The row of an r whose
+ * orbit diverges is all NaN.
+ */
+void chaos_sweep(int map, const double *rs, long long count, double a, double b,
+                 double x0, double y0, long long skip, double *xs, long long n)
+{
+    for (long long i = 0; i < count; i++) {
+        double state[2] = {x0, y0};
+        double *row = xs + i * n;
+        if (chaos_fill(map, rs[i], a * rs[i], b, state, skip, row, NULL, n) >= 0)
+            for (long long j = 0; j < n; j++)
+                row[j] = NAN;
+    }
 }
 
 /* `lyapunov_from_step` from (x, y) over `steps` steps of the map, with the
@@ -324,24 +345,42 @@ static long long scaled(uint64_t m, int k, int j)
     s = -s;
     if (s > 116)  /* x < 2**116 <= half */
         return 0;
-    unsigned __int128 q = x >> s, rest = x - (q << s), half = (unsigned __int128)1 << (s - 1);
-    if (rest > half || (rest == half && (q & 1)))
-        q++;
-    return (long long)q;
+    /* (x + half - 1 + the low bit of x >> s) >> s: a remainder above half
+     * carries, and half carries only into an odd quotient */
+    unsigned __int128 bias = ((unsigned __int128)1 << (s - 1)) - 1 + (unsigned)(x >> s & 1);
+    return (long long)((x + bias) >> s);
 }
 
-/* Python's f"{v:.12g}" written at out (at most 18 bytes); returns its
- * length, or 0 to refuse v, which it does exactly when v is finite and |v|
- * is nonzero and below 2**-53 (about 1.1e-16), or above 1e12 + 0.5.
+/* "00", "01", ..., "99": the digits of each number below 100 */
+static const char PAIRS[] =
+    "0001020304050607080910111213141516171819"
+    "2021222324252627282930313233343536373839"
+    "4041424344454647484950515253545556575859"
+    "6061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* Python's f"{v:.12g}" written at out; returns its length, or 0 to refuse
+ * v, which it does exactly when v is finite and |v| is nonzero and below
+ * 2**-53 (about 1.1e-16), or above 1e12 + 0.5. No byte is written 18 or
+ * more bytes past out, so a row's two fields stay within its 39 bytes.
  *
- * The 12 digits are N = round_half_even(|v| * 10**(11 - e)) in integer
- * arithmetic (`scaled`), with e the decimal exponent of v. Its seed, from
- * the binary exponent, is that exponent or one below it: so N >= 1e11, and
- * N > 1e12 takes e one up. N = 1e12 is the carry of a value that rounds up
- * to the next decade: 1e11 at e + 1. CPython's dtoa rounds correctly and
- * half to even too, so the digits are the same. Only exact float
- * operations (frexp, a scaling by 2**53, floor) touch v, so no digit
- * depends on libm's rounding.
+ * Each step is exact:
+ *   - v = m * 2**k with the integer m < 2**53 and k read from v's bits, as
+ *     frexp and a scaling by 2**53 would give them; 2**(k + 52) <= v holds
+ *     for a normal v, and every subnormal is below 2**-53;
+ *   - e = ((k + 52) * 78913) >> 18 is floor((k + 52) * log10(2)) for every
+ *     k + 52 in [-53, 39], the exponents that are not refused at once (the
+ *     test suite checks each), so e is the decimal exponent of v or one
+ *     below it (the shift is arithmetic, as gcc and clang make it);
+ *   - the 12 digits are N = round_half_even(|v| * 10**(11 - e)) in integer
+ *     arithmetic (`scaled`), so N >= 1e11, and N > 1e12 takes e one up;
+ *     N = 1e12 is the carry of a value that rounds up to the next decade:
+ *     1e11 at e + 1. CPython's dtoa rounds correctly and half to even too,
+ *     so the digits are the same;
+ *   - N's digits come two at a time from PAIRS; fixed-size copies lay
+ *     them out, all 12 of them, and the length keeps the ones before the
+ *     trailing zeros (only the digits after a point within them move one
+ *     at a time).
  *
  * The layout is format()'s for 'g': fixed notation for -4 <= e < 12 and
  * e+XX/e-XX otherwise, trailing zeros dropped, "-0" for -0.0, "nan" for
@@ -349,30 +388,34 @@ static long long scaled(uint64_t m, int k, int j)
  */
 static int format_g12(double v, char *out)
 {
+    uint64_t bits;
     char *p = out;
 
-    if (isnan(v)) {
+    memcpy(&bits, &v, sizeof bits);
+    int biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t m = bits & (((uint64_t)1 << 52) - 1);
+    if (biased == 0x7ff && m) {
         memcpy(p, "nan", 3);
         return 3;
     }
-    if (signbit(v))
-        *p++ = '-';
-    v = fabs(v);
-    if (isinf(v)) {
+    *p = '-';
+    p += bits >> 63;
+    if (biased == 0x7ff) {
         memcpy(p, "inf", 3);
         return (int)(p - out) + 3;
     }
-    if (v == 0) {
+    if (biased == 0) {
         *p = '0';
-        return (int)(p - out) + 1;
+        return m ? 0 : (int)(p - out) + 1;  /* a subnormal is below 2**-53 */
     }
-    int exponent;
-    uint64_t m = (uint64_t)(frexp(v, &exponent) * 0x1p53);  /* v = m * 2**(exponent - 53) */
-    /* 2**(exponent - 1) <= v < 2**exponent, and log10(2) < 1 */
-    int e = (int)floor((exponent - 1) * 0.30102999566398120);
-    long long n = scaled(m, exponent - 53, 11 - e);
+    int k = biased - 1075;
+    m |= (uint64_t)1 << 52;
+    if (k + 52 < -53 || k + 52 > 39)  /* v < 2**-53 or v >= 2**40 */
+        return 0;
+    int e = ((k + 52) * 78913) >> 18;
+    long long n = scaled(m, k, 11 - e);
     if (n > 1000000000000LL)
-        n = scaled(m, exponent - 53, 11 - ++e);
+        n = scaled(m, k, 11 - ++e);
     if (n < 0 || n > 1000000000000LL)
         return 0;
     if (n == 1000000000000LL) {
@@ -381,40 +424,35 @@ static int format_g12(double v, char *out)
     }
 
     char d[12];
-    int nd = 12;
     uint32_t hi = (uint32_t)(n / 1000000), lo = (uint32_t)(n % 1000000);
-    for (int i = 5; i >= 0; i--, hi /= 10, lo /= 10) {
-        d[i] = (char)('0' + hi % 10);
-        d[i + 6] = (char)('0' + lo % 10);
-    }
+    memcpy(d, PAIRS + 2 * (hi / 10000), 2);
+    memcpy(d + 2, PAIRS + 2 * (hi / 100 % 100), 2);
+    memcpy(d + 4, PAIRS + 2 * (hi % 100), 2);
+    memcpy(d + 6, PAIRS + 2 * (lo / 10000), 2);
+    memcpy(d + 8, PAIRS + 2 * (lo / 100 % 100), 2);
+    memcpy(d + 10, PAIRS + 2 * (lo % 100), 2);
+    int nd = 12;
     while (d[nd - 1] == '0')  /* d[0] is not '0' */
         nd--;
     if (e < -4 || e >= 12) {
-        *p++ = d[0];
-        if (nd > 1) {
-            *p++ = '.';
-            memcpy(p, d + 1, nd - 1);
-            p += nd - 1;
-        }
-        *p++ = 'e';
-        *p++ = e < 0 ? '-' : '+';
-        *p++ = (char)('0' + abs(e) / 10);  /* |e| <= 16 */
-        *p++ = (char)('0' + abs(e) % 10);
+        p[0] = d[0];
+        p[1] = '.';
+        memcpy(p + 2, d + 1, 11);
+        p += nd > 1 ? nd + 1 : 1;
+        p[0] = 'e';
+        p[1] = e < 0 ? '-' : '+';
+        memcpy(p + 2, PAIRS + 2 * abs(e), 2);  /* |e| <= 16 */
+        p += 4;
     } else if (e >= 0) {
-        memcpy(p, d, e + 1);
-        p += e + 1;
-        if (nd > e + 1) {
-            *p++ = '.';
-            memcpy(p, d + e + 1, nd - e - 1);
-            p += nd - e - 1;
-        }
+        memcpy(p, d, 12);
+        p[e + 1] = '.';
+        for (int i = e + 1; i < nd; i++)
+            p[i + 1] = d[i];
+        p += nd > e + 1 ? nd + 1 : e + 1;
     } else {
-        *p++ = '0';
-        *p++ = '.';
-        memset(p, '0', -e - 1);
-        p += -e - 1;
-        memcpy(p, d, nd);
-        p += nd;
+        memcpy(p, "0.000", 5);
+        memcpy(p + 1 - e, d, 12);
+        p += 1 - e + nd;
     }
     return (int)(p - out);
 }

@@ -2,10 +2,11 @@
 points) and cipher-quality metrics (MSE, PSNR, histogram, chi-square
 uniformity, adjacent-pixel correlation), plus their CSV serializers.
 
-Every map iteration runs in the compiled kernel when it is loaded: the
-sweeps, the phase points and the Lyapunov transient through `maps.fill`,
-the Lyapunov steps through `chaos_lyapunov`. Without it, both fall back
-to Python loops over `maps.step_function` that give the same bits. The
+Every map iteration runs in the compiled kernel when it is loaded: each
+bifurcation sweep in one `chaos_sweep` call, the phase points and the
+Lyapunov transient through `maps.fill`, the Lyapunov steps through
+`chaos_lyapunov`. Without it, all fall back to Python loops over
+`maps.step_function` that give the same bits. The
 bifurcation, phase and Lyapunov CSVs are written by `_write_columns`,
 BLOCK rows at a time: the kernel's `chaos_format_rows` formats a block,
 and `_lines` formats, in the same bytes, a block in which it refuses a
@@ -106,8 +107,9 @@ def _check_size(count: float, what: str, limit: int = MAX_VALUES) -> None:
 def _r_grid(r_min: float, r_max: float, r_step: float, samples: int,
             transient: int) -> np.ndarray:
     """The r grid, sized before anything is allocated or iterated: its
-    `samples` values per r must stay within MAX_VALUES, and its
-    `transient + samples` iterates per r within MAX_ITERATES."""
+    `samples` values per r must stay within MAX_VALUES, its
+    `transient + samples` iterates per r within MAX_ITERATES, and its
+    largest value must be finite, as `MapParams` requires of r."""
     if not all(map(math.isfinite, (r_min, r_max, r_step))):
         raise ValueError("r_min, r_max and r_step must be finite")
     if r_min > r_max:
@@ -118,6 +120,8 @@ def _r_grid(r_min: float, r_max: float, r_step: float, samples: int,
     count = int(steps) + 1 if math.isfinite(steps) else math.inf
     _check_size(count * samples, "bifurcation sweep values")
     _check_size(count * (transient + samples), "bifurcation sweep iterates", MAX_ITERATES)
+    if not math.isfinite(r_min + (count - 1) * r_step):
+        raise ValueError("the r grid overflows")
     return r_min + np.arange(count) * r_step
 
 
@@ -135,18 +139,26 @@ def bifurcation_sweep(
 
     Returns flat `(r, x)` arrays, `samples` rows per r in grid order.
     Output stays rectangular: a divergent r contributes `samples` rows with
-    x = NaN instead of aborting the sweep; every other x is finite.
+    x = NaN instead of aborting the sweep; every other x is finite. The
+    kernel's `chaos_sweep` makes every row in one call; without it, a
+    Python loop fills each row, the kernel's oracle, with the same bits.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     grid = _r_grid(r_min, r_max, r_step, samples, params.transient)
     xs = np.empty((grid.size, samples))
-    for k, r in enumerate(grid.tolist()):
-        p = replace(params, r=r)
-        try:
-            fill(p, (p.x0, p.y0), xs[k], skip=p.transient)
-        except DivergenceError:  # the row may be partly written
-            xs[k] = math.nan
+    lib = kernel.library()
+    if lib is not None:
+        lib.chaos_sweep(params.map_id.value, kernel.address(grid), grid.size, params.a,
+                        params.b, params.x0, params.y0, params.transient, kernel.address(xs),
+                        samples)
+    else:
+        for k, r in enumerate(grid.tolist()):
+            p = replace(params, r=r)
+            try:
+                fill(p, (p.x0, p.y0), xs[k], skip=p.transient)
+            except DivergenceError:  # the row may be partly written
+                xs[k] = math.nan
     return np.repeat(grid, samples), xs.reshape(-1)
 
 
@@ -225,22 +237,28 @@ def _lines(rows: Iterable[Iterable]) -> str:
     return "".join([f"{a:.12g},{b:.12g}\r\n" for a, b in rows])
 
 
-def _write_columns(path, header: str, a: np.ndarray, b: np.ndarray) -> None:
-    """The header line and one line per row of two float columns of one
-    length, each field f"{v:.12g}": csv.writer's bytes in the excel dialect,
-    with CRLF line ends and no field that needs quoting. The kernel's
-    `chaos_format_rows` formats BLOCK rows at a time, and `_lines` formats a
-    block in which it refuses a value, or every block without the kernel."""
+def _write_columns(path, header: str, a: np.ndarray, b: np.ndarray | None = None) -> None:
+    """The header line and one line per row of two float columns, each
+    field f"{v:.12g}": csv.writer's bytes in the excel dialect, with CRLF
+    line ends and no field that needs quoting. The columns are `a` and `b`,
+    of one length, copied into rows BLOCK at a time; or, with `b` None, the
+    rows of `a`, a writeable C-contiguous (n, 2) float64 array, read where
+    they lie. The kernel's `chaos_format_rows` formats BLOCK rows at a
+    time, and `_lines` formats a block in which it refuses a value, or
+    every block without the kernel."""
     lib = kernel.library()
     n = len(a)
-    pairs = np.empty((min(n, BLOCK), 2))
-    text = bytearray(ROW_BYTES * len(pairs))
+    pairs = None if b is None else np.empty((min(n, BLOCK), 2))
+    text = bytearray(ROW_BYTES * min(n, BLOCK))
     with open_over(path) as fh:
         fh.write(f"{header}\r\n".encode())
         for start in range(0, n, BLOCK):
             stop = min(start + BLOCK, n)
-            block = pairs[:stop - start]
-            block[:, 0], block[:, 1] = a[start:stop], b[start:stop]
+            if pairs is None:
+                block = a[start:stop]
+            else:
+                block = pairs[:stop - start]
+                block[:, 0], block[:, 1] = a[start:stop], b[start:stop]
             size = -1 if lib is None else lib.chaos_format_rows(
                 kernel.address(block), len(block), kernel.address(text))
             fh.write(memoryview(text)[:size] if size >= 0 else _lines(block.tolist()).encode())
@@ -255,7 +273,7 @@ def write_phase_csv(path, points: np.ndarray) -> None:
 
 
 def write_lyapunov_csv(path, rows: list[tuple[float, float]]) -> None:
-    _write_columns(path, "r,lambda", *np.array(rows, dtype=np.float64).reshape(-1, 2).T)
+    _write_columns(path, "r,lambda", np.array(rows, dtype=np.float64).reshape(-1, 2))
 
 
 def write_histogram_csv(path, hist) -> None:

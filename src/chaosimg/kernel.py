@@ -6,9 +6,10 @@ the SHA-256 of the source, the flags and the platform, so a changed
 source builds a new one; a build writes a temporary file and renames it
 into place, so concurrent first runs are safe.
 
-`library()` serves ten loops: `chaos_fill`, through which `maps.fill`
-iterates a map for the key schedule, the bifurcation sweep, the phase
-points and the Lyapunov transient; `chaos_lyapunov`, which
+`library()` serves eleven loops: `chaos_fill`, through which `maps.fill`
+iterates a map for the key schedule, the phase points and the Lyapunov
+transient; `chaos_sweep`, which makes every row of
+`analysis.bifurcation_sweep` in one call; `chaos_lyapunov`, which
 `analysis.lyapunov_exponent` runs for the Lyapunov steps;
 `chaos_gather_xor` and `chaos_scatter_xor`, the one pass over the image
 of `cipher.encrypt` and `cipher.decrypt`; `chaos_gather_in_place` and
@@ -54,6 +55,10 @@ _SIGNATURES = {
     # state, skip, xs, ys, n
     "chaos_fill": (ctypes.c_longlong, [*_MAP, ctypes.c_void_p, ctypes.c_longlong,
                                        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong]),
+    # rs, count, a, b, x0, y0, skip, xs, n
+    "chaos_sweep": (None, [ctypes.c_int, ctypes.c_void_p, ctypes.c_longlong,
+                           *[ctypes.c_double] * 4, ctypes.c_longlong, ctypes.c_void_p,
+                           ctypes.c_longlong]),
     # x, y, d0, steps, out
     "chaos_lyapunov": (ctypes.c_longlong, [*_MAP, ctypes.c_double, ctypes.c_double,
                                            ctypes.c_double, ctypes.c_longlong, ctypes.c_void_p]),

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import itertools
 import math
+import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -155,6 +157,14 @@ class TestBifurcation:
         _, xs = bifurcation_sweep(default_map1(), 17.0, 17.0, 1.0, samples=200)
         bins = np.histogram(xs, bins=100, range=(-2, 2))[0]
         assert (bins > 0).sum() >= 50
+
+    @pytest.mark.parametrize("path", ["compiled", "python_only"])
+    def test_overflowing_grid_is_refused(self, request, path):
+        # the grid's last value, 3 * (max / 3), rounds past the largest float
+        request.getfixturevalue(path)
+        top = sys.float_info.max
+        with pytest.raises(ValueError, match="overflows"):
+            bifurcation_sweep(default_map1(), 0.0, top, top / 3, samples=1)
 
     def test_divergent_r_row_is_nan_and_flagged(self):
         # Map 1 at r = 1e307 diverges at iteration 253, after 253 of its 300
@@ -460,6 +470,49 @@ def test_kernel_formatter_edge_values_match_oracle(compiled):
     assert kernel_lines([9.9999999999995e-5, 9.999999999995e-5]) == b"0.0001,9.99999999999e-05\r\n"
     assert kernel_lines([negative_nan, -0.0]) == b"nan,-0\r\n"
     assert kernel_lines([0.5, 1e300]) is None and kernel_lines([5e-324, 0.5]) is None
+
+
+def test_decimal_exponent_estimate_is_exact():
+    # `format_g12` takes the decimal exponent of v, or one below it, as
+    # ((k + 52) * A) >> B from v's binary exponent x = k + 52; it must be
+    # floor(x * log10(2)) for each x of a value that it does not refuse at
+    # once, from 2**-53 to 1e12 + 0.5
+    a, b = map(int, re.search(r"\(\(k \+ 52\) \* (\d+)\) >> (\d+)",
+                              kernel.SOURCE.read_text()).groups())
+    lowest, highest = math.frexp(2.0**-53)[1] - 1, math.frexp(1e12 + 0.5)[1] - 1
+    assert (lowest, highest) == (-53, 39)
+    for x in range(lowest, highest + 1):
+        # 10**e <= 2**x < 10**(e + 1), from the digits of 2**|x|
+        exact = len(str(2**x)) - 1 if x >= 0 else -len(str(2**-x))
+        assert (x * a) >> b == exact, x
+
+
+def test_kernel_formatter_bulk_matches_oracle(compiled):
+    # a million log-uniform values over every decade from 1e-16 to 1e12 and
+    # half a decade beyond each end, where the kernel refuses; then the
+    # neighbours of 12-digit ties, correctly rounded from their decimal
+    # strings, of each decade's edges and of the refusal bounds
+    rng = np.random.default_rng(31)
+    decades = range(-16, 12)
+    ties = [float(f"{n}5e{d - 12}") for d in decades
+            for n in rng.integers(10**11, 10**12, 500).tolist()]
+    edges = [scale * 10.0**d for d in range(-16, 13) for scale in (1.0, 9.999999999995)]
+    neighbours = [u for t in ties for u in ulps_around(t)]
+    neighbours += [u for e in edges + [2.0**-53, 1e12 + 0.5] for u in ulps_around(e, 5)]
+    values = np.concatenate([10.0**rng.uniform(-16.5, 12.5, 1_000_000), neighbours])
+    values *= rng.choice([-1.0, 1.0], values.size)
+    magnitude = np.abs(values)  # all finite and nonzero: `refused` in bulk
+    refuse = ~((2.0**-53 <= magnitude) & (magnitude <= 1e12 + 0.5))
+    accepted = values[~refuse]
+    rows = accepted[:accepted.size // 2 * 2].reshape(-1, 2)
+    got = kernel_lines(rows)
+    assert got is not None, "the kernel refused a value that it must format"
+    got, expected = got.split(b"\r\n"), analysis._lines(rows.tolist()).encode().split(b"\r\n")
+    wrong = [i for i, (g, e) in enumerate(zip(got, expected)) if g != e]
+    assert not wrong, (rows[wrong[0]].tolist(), got[wrong[0]], expected[wrong[0]])
+    assert len(got) == len(expected)
+    for v in values[refuse].tolist():
+        assert refused(v) and kernel_lines([v, 0.5]) is None, repr(v)
 
 
 def test_refused_block_is_formatted_in_python(compiled, tmp_path):

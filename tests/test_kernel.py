@@ -1,7 +1,7 @@
-"""The compiled kernel against its oracles: `maps.step_function` and
-`analysis.lyapunov_from_step` for the map loops, numpy's gather and
-scatter for the cipher's byte loops; and the build flags that make the
-two paths round alike."""
+"""The compiled kernel against its oracles: `maps.step_function`,
+`analysis.bifurcation_sweep`'s Python loop and `analysis.lyapunov_from_step`
+for the map loops, numpy's gather and scatter for the cipher's byte loops;
+and the build flags that make the two paths round alike."""
 
 import ctypes
 import hashlib
@@ -18,13 +18,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosimg import analysis, cipher, kernel, maps
 from chaosimg.cipher import (ImageDims, KeyMaterial, PlainImage, build_key_schedule,
                              default_keys, encrypt)
-from chaosimg.analysis import lyapunov_exponent
+from chaosimg.analysis import bifurcation_sweep, lyapunov_exponent
 from chaosimg.errors import DivergenceError, TrajectoryCollapseError
 from chaosimg.maps import MapId, MapParams, default_map1, default_map2, fill, step_function
 from test_cipher import GOLDEN_DIGESTS, GOLDEN_IMAGES, GOLDEN_KEY_SETS, golden_keys
@@ -124,6 +124,61 @@ def test_divergence_index_counts_from_seed(request, path, r, transient, half_len
     with pytest.raises(DivergenceError) as info:
         build_key_schedule(keys, ImageDims(1, 1, 2 * half_len))
     assert info.value.iteration == first_divergence(params)
+
+
+def sweep_outcome(params, r_min, r_max, r_step, samples):
+    """The sweep's (r, x) bytes, or the ValueError's message."""
+    try:
+        r, x = bifurcation_sweep(params, r_min, r_max, r_step, samples)
+    except ValueError as exc:
+        return ("refused", str(exc))
+    return r.tobytes(), x.tobytes()
+
+
+def sweep_oracle(*args):
+    """`sweep_outcome` with no kernel: the Python loop over `_fill_orbit`."""
+    with mock.patch.object(kernel, "library", lambda: None):
+        return sweep_outcome(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    map_id=st.sampled_from(MapId),
+    r_min=finite, a=finite, b=finite, x0=finite, y0=finite,
+    rows=st.integers(1, 8),
+    r_step=st.one_of(st.floats(1e-3, 10), st.floats(1e-3, 1e308)),
+    transient=st.integers(0, 50),
+    samples=st.integers(1, 300),
+)
+# GOLDEN_CSV_DIGESTS' grid, shortened: Map 1 at r = 1e307 diverges at
+# iteration 253, inside its row
+@example(map_id=MapId.MAP1, r_min=17.0, a=0.0, b=0.0, x0=0.1, y0=0.1, rows=2,
+         r_step=1e307 - 17.0, transient=0, samples=300)
+def test_sweep_kernel_matches_oracle(compiled, map_id, r_min, a, b, x0, y0, rows, r_step,
+                                     transient, samples):
+    params = MapParams(map_id, 1.0, a=a, b=b, x0=x0, y0=y0, transient=transient)
+    args = (params, r_min, r_min + (rows - 1) * r_step, r_step, samples)
+    assert sweep_outcome(*args) == sweep_oracle(*args)
+
+
+# Map 1 at r = 1e307 diverges at iteration 253, after 253 of its 300 samples
+# are written, and Map 2 at b = 1.85e307 at r >= 2.325 in its samples, after
+# a transient of 100
+DIVERGENT_SWEEPS = [
+    ((replace(default_map1(), transient=0), 17.0, 1e307, 1e307 - 17.0, 300), [False, True]),
+    ((replace(default_map2(), b=1.85e307, transient=100), 2.3, 2.4, 0.025, 200),
+     [False, True, True, True, True]),
+]
+
+
+@pytest.mark.parametrize("args, divergent", DIVERGENT_SWEEPS)
+def test_divergent_sweep_rows_are_nan_on_both_paths(compiled, args, divergent):
+    samples = args[-1]
+    outcome = sweep_outcome(*args)
+    assert outcome == sweep_oracle(*args)
+    xs = np.frombuffer(outcome[1]).reshape(-1, samples)
+    assert np.isnan(xs).all(axis=1).tolist() == divergent
+    assert np.isfinite(xs[~np.array(divergent)]).all()
 
 
 def lyapunov_outcome(params, steps):
