@@ -12,7 +12,9 @@
  * turn an orbit into keys with the numpy lines of `maps` as their oracles:
  * `chaos_quantize` makes its bytes, and `chaos_pack` and `chaos_unpack`
  * make its stable argsort in place, before and after numpy sorts the
- * words. One text loop, `chaos_format_rows`, writes the rows of the
+ * words. `chaos_orbit_start`, `_give`, `_take` and `_join` iterate Map 1's
+ * orbit on a thread of its own while the caller keys Map 2 (see
+ * `orbit_t`). One text loop, `chaos_format_rows`, writes the rows of the
  * analysis CSVs in the bytes of Python's `.12g` format: it reads each
  * float's exponent and mantissa from its bits and rounds its digits once,
  * in 128-bit integers, so no float operation touches them (see
@@ -36,9 +38,13 @@
  * quantized bytes.
  */
 #include <math.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <time.h>
 
 static const double PI = 3.141592653589793;
 static const double TWO_PI = 6.283185307179586;
@@ -169,6 +175,13 @@ long long chaos_lyapunov(int map, double r, double ar, double b, double x, doubl
     return -1;
 }
 
+#define SCATTER_AHEAD 32
+#if defined(__GNUC__)
+#define PREFETCH_FOR_WRITE(p) __builtin_prefetch(p, 1)
+#else
+#define PREFETCH_FOR_WRITE(p) ((void)(p))
+#endif
+
 /* out[i] = src[index[i]] ^ key[i] for i < n: encryption. Checks nothing:
  * every index is below the length of src. */
 void chaos_gather_xor(const uint8_t *src, const int32_t *index, const uint8_t *key,
@@ -183,7 +196,15 @@ void chaos_gather_xor(const uint8_t *src, const int32_t *index, const uint8_t *k
 void chaos_scatter_xor(const uint8_t *src, const int32_t *index, const uint8_t *key,
                        uint8_t *out, long long n)
 {
-    for (long long i = 0; i < n; i++)
+    long long i = 0;
+
+    /* the stores land at random; a prefetch for write fetches each one's
+     * cache line ahead of it (any distance from 0 to 64 measured alike) */
+    for (; i < n - SCATTER_AHEAD; i++) {
+        PREFETCH_FOR_WRITE(out + index[i + SCATTER_AHEAD]);
+        out[index[i]] = src[i] ^ key[i];
+    }
+    for (; i < n; i++)
         out[index[i]] = src[i] ^ key[i];
 }
 
@@ -314,6 +335,163 @@ void chaos_unpack(int64_t *words, int32_t *perm, long long n, int b)
     }
     for (long long j = 0; j < n; j++)
         perm[j] = (int32_t)(words[j] & low);
+}
+
+
+/* A map's orbit through the four segments of a key-schedule slot, iterated
+ * on a thread of its own by `chaos_fill`'s loop, for
+ * `cipher.build_key_schedule`, which keys the other map meanwhile. The
+ * caller allocates this handle (`chaos_orbit_size` bytes) and the buffers,
+ * and frees none of them before `chaos_orbit_join` has returned.
+ *
+ * Two orbit buffers take turns: segment k is written into xs[k % 2], its y
+ * values too for k = 0 (into ys), once the caller has given k buffers
+ * back. So the thread starts on xs[0] at once, while the caller fills the
+ * other map's segment into xs[1], folds it and gives it (`_give`); each
+ * `_take` waits for the next segment. The counters `given`, `filled` and
+ * the flags `over` and `stop` change under `lock`, with a broadcast on
+ * `moved`, and are read without it by atomic loads; the release store
+ * of `filled` publishes the values of its segment, and that of `over` the
+ * divergence index in `bad`. A wait spins for up to SPIN_NS and then
+ * blocks on `moved`: waking a sleeping vCPU costs about as much as the
+ * thread saves, while each spin's sched_yield lets a thread queued on the
+ * waiter's own vCPU run.
+ */
+typedef struct {
+    pthread_mutex_t lock;
+    pthread_cond_t moved;
+    pthread_t thread;
+    int map;
+    double r, ar, b, state[2];
+    long long skip, n, taken;  /* taken: the caller's own count */
+    double *ys, *xs[2];
+    long long given, filled, over, stop, bad;
+} orbit_t;
+
+#define SPIN_NS 1000000
+
+static long long load(const long long *p)
+{
+    return __atomic_load_n(p, __ATOMIC_ACQUIRE);
+}
+
+static void publish(orbit_t *o, long long *p, long long value)
+{
+    pthread_mutex_lock(&o->lock);
+    __atomic_store_n(p, value, __ATOMIC_RELEASE);
+    pthread_cond_broadcast(&o->moved);
+    pthread_mutex_unlock(&o->lock);
+}
+
+static void cpu_pause(void)
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+}
+
+/* Wait until *count > above or *flag is set. */
+static void wait_for(orbit_t *o, const long long *count, long long above, const long long *flag)
+{
+    struct timespec t0, t;
+
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    while (!(load(count) > above || load(flag))) {
+        cpu_pause();
+        sched_yield();
+        clock_gettime(CLOCK_MONOTONIC, &t);
+        if ((t.tv_sec - t0.tv_sec) * 1000000000LL + (t.tv_nsec - t0.tv_nsec) > SPIN_NS) {
+            pthread_mutex_lock(&o->lock);
+            while (!(load(count) > above || load(flag)))
+                pthread_cond_wait(&o->moved, &o->lock);
+            pthread_mutex_unlock(&o->lock);
+            return;
+        }
+    }
+}
+
+/* The thread: each segment in turn, until the orbit diverges (its index,
+ * counted from the seed, in `bad`) or `stop` is set at a segment's start. */
+static void *orbit_run(void *arg)
+{
+    orbit_t *o = arg;
+    long long done = 0;  /* iterations since the seed */
+
+    for (long long k = 0; k < 4; k++) {
+        wait_for(o, &o->given, k - 1, &o->stop);
+        if (load(&o->stop))
+            break;
+        long long skip = k ? 0 : o->skip;
+        long long bad = chaos_fill(o->map, o->r, o->ar, o->b, o->state, skip, o->xs[k % 2],
+                                   k ? NULL : o->ys, o->n);
+        if (bad >= 0) {
+            o->bad = done + bad;
+            break;
+        }
+        done += skip + o->n;
+        publish(o, &o->filled, k + 1);
+    }
+    publish(o, &o->over, 1);
+    return NULL;
+}
+
+long long chaos_orbit_size(void)
+{
+    return sizeof(orbit_t);
+}
+
+/* Start the thread on the map's orbit from (x0, y0), `skip` states
+ * discarded, in segments of n values. Returns 0, or pthread_create's error
+ * number, with no thread started and nothing left to join. The thread
+ * blocks every signal, so that the process's signals reach the caller's
+ * threads. */
+long long chaos_orbit_start(orbit_t *o, int map, double r, double ar, double b, double x0,
+                            double y0, long long skip, double *ys, double *xs0, double *xs1,
+                            long long n)
+{
+    sigset_t all, old;
+
+    *o = (orbit_t){.map = map, .r = r, .ar = ar, .b = b, .state = {x0, y0}, .skip = skip,
+                   .n = n, .ys = ys, .xs = {xs0, xs1}};
+    pthread_mutex_init(&o->lock, NULL);
+    pthread_cond_init(&o->moved, NULL);
+    sigfillset(&all);
+    pthread_sigmask(SIG_SETMASK, &all, &old);
+    int err = pthread_create(&o->thread, NULL, orbit_run, o);
+    pthread_sigmask(SIG_SETMASK, &old, NULL);
+    if (err) {
+        pthread_cond_destroy(&o->moved);
+        pthread_mutex_destroy(&o->lock);
+    }
+    return err;
+}
+
+/* The caller's buffer of its last segment is free for the next one. */
+void chaos_orbit_give(orbit_t *o)
+{
+    publish(o, &o->given, load(&o->given) + 1);
+}
+
+/* Wait for the next segment: -1 once it is in its buffer, or the index at
+ * which the orbit diverged before it. */
+long long chaos_orbit_take(orbit_t *o)
+{
+    long long k = o->taken++;
+
+    wait_for(o, &o->filled, k, &o->over);
+    return load(&o->filled) > k ? -1 : o->bad;
+}
+
+/* Stop the thread at its next segment's start, unless it is over, and wait
+ * for it to end. */
+void chaos_orbit_join(orbit_t *o)
+{
+    publish(o, &o->stop, 1);
+    pthread_join(o->thread, NULL);
+    pthread_cond_destroy(&o->moved);
+    pthread_mutex_destroy(&o->lock);
 }
 
 

@@ -269,7 +269,12 @@ def write_bifurcation_csv(path, sweep: Sweep) -> None:
 
 
 def write_phase_csv(path, points: np.ndarray) -> None:
-    _write_columns(path, "x,y", points[:, 0], points[:, 1])
+    """The rows of an (n, 2) float array (else ValueError), read where they
+    lie if writeable C-contiguous float64, as `phase_points` makes them."""
+    rows = np.ascontiguousarray(points, np.float64)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(f"phase points: an (n, 2) array, not {rows.shape}")
+    _write_columns(path, "x,y", rows if rows.flags.writeable else rows.copy())
 
 
 def write_lyapunov_csv(path, rows: list[tuple[float, float]]) -> None:

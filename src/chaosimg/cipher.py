@@ -19,9 +19,9 @@ argsort consumes its segment's buffer, which then carries the other map's
 next segment. Each slot's part of (R, K) is then written by one rule,
 through the other map's keys and the other slot's part of L (`_slot`), so
 P, X1 and Y are never made. No index pass makes an intp copy of its index.
-The slot length only chooses who iterates Map 1's orbit, the slower of the
-two: a worker thread from `_SERIAL_BELOW` values per slot on, and the
-caller below it, where no thread is started.
+Map 1's orbit, the slower of the two, runs on a kernel thread
+(`chaos_orbit_start`) while the caller keys Map 2, at every slot length;
+without the kernel, the caller iterates both and no thread is started.
 
 `encrypt` and `decrypt` take (R, K) from `_schedule`, which holds the most
 recent pair: a call with the same key bits and image dims as the call
@@ -32,16 +32,15 @@ until a call with another key or dims replaces it.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
-import queue
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .errors import DimensionError, MalformedEnvelopeError, PermutationError
+from .errors import DimensionError, DivergenceError, MalformedEnvelopeError, PermutationError
 from .maps import (BLOCK, MapId, MapParams, default_map1, default_map2, fill,
                    permutation_from_sequence, quantize_to_bytes)
 
@@ -164,22 +163,30 @@ def envelope_length(header: bytes) -> int:
     return _HEADER.size + dims.pixel_count + pad
 
 
-def _segments(params: MapParams, next_buffer, ys: np.ndarray):
+def _segments(params: MapParams, buffers, ys: np.ndarray):
     """Iterate the map from its seed through the four segments of its slot
-    of len(ys) bytes, each written into a buffer from next_buffer() and
-    yielded; a None buffer ends the orbit early. A buffer is free again once
-    the segment's fold has consumed it, so both maps' orbits can take turns
-    in one (`build_key_schedule`). Segment 1's y values also go into ys.
-    Divergence indices count from the seed. The map runs on the thread that
-    advances the generator (`build_key_schedule` says which)."""
+    of len(ys) values, each written into the next of `buffers` and yielded.
+    A buffer is free again once the segment's fold has consumed it, so both
+    maps' orbits can take turns in one (`build_key_schedule`). Segment 1's y
+    values also go into ys. Divergence indices count from the seed."""
     state, skip, start = (params.x0, params.y0), params.transient, 0
-    for _ in range(4):
-        xs = next_buffer()
-        if xs is None:
-            return
+    for xs in itertools.islice(buffers, 4):
         state = fill(params, state, xs, ys, skip=skip, start=start)
         ys, skip, start = None, 0, start + skip + len(xs)
         yield xs
+
+
+def _taken(lib, at, buffers):
+    """Map 1's segments from the kernel's thread of the handle at `at`:
+    each step gives it the buffer of the caller's last Map 2 segment, for
+    its next one, and yields its segment k, in buffers[k % 2], once it is
+    written."""
+    for k in range(4):
+        lib.chaos_orbit_give(at)
+        bad = lib.chaos_orbit_take(at)
+        if bad >= 0:
+            raise DivergenceError(bad)
+        yield buffers[k % 2]
 
 
 def _fold(keys: list, xs: np.ndarray, ys: list) -> None:
@@ -198,14 +205,6 @@ def _fold(keys: list, xs: np.ndarray, ys: list) -> None:
     keys.append(s)
 
 
-# Slot lengths below this are keyed without the worker. On a 2-vCPU Xeon
-# the worker saved at most about 1 ms there when the host was idle, and
-# nothing when it was busy: its start, handoffs and join each wait for the
-# other vCPU to be scheduled, so a small encrypt's time varied up to 1.6x
-# from one 30 s benchmark run to the next.
-_SERIAL_BELOW = 8192
-
-
 def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, np.ndarray]:
     """The read-only pair (R, K) with which an image of `dims` encrypts as
     `raster[R] ^ K`, over its padded vector of 2N < 2**31 bytes (else
@@ -218,71 +217,53 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
     slot's part of L (`_slot`). L is built after the orbits are dropped,
     and the p of both slots are checked, once, as a bijection.
 
-    One loop makes both maps' keys, and two orbit buffers, ping-pong, carry
-    the orbits: the caller iterates Map 2's segment k into the buffer it
-    holds and folds it, segment 1 with its y values, which consumes its
-    values; the buffer then goes to `free`, where Map 1's orbit takes it
-    for its next segment, and the caller folds Map 1's segment k and keeps
-    its buffer for Map 2's next one. The slot length only chooses who
-    iterates Map 1. Below `_SERIAL_BELOW` values the caller does, and one
-    buffer serves both orbits; no thread is started. From it on a worker
-    thread does, and nothing else: it starts on a second buffer and hands
-    each one over full on `full`, so with the kernel every array is
-    allocated on the caller and none in the worker's malloc arena, where
-    glibc would keep its pages after they are freed and raise the peak RSS.
-    Map 2 never takes a buffer from `free`: a worker that ran ahead could
-    then hold both, and neither side could go on. The worker is joined
-    before this returns or raises, and is a daemon, so a stuck one cannot
-    keep the interpreter alive. Either way the bytes are the same, and if
-    both maps fail, Map 1's error is raised.
+    One loop makes both maps' keys: the caller iterates Map 2's segment k
+    and folds it, segment 1 with its y values, which consumes its values,
+    then folds Map 1's segment k. With the kernel, Map 1's orbit runs on the
+    kernel's thread meanwhile, and two orbit buffers, ping-pong, carry the
+    orbits: the thread starts on one, takes each that Map 2's fold has
+    consumed for Map 1's next segment, and hands each back full for Map 1's
+    fold and Map 2's next segment. Every array is the caller's, so none is
+    in the thread's malloc arena, whose pages glibc would keep after they
+    are freed. The thread is joined before this returns or raises; an
+    interrupt stops it at its next segment. Without the kernel (one orbit
+    buffer then), or where no thread can start, the caller iterates Map 1
+    too. Either way the bytes are the same, and if both maps fail, Map 1's
+    error is raised.
     """
     n = (dims.pixel_count + 1) // 2
     if 2 * n >= 2**31:  # R is int32; refused before anything is allocated
         raise DimensionError(f"{dims} pads to {2 * n} bytes; the cipher takes fewer than 2**31")
-    threaded = n >= _SERIAL_BELOW
-    full, free = queue.SimpleQueue(), queue.SimpleQueue()
-    if threaded:
-        free.put(np.empty(n))  # Map 1's first segment
-    mine = [np.empty(n)]  # the caller's buffer, for Map 2's next segment
+    lib, m1 = kernel.library(), keys.map1
+    # the orbit buffers before the y buffers, which are freed first, so that
+    # glibc can trim those from the top of the heap; and the handle from
+    # ctypes, since numpy would keep a small array's block in its cache,
+    # where it pins the top of the heap (each cost 1 MB of peak RSS when a
+    # 256² gray encrypt came before a 512² RGB one)
+    buffers = [np.empty(n) for _ in range(1 if lib is None else 2)]
     ys1, ys2, keys1, keys2 = [np.empty(n)], [np.empty(n)], [], []
-    orbit1 = _segments(keys.map1, free.get, ys1[0])
-
-    def iterate_map1():
-        try:
-            for xs in orbit1:
-                full.put(xs)
-        except BaseException as exc:  # raised on the caller
-            full.put(exc)
-
-    def map1_segments():
-        for _ in range(4):
-            xs = full.get()
-            if isinstance(xs, BaseException):
-                raise xs
-            yield xs
-
-    if threaded:
-        worker = threading.Thread(target=iterate_map1, daemon=True)
-        worker.start()
-    map1_xs = map1_segments() if threaded else orbit1
+    handle = None if lib is None else ctypes.create_string_buffer(lib.chaos_orbit_size())
+    if handle is not None:
+        at = kernel.address(handle)
+        if lib.chaos_orbit_start(at, 1, m1.r, m1.a * m1.r, m1.b, m1.x0, m1.y0, m1.transient,
+                                 *map(kernel.address, (ys1[0], *buffers)), n):
+            handle = None  # no thread: the caller iterates Map 1 too
+    map1 = (_segments(m1, itertools.cycle(buffers), ys1[0]) if handle is None
+            else _taken(lib, at, buffers))
     try:
-        for xs in _segments(keys.map2, lambda: mine[0], ys2[0]):
+        for xs in _segments(keys.map2, itertools.cycle(buffers[::-1]), ys2[0]):
             _fold(keys2, xs, ys2)
-            free.put(mine.pop())  # to Map 1's next segment
-            mine.append(next(map1_xs))
-            _fold(keys1, mine[0], ys1)
+            _fold(keys1, next(map1), ys1)
     except Exception:
-        # the caller's buffer goes back, and Map 1's orbit runs to its end,
-        # so that its error, if any, is the one raised whatever the timing;
-        # serial, that orbit has no other buffer to go on with
-        for xs in itertools.chain(mine, map1_xs):
-            free.put(xs)
+        # Map 1's orbit runs to its end, so that its error, if any, is the
+        # one raised whatever the timing
+        for _ in map1:
+            pass
         raise
     finally:
-        if threaded:
-            free.put(None)  # a worker still waiting for a buffer ends
-            worker.join()
-    del xs, mine, free, orbit1, map1_xs  # the orbits and their buffers go before L and the pair
+        if handle is not None:  # called directly: no Python code runs first, so no interrupt
+            lib.chaos_orbit_join(at)
+    del xs, buffers, map1  # the orbits and their buffers go before L and the pair
     layout = _layout(dims, 2 * n)
     R, K, seen = np.empty(2 * n, np.int32), np.empty(2 * n, np.uint8), np.zeros(2 * n, np.uint8)
     for own, other, (y, _, _, c), (_, x, s0, _) in ((slice(n), slice(n, None), keys1, keys2),

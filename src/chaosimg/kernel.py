@@ -6,7 +6,7 @@ the SHA-256 of the source, the flags and the platform, so a changed
 source builds a new one; a build writes a temporary file and renames it
 into place, so concurrent first runs are safe.
 
-`library()` serves eleven loops: `chaos_fill`, through which `maps.fill`
+`library()` serves twelve loops: `chaos_fill`, through which `maps.fill`
 iterates a map for the key schedule, the phase points and the Lyapunov
 transient; `chaos_sweep`, which makes every row of
 `analysis.bifurcation_sweep` in one call; `chaos_lyapunov`, which
@@ -16,12 +16,16 @@ of `cipher.encrypt` and `cipher.decrypt`; `chaos_gather_in_place` and
 `chaos_slot`, the index passes of `cipher.build_key_schedule`;
 `chaos_quantize`, the byte pass of `maps.quantize_to_bytes`;
 `chaos_pack` and `chaos_unpack`, the passes of
-`maps.permutation_from_sequence` before and after numpy's sort; and
-`chaos_format_rows`, which formats the bifurcation, phase and Lyapunov CSVs.
+`maps.permutation_from_sequence` before and after numpy's sort;
+`chaos_format_rows`, which formats the bifurcation, phase and Lyapunov CSVs;
+and a thread's, which iterates Map 1 as `chaos_fill` does while
+`cipher.build_key_schedule` keys Map 2 (`chaos_orbit_start`, `_give`,
+`_take` and `_join`, on a handle of `chaos_orbit_size` bytes).
 Without a compiler, or when the build or the cache directory fails,
 `library()` returns None and the callers run Python loops over
 `maps.step_function`, numpy's gathers, scatter, quantizer and argsort
-passes, and Python's float formatting instead. Both paths give the same
+passes, and Python's float formatting instead, and the key schedule
+iterates both orbits on the calling thread. Both paths give the same
 bytes (see `FLAGS`). A process that cannot build creates no cache
 directory.
 """
@@ -41,8 +45,10 @@ from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # -ffp-contract=off: no fused multiply-add, which would round the maps and
-# the Lyapunov distance unlike Python; no -ffast-math and no -march
-FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+# the Lyapunov distance unlike Python; no -ffast-math and no -march.
+# -pthread: the key schedule's orbit thread (`chaos_orbit_start`) needs
+# the threads library, which glibc before 2.34 keeps apart from libc
+FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 
 # the map's number (1 or 2), r, a*r and b, which both map loops take first
 _MAP = [ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_double]
@@ -73,6 +79,13 @@ _SIGNATURES = {
     # words, perm, n, b
     "chaos_pack": (ctypes.c_longlong, [ctypes.c_void_p] * 2 + [ctypes.c_longlong, ctypes.c_int]),
     "chaos_unpack": (None, [ctypes.c_void_p] * 2 + [ctypes.c_longlong, ctypes.c_int]),
+    "chaos_orbit_size": (ctypes.c_longlong, []),
+    # handle, the map, x0, y0, skip, ys, the two orbit buffers, n
+    "chaos_orbit_start": (ctypes.c_longlong, [ctypes.c_void_p, *_MAP, *[ctypes.c_double] * 2,
+                          ctypes.c_longlong, *[ctypes.c_void_p] * 3, ctypes.c_longlong]),
+    "chaos_orbit_give": (None, [ctypes.c_void_p]),
+    "chaos_orbit_take": (ctypes.c_longlong, [ctypes.c_void_p]),
+    "chaos_orbit_join": (None, [ctypes.c_void_p]),
     # pairs, n, out
     "chaos_format_rows": (ctypes.c_longlong, [ctypes.c_void_p, ctypes.c_longlong,
                                               ctypes.c_void_p]),

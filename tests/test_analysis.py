@@ -525,6 +525,36 @@ def test_refused_block_is_formatted_in_python(compiled, tmp_path):
     assert written(write_phase_csv, points, tmp_path) == oracle
 
 
+@pytest.mark.parametrize("path", ["compiled", "python_only"])
+def test_phase_csv_rows_of_any_float_layout(request, monkeypatch, tmp_path, path):
+    # `phase_points`' rows are read where they lie; a strided, float32 or
+    # read-only array is copied first, and the bytes are the same
+    request.getfixturevalue(path)
+    points = phase_points(default_map2(), 50)
+    oracle = b"x,y\r\n" + analysis._lines(points.tolist()).encode()
+    read_only = points.copy()
+    read_only.flags.writeable = False
+    strided = np.zeros((50, 5))
+    strided[:, ::3] = points
+    layouts = [points, np.asfortranarray(points), strided[:, ::3], read_only]
+    for rows in layouts:
+        assert written(write_phase_csv, rows, tmp_path) == oracle
+    narrow = points.astype(np.float32)
+    assert written(write_phase_csv, narrow, tmp_path) == (
+        b"x,y\r\n" + analysis._lines(narrow.astype(np.float64).tolist()).encode())
+    seen = []
+    monkeypatch.setattr(analysis, "_write_columns", lambda path, header, a: seen.append(a))
+    write_phase_csv(tmp_path / "rows.csv", points)
+    assert seen[0] is points
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4, 1), (8,), (2, 2, 2)])
+def test_phase_csv_refuses_other_shapes(tmp_path, shape):
+    with pytest.raises(ValueError, match="phase points"):
+        write_phase_csv(tmp_path / "bad.csv", np.zeros(shape))
+    assert not (tmp_path / "bad.csv").exists()
+
+
 def decrypt_free_view(envelope):
     """Reinterpret cipher bytes as an image (dropping any pad) for statistics."""
     body = np.frombuffer(envelope.body, dtype=np.uint8)

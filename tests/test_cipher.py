@@ -1,5 +1,7 @@
+import errno
 import hashlib
 import itertools
+import os
 import sys
 import threading
 import time
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosimg import cipher, maps
+from chaosimg import cipher, kernel, maps
 from chaosimg.analysis import lyapunov_exponent
 from chaosimg.cipher import (
     CipherEnvelope,
@@ -244,9 +246,9 @@ class TestSplitHalves:
 def run_bounded(build, *args):
     """`build(*args)` on a daemon helper thread that must end within 10 s:
     what it returns, or what it raises (a KeyboardInterrupt too) raised
-    here. A lost buffer handoff then fails the test instead of hanging it,
-    and the stuck worker, a daemon, does not keep the interpreter alive. No
-    thread is left behind."""
+    here. A lost buffer handoff then fails the test instead of hanging it.
+    No Python thread is left behind (`assert_no_thread_left` checks OS
+    threads, the kernel's too)."""
     before, outcomes = threading.active_count(), []
 
     def run():
@@ -264,6 +266,44 @@ def run_bounded(build, *args):
     if error is not None:
         raise error
     return result
+
+
+TASKS = "/proc/self/task"
+
+
+def os_threads():
+    """The ids of this process's OS threads, Python's and the kernel's
+    alike. Linux only (the test skips elsewhere)."""
+    if not os.path.isdir(TASKS):
+        pytest.skip(f"no {TASKS} to list threads in")
+    return set(os.listdir(TASKS))
+
+
+def assert_no_thread_left(before):
+    """Every OS thread not in `before` has ended: a joined thread may take
+    a moment to leave TASKS, so this waits up to 1 s."""
+    deadline = time.monotonic() + 1
+    while os_threads() - before and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert not os_threads() - before
+
+
+def no_thread_starts(monkeypatch):
+    """Refuse every thread that a build asks for, as at the process's
+    thread limit: the kernel's `chaos_orbit_start` returns EAGAIN, and
+    `threading.Thread.start` raises on any thread but the test's own (which
+    starts `run_bounded`'s helper)."""
+    caller, start = threading.current_thread(), threading.Thread.start
+
+    def refused(thread):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    lib = kernel.library()
+    if lib is not None:
+        monkeypatch.setattr(lib, "chaos_orbit_start", lambda *args: errno.EAGAIN)
 
 
 class TestKeySchedule:
@@ -290,18 +330,19 @@ class TestKeySchedule:
             perm[0] = perm[1]
             return perm
 
-        # the build checks R, on the caller and with the worker alike, and
-        # a pair of other dims held before it is dropped
+        # the build checks R, with the kernel's thread and on the caller
+        # alike, and a pair of other dims held before it is dropped
         other = PlainImage.from_array(np.zeros((3, 3), dtype=np.uint8))
-        for serial_below in (sys.maxsize, 0):
-            monkeypatch.setattr(cipher, "_SERIAL_BELOW", serial_below)
-            run_bounded(encrypt, other, default_keys())
-            assert cipher._held[0] is not None
-            monkeypatch.setattr(cipher, "permutation_from_sequence", duplicated)
-            with pytest.raises(PermutationError):
-                run_bounded(encrypt, img, default_keys())
-            assert cipher._held == (None, None)
-            monkeypatch.setattr(cipher, "permutation_from_sequence", permutation_from_sequence)
+        for serial in (False, True):
+            with monkeypatch.context() as patch:
+                if serial:
+                    no_thread_starts(patch)
+                run_bounded(encrypt, other, default_keys())
+                assert cipher._held[0] is not None
+                patch.setattr(cipher, "permutation_from_sequence", duplicated)
+                with pytest.raises(PermutationError):
+                    run_bounded(encrypt, img, default_keys())
+                assert cipher._held == (None, None)
 
     def test_refuses_2_to_the_31_bytes_before_allocating(self):
         # R is int32, so a padded vector of 2**31 bytes is refused up front
@@ -316,7 +357,7 @@ class TestKeySchedule:
 
     @staticmethod
     def assert_peak_allocation():
-        # the two orbit buffers (one on the serial path), both maps' keys
+        # the two orbit buffers (one serial), both maps' keys
         # and one argsort's result and BLOCK-value temporaries, then the
         # pair; buffers that piled up would show here. At 2*BLOCK (a 512²
         # gray image) each temporary is twice as large a share of n.
@@ -338,10 +379,10 @@ class TestKeySchedule:
 
     @pytest.mark.parametrize("fill_path", ["compiled", "python_only"])
     def test_peak_allocation_on_the_serial_path(self, request, monkeypatch, fill_path):
-        # Map 1 on the caller too, from a ring of one buffer: a y buffer
+        # Map 1 on the caller too, as when no thread can start: a y buffer
         # that outlived its fold would still be held when the pair is built
-        monkeypatch.setattr(cipher, "_SERIAL_BELOW", sys.maxsize)
         request.getfixturevalue(fill_path)
+        no_thread_starts(monkeypatch)
         self.assert_peak_allocation()
 
     def test_cold_encrypt_peak_allocation(self, compiled):
@@ -378,16 +419,18 @@ LATE_DIVERGING_MAP1 = MapParams(MapId.MAP1, 1e307, transient=0)
 
 
 class TestTwoMaps:
-    """On the kernel and on the fallback, Map 1's orbit is iterated on a
-    worker thread or, with the "serial-" paths, on the caller, and
-    everything else on the caller. Each path is taken at every slot length
-    these tests use, whatever side of cipher._SERIAL_BELOW it is on."""
+    """With the kernel ("compiled"), Map 1's orbit is iterated on the
+    kernel's thread and everything else on the caller; without it
+    ("python_only"), the caller iterates both. The "serial-" paths refuse
+    every thread start (`no_thread_starts`), so the kernel's fill runs Map 1
+    on the caller, and the fallback shows that it needs no thread."""
 
     @pytest.fixture(params=["compiled", "python_only", "serial-compiled", "serial-python_only"])
     def path(self, request, monkeypatch):
         serial, _, fill_path = request.param.rpartition("-")
-        monkeypatch.setattr(cipher, "_SERIAL_BELOW", sys.maxsize if serial else 0)
         request.getfixturevalue(fill_path)
+        if serial:
+            no_thread_starts(monkeypatch)
         return request.param
 
     @staticmethod
@@ -411,14 +454,18 @@ class TestTwoMaps:
 
     @staticmethod
     def threads(monkeypatch):
-        """The thread that runs the build of a 64-byte schedule, and the
-        threads that iterate each map and make the argsorts, in call order."""
-        calls, builder = [], []  # calls: (map id or "argsort", thread)
+        """The thread that runs the build of a 64-byte schedule, the threads
+        that iterate each map through `fill` and make the argsorts, in call
+        order, and the OS threads that are not Python's and have started
+        since the build began, as of its first argsort."""
+        calls, building, tasks = [], [], []  # calls: (map id or "argsort", thread)
 
         def record(name, function):
             def recorded(*args, **kwargs):
                 what = args[0].map_id if name == "fill" else name
                 calls.append((what, threading.current_thread()))
+                if len(tasks) == 1 and name == "argsort":
+                    tasks.append(os_threads())
                 return function(*args, **kwargs)
             return recorded
 
@@ -427,54 +474,60 @@ class TestTwoMaps:
                             record("argsort", permutation_from_sequence))
 
         def build():
-            builder.append(threading.current_thread())
+            building.append(threading.current_thread())
+            tasks.append(os_threads())
             return build_key_schedule(default_keys(), ImageDims(1, 8, 16))
 
         run_bounded(build)
         threads = {}
         for what, thread in calls:
             threads.setdefault(what, []).append(thread)
-        return builder[0], threads
+        python = {str(thread.native_id) for thread in threading.enumerate()}
+        return building[0], threads, tasks[1] - tasks[0] - python
 
-    @pytest.mark.parametrize("path", ["compiled", "python_only"], indirect=True)
+    @pytest.mark.parametrize("path", ["compiled"], indirect=True)
     def test_map1_on_a_worker(self, path, monkeypatch):
-        builder, threads = self.threads(monkeypatch)
-        assert len(threads[MapId.MAP1]) == 4
-        assert len(set(threads[MapId.MAP1])) == 1 and threads[MapId.MAP1][0] is not builder
-        assert threads[MapId.MAP2] == [builder] * 4
-        assert threads["argsort"] == [builder] * 8
+        # the first argsort, Map 2's segment 1, comes before the caller has
+        # given the thread the buffers of its segments 2-4, so the thread
+        # is alive then: one OS thread more, and not a Python one
+        building, threads, started = self.threads(monkeypatch)
+        assert MapId.MAP1 not in threads  # no Python `fill` of Map 1
+        assert threads[MapId.MAP2] == [building] * 4
+        assert threads["argsort"] == [building] * 8
+        assert len(started) == 1
 
-    @pytest.mark.parametrize("path", ["compiled", "python_only"], indirect=True)
+    @pytest.mark.parametrize("path", ["compiled"], indirect=True)
     def test_worker_runs_ahead(self, path, monkeypatch):
-        # Map 2's fill is slowed until Map 1's fill of its segment is done,
-        # so the worker is always a segment ahead and waits for the buffer
-        # that the caller's Map 2 fold hands on; a caller that took Map 2's
-        # buffer from the worker's `free` queue would wait for ever, and
-        # `run_bounded` fails the test instead
+        # each side waits for the other beyond its 1 ms spin and blocks:
+        # Map 2's fill sleeps first, so the thread waits for the buffer that
+        # the caller's Map 2 fold hands on; then Map 1's long transient makes
+        # the caller wait for its segment 1. The same bytes, and no hang
         keys, dims = default_keys(), ImageDims(1, 64, 128)
-        expected = run_bounded(build_key_schedule, keys, dims)
-        map1_done, ends = threading.Semaphore(0), []
+        slow = KeyMaterial(replace(keys.map1, transient=200_000), keys.map2)
+        expected = [run_bounded(build_key_schedule, k, dims) for k in (keys, slow)]
+        slept = []
 
         def slowed_fill(params, *args, **kwargs):
-            if params.map_id is MapId.MAP2 and not map1_done.acquire(timeout=5):
-                raise TimeoutError("Map 1 did not run ahead")
-            state = fill(params, *args, **kwargs)
-            ends.append(params.map_id)
-            if params.map_id is MapId.MAP1:
-                map1_done.release()
-            return state
+            if params.map_id is MapId.MAP2:
+                time.sleep(0.01)
+                slept.append(params.map_id)
+            return fill(params, *args, **kwargs)
 
-        monkeypatch.setattr(cipher, "fill", slowed_fill)
-        R, K = run_bounded(build_key_schedule, keys, dims)
-        assert ends == [MapId.MAP1, MapId.MAP2] * 4
-        assert np.array_equal(R, expected[0]) and np.array_equal(K, expected[1])
+        with monkeypatch.context() as patch:
+            patch.setattr(cipher, "fill", slowed_fill)
+            got = run_bounded(build_key_schedule, keys, dims)
+        assert slept == [MapId.MAP2] * 4
+        for (R, K), want in zip([got, run_bounded(build_key_schedule, slow, dims)], expected):
+            assert np.array_equal(R, want[0]) and np.array_equal(K, want[1])
 
-    @pytest.mark.parametrize("path", ["serial-compiled", "serial-python_only"], indirect=True)
+    @pytest.mark.parametrize("path", ["python_only", "serial-compiled", "serial-python_only"],
+                             indirect=True)
     def test_all_on_the_caller(self, path, monkeypatch):
-        builder, threads = self.threads(monkeypatch)
+        building, threads, started = self.threads(monkeypatch)
         assert threads == {
-            MapId.MAP1: [builder] * 4, MapId.MAP2: [builder] * 4, "argsort": [builder] * 8
+            MapId.MAP1: [building] * 4, MapId.MAP2: [building] * 4, "argsort": [building] * 8
         }
+        assert started == set()
 
     def test_concurrent_schedules(self, path):
         # more threads than cores and a short switch interval: a buffer
@@ -539,10 +592,13 @@ class TestTwoMaps:
     @pytest.mark.parametrize("failing_call", range(1, 9))
     def test_interrupt_ends_the_worker(self, path, monkeypatch, failing_call):
         # a BaseException passes the drain (`except Exception`) by; the
-        # None put on `free` ends a worker that waits for a buffer
+        # join stops a thread that waits for a buffer, and no OS thread
+        # is left
+        before = os_threads()
         self.fail_argsort(monkeypatch, failing_call, KeyboardInterrupt)
         with pytest.raises(KeyboardInterrupt, match=f"^argsort call {failing_call}$"):
             run_bounded(build_key_schedule, default_keys(), ImageDims(1, 64, 128))
+        assert_no_thread_left(before)
 
     @pytest.mark.parametrize("failing_call", [1, 2, 3])
     def test_map1_error_wins_over_an_earlier_caller_failure(self, path, monkeypatch,
@@ -552,36 +608,50 @@ class TestTwoMaps:
         self.fail_argsort(monkeypatch, failing_call)
         assert self.divergence(LATE_DIVERGING_MAP1, default_map2()) == 253
 
+    def test_no_os_thread_is_left(self, path, monkeypatch):
+        # after a build that succeeds, whose either map diverges, or whose
+        # caller fails or is interrupted
+        before = os_threads()
+        keys, dims = default_keys(), ImageDims(1, 64, 128)
+        run_bounded(build_key_schedule, keys, dims)
+        for map1, map2 in [(DIVERGING_MAP1, keys.map2), (keys.map1, LATE_DIVERGING_MAP2)]:
+            with pytest.raises(DivergenceError):
+                run_bounded(build_key_schedule, KeyMaterial(map1, map2), dims)
+        for error in (MemoryError, KeyboardInterrupt):
+            with monkeypatch.context() as patch:
+                self.fail_argsort(patch, 3, error)
+                with pytest.raises(error):
+                    run_bounded(build_key_schedule, keys, dims)
+        assert_no_thread_left(before)
+
 
 class TestSerialSchedule:
-    """Below cipher._SERIAL_BELOW values per slot both orbits run on the
-    caller, with the same bytes as the worker (TestTwoMaps checks the
-    errors of both paths)."""
+    """The kernel's thread and the serial builds, on the kernel's fill when
+    no thread can start and on the Python fallback, give the same bytes
+    (TestTwoMaps checks the errors of every path)."""
 
-    @pytest.mark.parametrize("n", [1, 63, 1000, cipher._SERIAL_BELOW - 1, cipher._SERIAL_BELOW])
-    def test_same_schedule_as_the_worker(self, monkeypatch, n):
+    @pytest.mark.parametrize("n", [1, 63, 1000, 8191, 8192, 24_576])
+    def test_same_schedule_as_the_worker(self, compiled, monkeypatch, n):
         keys = KeyMaterial(perturbed(default_map1(), "r"), default_map2())
         dims = ImageDims(1, 1, 2 * n)
-        serial = run_bounded(build_key_schedule, keys, dims)
-        monkeypatch.setattr(cipher, "_SERIAL_BELOW", 0)
         threaded = run_bounded(build_key_schedule, keys, dims)
-        for s, t in zip(serial, threaded, strict=True):
-            assert np.array_equal(s, t)
+        with monkeypatch.context() as patch:
+            no_thread_starts(patch)
+            serial = run_bounded(build_key_schedule, keys, dims)
+            patch.setattr(kernel, "library", lambda: None)
+            fallback = run_bounded(build_key_schedule, keys, dims)
+        for pair in (serial, fallback):
+            for s, t in zip(pair, threaded, strict=True):
+                assert np.array_equal(s, t)
 
-    def test_no_thread_below_the_bound(self, monkeypatch):
-        started, start, caller = [], threading.Thread.start, threading.current_thread()
-
-        def record(thread):  # the build's starts, not that of `run_bounded`'s helper
-            if threading.current_thread() is not caller:
-                started.append(thread)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", record)
-        run_bounded(build_key_schedule, default_keys(),
-                    ImageDims(1, 1, 2 * cipher._SERIAL_BELOW - 2))
-        assert started == []
-        run_bounded(build_key_schedule, default_keys(), ImageDims(1, 1, 2 * cipher._SERIAL_BELOW))
-        assert len(started) == 1
+    def test_no_thread_without_the_kernel(self, python_only, monkeypatch):
+        # at any slot length, the fallback builds with every thread start
+        # refused, and no OS thread comes or stays
+        before = os_threads()
+        no_thread_starts(monkeypatch)
+        for n in (1, 8191, 8192, 24_576):
+            run_bounded(build_key_schedule, default_keys(), ImageDims(1, 1, 2 * n))
+        assert_no_thread_left(before)
 
 
 def fused_oracle(keys, dims):

@@ -10,6 +10,7 @@ import os
 import re
 import shutil
 import stat
+import subprocess
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -345,6 +346,40 @@ def test_flags_keep_both_paths_rounding_alike():
     assert "-ffp-contract=off" in kernel.FLAGS
     assert not [f for f in kernel.FLAGS
                 if f in ("-ffast-math", "-Ofast") or f.startswith("-march")]
+
+
+def compiler() -> str:
+    cc = shutil.which("cc")
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    return cc
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    done = subprocess.run([compiler(), *kernel.FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c",
+                           str(kernel.SOURCE), "-o", str(tmp_path / "kernel.so"), "-lm"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_orbit_thread_is_race_free_under_thread_sanitizer(tmp_path):
+    # tests/orbit_stress.c runs 1,000 start/give/take/join cycles with the
+    # kernel compiled in, under ThreadSanitizer
+    cc, sanitize = compiler(), ["-fsanitize=thread", "-g", "-O1", "-pthread"]
+    probe = tmp_path / "probe"
+    made = subprocess.run([cc, *sanitize, "-x", "c", "-", "-o", str(probe)],
+                          input="int main(void) { return 0; }", capture_output=True, text=True,
+                          timeout=120)
+    if made.returncode != 0 or subprocess.run([str(probe)], capture_output=True).returncode:
+        pytest.skip("no ThreadSanitizer (libtsan) that builds and runs here")
+    stress = tmp_path / "stress"
+    made = subprocess.run([cc, *sanitize, "-ffp-contract=off", "-I", str(kernel.SOURCE.parent),
+                           str(Path(__file__).with_name("orbit_stress.c")), "-o", str(stress),
+                           "-lm"], capture_output=True, text=True, timeout=120)
+    assert made.returncode == 0, made.stderr
+    done = subprocess.run([str(stress)], capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "TSAN_OPTIONS": "halt_on_error=1"})
+    assert done.returncode == 0 and "ThreadSanitizer" not in done.stderr, done.stderr
 
 
 def test_sha256_matches_hashlib():
