@@ -236,21 +236,20 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
         raise DimensionError(f"{dims} pads to {2 * n} bytes; the cipher takes fewer than 2**31")
     lib, m1 = kernel.library(), keys.map1
     # the orbit buffers before the y buffers, which are freed first, so that
-    # glibc can trim those from the top of the heap; and the handle from
+    # glibc can trim those from the top of the heap; and the zeroed handle from
     # ctypes, since numpy would keep a small array's block in its cache,
     # where it pins the top of the heap (each cost 1 MB of peak RSS when a
     # 256² gray encrypt came before a 512² RGB one)
     buffers = [np.empty(n) for _ in range(1 if lib is None else 2)]
     ys1, ys2, keys1, keys2 = [np.empty(n)], [np.empty(n)], [], []
     handle = None if lib is None else ctypes.create_string_buffer(lib.chaos_orbit_size())
-    if handle is not None:
-        at = kernel.address(handle)
-        if lib.chaos_orbit_start(at, 1, m1.r, m1.a * m1.r, m1.b, m1.x0, m1.y0, m1.transient,
-                                 *map(kernel.address, (ys1[0], *buffers)), n):
-            handle = None  # no thread: the caller iterates Map 1 too
-    map1 = (_segments(m1, itertools.cycle(buffers), ys1[0]) if handle is None
-            else _taken(lib, at, buffers))
-    try:
+    at = None if handle is None else kernel.address(handle)
+    map1 = _segments(m1, itertools.cycle(buffers), ys1[0])  # unless the thread starts
+    try:  # the start too: an interrupt raised as it returns is joined below
+        if at is not None and not lib.chaos_orbit_start(
+                at, 1, m1.r, m1.a * m1.r, m1.b, m1.x0, m1.y0, m1.transient,
+                *map(kernel.address, (ys1[0], *buffers)), n):
+            map1 = _taken(lib, at, buffers)
         for xs in _segments(keys.map2, itertools.cycle(buffers[::-1]), ys2[0]):
             _fold(keys2, xs, ys2)
             _fold(keys1, next(map1), ys1)
@@ -261,7 +260,7 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
             pass
         raise
     finally:
-        if handle is not None:  # called directly: no Python code runs first, so no interrupt
+        if at is not None:  # called directly: no Python code runs first, so no interrupt
             lib.chaos_orbit_join(at)
     del xs, buffers, map1  # the orbits and their buffers go before L and the pair
     layout = _layout(dims, 2 * n)

@@ -2,7 +2,8 @@
  * order that `cipher.build_key_schedule` calls them, with random delays on
  * the caller's side and random segment lengths and transients on the
  * thread's; some orbits diverge and some callers join early, as an
- * interrupted build does. The caller writes into its buffer while it holds
+ * interrupted build does, or join a handle before its start and twice
+ * after it, which does nothing. The caller writes into its buffer while it holds
  * it, so a handoff out of turn is a data race. Exits 1 when a segment or a
  * divergence index differs from one serial `chaos_fill`.
  *
@@ -42,8 +43,10 @@ int main(void)
         double state[2] = {0.1, 0.1};
         /* the reference: the four segments in one fill of 4n values */
         long long bad = chaos_fill(1, map_r, 0.0, 0.0, state, skip, orbit, ref_ys, 4 * n);
-        orbit_t o;
+        orbit_t o = {.started = 0};
 
+        if (r % 7 == 0)
+            chaos_orbit_join(&o);
         if (chaos_orbit_start(&o, 1, map_r, 0.0, 0.0, 0.1, 0.1, skip, ys, xs[0], xs[1], n))
             return 1;
         for (int k = 0; k < segments; k++) {
@@ -67,6 +70,7 @@ int main(void)
             }
             delay(&seed);
         }
+        chaos_orbit_join(&o);
         chaos_orbit_join(&o);
     }
     return 0;

@@ -624,6 +624,31 @@ class TestTwoMaps:
                     run_bounded(build_key_schedule, keys, dims)
         assert_no_thread_left(before)
 
+    @pytest.mark.parametrize("path", ["compiled"], indirect=True)
+    @pytest.mark.parametrize("started", [False, True])
+    def test_interrupt_as_the_thread_starts(self, path, monkeypatch, started):
+        # an interrupt raised just before the kernel's start is called, or
+        # as it returns with the thread running (a signal that came while
+        # the start blocked them): the join of the `finally` does nothing
+        # or ends the thread, and the next build is whole
+        keys, dims = default_keys(), ImageDims(1, 64, 128)
+        expected = run_bounded(build_key_schedule, keys, dims)
+        lib, before = kernel.library(), os_threads()
+        start = lib.chaos_orbit_start
+
+        def interrupted(*args):
+            if started:
+                assert start(*args) == 0
+            raise KeyboardInterrupt("at the start")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lib, "chaos_orbit_start", interrupted)
+            with pytest.raises(KeyboardInterrupt, match="^at the start$"):
+                run_bounded(build_key_schedule, keys, dims)
+        assert_no_thread_left(before)
+        for got, want in zip(run_bounded(build_key_schedule, keys, dims), expected):
+            assert np.array_equal(got, want)
+
 
 class TestSerialSchedule:
     """The kernel's thread and the serial builds, on the kernel's fill when
