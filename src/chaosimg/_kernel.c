@@ -12,13 +12,13 @@
  * turn an orbit into keys with the numpy lines of `maps` as their oracles:
  * `chaos_quantize` makes its bytes, and `chaos_pack` and `chaos_unpack`
  * make its stable argsort in place, before and after numpy sorts the
- * words. `chaos_orbit_start`, `_give`, `_take` and `_join` iterate Map 1's
- * orbit on a thread of its own while the caller keys Map 2 (see
- * `orbit_t`). One text loop, `chaos_format_rows`, writes the rows of the
- * analysis CSVs in the bytes of Python's `.12g` format: it reads each
- * float's exponent and mantissa from its bits and rounds its digits once,
- * in 128-bit integers, so no float operation touches them (see
- * `format_g12`).
+ * words. `chaos_orbit_start`, one `chaos_orbit_take` per segment and
+ * `chaos_orbit_join` iterate Map 1's orbit on a thread of its own while the
+ * caller keys Map 2 (see `orbit_t`). One text loop, `chaos_format_rows`,
+ * writes the rows of the analysis CSVs in the bytes of Python's `.12g`
+ * format: it reads each float's exponent and mantissa from its bits and
+ * rounds its digits once, in 128-bit integers, so no float operation
+ * touches them (see `format_g12`).
  *
  * Every operation mirrors CPython float semantics, so the bytes match the
  * pure-Python path bit for bit:
@@ -330,33 +330,32 @@ void chaos_unpack(int64_t *words, int32_t *perm, long long n, int b)
 }
 
 
-/* A map's orbit through the four segments of a key-schedule slot, iterated
+/* Map 1's orbit through the four segments of a key-schedule slot, iterated
  * on a thread of its own by `chaos_fill`'s loop, for
- * `cipher.build_key_schedule`, which keys the other map meanwhile. The
- * caller allocates this handle (`chaos_orbit_size` bytes, zeroed) and the
+ * `cipher.build_key_schedule`, which keys Map 2 meanwhile. The caller
+ * allocates this handle (`chaos_orbit_size` bytes, zeroed) and the
  * buffers, and frees none of them before `chaos_orbit_join` has returned.
  *
  * Two orbit buffers take turns: segment k is written into xs[k % 2], its y
  * values too for k = 0 (into ys), once the caller has given k buffers
- * back. So the thread starts on xs[0] at once, while the caller fills the
- * other map's segment into xs[1], folds it and gives it (`_give`); each
- * `_take` waits for the next segment. The counters `given`, `filled` and
- * the flags `over` and `stop` change under `lock`, with a broadcast on
- * `moved`, and are read without it by atomic loads; the release store
- * of `filled` publishes the values of its segment, and that of `over` the
- * divergence index in `bad`. A wait spins for up to SPIN_NS and then
- * blocks on `moved`: waking a sleeping vCPU costs about as much as the
- * thread saves, while each spin's sched_yield lets a thread queued on the
- * waiter's own vCPU run.
+ * back. So the thread starts on xs[0] at once, while the caller fills Map
+ * 2's segment into xs[1] and folds it; then one `_take` per segment gives
+ * that buffer back and waits for Map 1's next segment. The counters
+ * `given`, `filled` and the flags `over` and `stop` change under `lock`,
+ * with a broadcast on `moved`, and are read without it by atomic loads;
+ * the release store of `filled` publishes the values of its segment, and
+ * that of `over` the divergence index in `bad`. A wait spins for up to
+ * SPIN_NS and then blocks on `moved`: waking a sleeping vCPU costs about
+ * as much as the thread saves, while each spin's sched_yield lets a thread
+ * queued on the waiter's own vCPU run.
  */
 typedef struct {
     pthread_mutex_t lock;
     pthread_cond_t moved;
     pthread_t thread;
     int started;  /* a thread runs that `_join` must end */
-    int map;
-    double r, ar, b, state[2];
-    long long skip, n, taken;  /* taken: the caller's own count */
+    double r, state[2];
+    long long skip, n;
     double *ys, *xs[2];
     long long given, filled, over, stop, bad;
 } orbit_t;
@@ -417,7 +416,7 @@ static void *orbit_run(void *arg)
         if (load(&o->stop))
             break;
         long long skip = k ? 0 : o->skip;
-        long long bad = chaos_fill(o->map, o->r, o->ar, o->b, o->state, skip, o->xs[k % 2],
+        long long bad = chaos_fill(1, o->r, 0.0, 0.0, o->state, skip, o->xs[k % 2],
                                    k ? NULL : o->ys, o->n);
         if (bad >= 0) {
             o->bad = done + bad;
@@ -435,19 +434,18 @@ long long chaos_orbit_size(void)
     return sizeof(orbit_t);
 }
 
-/* Start the thread on the map's orbit from (x0, y0), `skip` states
+/* Start the thread on Map 1's orbit from (x0, y0), `skip` states
  * discarded, in segments of n values, on a handle that is all zero bytes
  * or joined. Returns 0, or pthread_create's error number, with no thread
  * started. The thread blocks every signal, so that the process's signals
  * reach the caller's threads. */
-long long chaos_orbit_start(orbit_t *o, int map, double r, double ar, double b, double x0,
-                            double y0, long long skip, double *ys, double *xs0, double *xs1,
-                            long long n)
+long long chaos_orbit_start(orbit_t *o, double r, double x0, double y0, long long skip,
+                            double *ys, double *xs0, double *xs1, long long n)
 {
     sigset_t all, old;
 
-    *o = (orbit_t){.map = map, .r = r, .ar = ar, .b = b, .state = {x0, y0}, .skip = skip,
-                   .n = n, .ys = ys, .xs = {xs0, xs1}};
+    *o = (orbit_t){.r = r, .state = {x0, y0}, .skip = skip, .n = n, .ys = ys,
+                   .xs = {xs0, xs1}};
     pthread_mutex_init(&o->lock, NULL);
     pthread_cond_init(&o->moved, NULL);
     sigfillset(&all);
@@ -462,18 +460,14 @@ long long chaos_orbit_start(orbit_t *o, int map, double r, double ar, double b, 
     return err;
 }
 
-/* The caller's buffer of its last segment is free for the next one. */
-void chaos_orbit_give(orbit_t *o)
-{
-    publish(o, &o->given, load(&o->given) + 1);
-}
-
-/* Wait for the next segment: -1 once it is in its buffer, or the index at
- * which the orbit diverged before it. */
+/* Give the thread back the buffer of the caller's last segment, for its
+ * next one, and wait for the next segment: -1 once it is in its buffer, or
+ * the index at which the orbit diverged before it. */
 long long chaos_orbit_take(orbit_t *o)
 {
-    long long k = o->taken++;
+    long long k = load(&o->given);
 
+    publish(o, &o->given, k + 1);
     wait_for(o, &o->filled, k, &o->over);
     return load(&o->filled) > k ? -1 : o->bad;
 }

@@ -177,12 +177,11 @@ def _segments(params: MapParams, buffers, ys: np.ndarray):
 
 
 def _taken(lib, at, buffers):
-    """Map 1's segments from the kernel's thread of the handle at `at`:
-    each step gives it the buffer of the caller's last Map 2 segment, for
-    its next one, and yields its segment k, in buffers[k % 2], once it is
-    written."""
+    """Map 1's segments from the kernel's thread of the handle at `at`, one
+    `chaos_orbit_take` each: it gives the thread the buffer of the caller's
+    last Map 2 segment, for its next one, and returns once segment k is in
+    buffers[k % 2], which is yielded."""
     for k in range(4):
-        lib.chaos_orbit_give(at)
         bad = lib.chaos_orbit_take(at)
         if bad >= 0:
             raise DivergenceError(bad)
@@ -247,7 +246,7 @@ def build_key_schedule(keys: KeyMaterial, dims: ImageDims) -> tuple[np.ndarray, 
     map1 = _segments(m1, itertools.cycle(buffers), ys1[0])  # unless the thread starts
     try:  # the start too: an interrupt raised as it returns is joined below
         if at is not None and not lib.chaos_orbit_start(
-                at, 1, m1.r, m1.a * m1.r, m1.b, m1.x0, m1.y0, m1.transient,
+                at, m1.r, m1.x0, m1.y0, m1.transient,
                 *map(kernel.address, (ys1[0], *buffers)), n):
             map1 = _taken(lib, at, buffers)
         for xs in _segments(keys.map2, itertools.cycle(buffers[::-1]), ys2[0]):

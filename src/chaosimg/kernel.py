@@ -19,8 +19,8 @@ of `cipher.encrypt` and `cipher.decrypt`; `chaos_gather_in_place` and
 `maps.permutation_from_sequence` before and after numpy's sort;
 `chaos_format_rows`, which formats the bifurcation, phase and Lyapunov CSVs;
 and a thread's, which iterates Map 1 as `chaos_fill` does while
-`cipher.build_key_schedule` keys Map 2 (`chaos_orbit_start`, `_give`,
-`_take` and `_join`, on a handle of `chaos_orbit_size` bytes).
+`cipher.build_key_schedule` keys Map 2 (`chaos_orbit_start`, one `_take`
+per segment, and `_join`, on a handle of `chaos_orbit_size` bytes).
 Without a compiler, or when the build or the cache directory fails,
 `library()` returns None and the callers run Python loops over
 `maps.step_function`, numpy's gathers, scatter, quantizer and argsort
@@ -80,10 +80,9 @@ _SIGNATURES = {
     "chaos_pack": (ctypes.c_longlong, [ctypes.c_void_p] * 2 + [ctypes.c_longlong, ctypes.c_int]),
     "chaos_unpack": (None, [ctypes.c_void_p] * 2 + [ctypes.c_longlong, ctypes.c_int]),
     "chaos_orbit_size": (ctypes.c_longlong, []),
-    # handle, the map, x0, y0, skip, ys, the two orbit buffers, n
-    "chaos_orbit_start": (ctypes.c_longlong, [ctypes.c_void_p, *_MAP, *[ctypes.c_double] * 2,
+    # handle, Map 1's r, x0, y0, skip, ys, the two orbit buffers, n
+    "chaos_orbit_start": (ctypes.c_longlong, [ctypes.c_void_p, *[ctypes.c_double] * 3,
                           ctypes.c_longlong, *[ctypes.c_void_p] * 3, ctypes.c_longlong]),
-    "chaos_orbit_give": (None, [ctypes.c_void_p]),
     "chaos_orbit_take": (ctypes.c_longlong, [ctypes.c_void_p]),
     "chaos_orbit_join": (None, [ctypes.c_void_p]),
     # pairs, n, out
@@ -144,9 +143,10 @@ def _private(directory: Path, create: bool) -> bool:
 def _build(cc: str, source: bytes, target: Path) -> bool:
     import subprocess
 
-    fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=target.parent)
-    os.close(fd)
-    try:
+    tmp = ""  # unlinked below: "" raises FileNotFoundError
+    try:  # a directory that takes no new file fails the build too
+        fd, tmp = tempfile.mkstemp(prefix=".build-", suffix=".so", dir=target.parent)
+        os.close(fd)
         done = subprocess.run([cc, *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
                               input=source, capture_output=True, timeout=120)
         if done.returncode != 0:

@@ -1,5 +1,5 @@
-/* 1,000 start/give/take/join cycles of the kernel's orbit thread, in the
- * order that `cipher.build_key_schedule` calls them, with random delays on
+/* 1,000 start/take/join cycles of the kernel's orbit thread, in the order
+ * that `cipher.build_key_schedule` calls them, with random delays on
  * the caller's side and random segment lengths and transients on the
  * thread's; some orbits diverge and some callers join early, as an
  * interrupted build does, or join a handle before its start and twice
@@ -7,8 +7,9 @@
  * it, so a handoff out of turn is a data race. Exits 1 when a segment or a
  * divergence index differs from one serial `chaos_fill`.
  *
- * Built with -fsanitize=thread by tests/test_kernel.py, with the kernel's
- * directory on the include path. */
+ * Built by tests/test_kernel.py with the kernel's directory on the include
+ * path: with the kernel's flags and -Wall -Wextra -Werror, and with
+ * -fsanitize=thread where ThreadSanitizer runs. */
 #include "_kernel.c"
 #include <stdio.h>
 
@@ -47,14 +48,13 @@ int main(void)
 
         if (r % 7 == 0)
             chaos_orbit_join(&o);
-        if (chaos_orbit_start(&o, 1, map_r, 0.0, 0.0, 0.1, 0.1, skip, ys, xs[0], xs[1], n))
+        if (chaos_orbit_start(&o, map_r, 0.1, 0.1, skip, ys, xs[0], xs[1], n))
             return 1;
         for (int k = 0; k < segments; k++) {
             double *mine = xs[(k + 1) % 2];
             for (long long i = 0; i < n; i++)  /* the other map's segment */
                 mine[i] = (double)i;
             delay(&seed);
-            chaos_orbit_give(&o);
             long long got = chaos_orbit_take(&o);
             if (bad >= 0 && bad < skip + (k + 1) * n) {
                 if (got != bad) {

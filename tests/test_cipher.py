@@ -377,11 +377,10 @@ class TestKeySchedule:
     def test_peak_allocation_on_the_fallback(self, python_only):
         self.assert_peak_allocation()
 
-    @pytest.mark.parametrize("fill_path", ["compiled", "python_only"])
-    def test_peak_allocation_on_the_serial_path(self, request, monkeypatch, fill_path):
+    def test_peak_allocation_on_the_serial_path(self, compiled, monkeypatch):
         # Map 1 on the caller too, as when no thread can start: a y buffer
         # that outlived its fold would still be held when the pair is built
-        request.getfixturevalue(fill_path)
+        # (the fallback starts no thread: test_peak_allocation_on_the_fallback)
         no_thread_starts(monkeypatch)
         self.assert_peak_allocation()
 
@@ -451,6 +450,17 @@ class TestTwoMaps:
     def test_map2_error_alone(self, path):
         assert self.divergence(default_map1(), DIVERGING_MAP2) == 0
         assert self.divergence(DIVERGING_MAP1, default_map2()) == 253
+
+    @pytest.mark.parametrize("path", ["compiled", "serial-compiled", "python_only"],
+                             indirect=True)
+    def test_map1_reads_no_a_or_b(self, path):
+        # Map 1's step reads neither, so its thread is not given them
+        keys, dims = default_keys(), ImageDims(1, 64, 128)
+        pairs = [run_bounded(build_key_schedule, KeyMaterial(replace(keys.map1, a=a, b=b),
+                                                             keys.map2), dims)
+                 for a, b in ((0.0, 0.0), (0.5, -3.0))]
+        for plain, with_ab in zip(*pairs, strict=True):
+            assert np.array_equal(plain, with_ab)
 
     @staticmethod
     def threads(monkeypatch):

@@ -4,6 +4,7 @@ for the map loops, numpy's gather and scatter for the cipher's byte loops;
 and the build flags that make the two paths round alike."""
 
 import ctypes
+import errno
 import hashlib
 import math
 import os
@@ -23,11 +24,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaosimg import analysis, cipher, kernel, maps
+from chaosimg.cli import main
 from chaosimg.cipher import (ImageDims, KeyMaterial, PlainImage, build_key_schedule,
                              default_keys, encrypt)
 from chaosimg.analysis import bifurcation_sweep, lyapunov_exponent
 from chaosimg.errors import DivergenceError, TrajectoryCollapseError
 from chaosimg.maps import MapId, MapParams, default_map1, default_map2, fill, step_function
+from chaosimg.netpbm import write_image
+from conftest import DEFAULT_KEY_TEXT, GOLDEN_ENVELOPE, GOLDEN_PLAIN
 from test_cipher import GOLDEN_DIGESTS, GOLDEN_IMAGES, GOLDEN_KEY_SETS, golden_keys
 
 
@@ -300,6 +304,36 @@ def test_no_compiler_makes_no_cache_directory(monkeypatch, tmp_path):
     assert list(tmp_path.glob("*/*")) == []
 
 
+def test_cache_that_takes_no_file_falls_back_to_python(monkeypatch, tmp_path):
+    # a private cache directory on a read-only mount: the build fails, and
+    # the library and the CLI run the Python loops
+    private = tmp_path / "chaosimg"
+    private.mkdir()
+    private.chmod(0o700)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+
+    def read_only(*args, **kwargs):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS))
+
+    monkeypatch.setattr(tempfile, "mkstemp", read_only)
+    kernel.library.cache_clear()
+    try:
+        assert kernel.library() is None
+        env = encrypt(PlainImage.from_array(GOLDEN_IMAGES["gray64x48"]()),
+                      golden_keys(GOLDEN_KEY_SETS["k1"]))
+        assert hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS["gray64x48/k1"]
+        files = tmp_path / "files"
+        files.mkdir()
+        (files / "key.txt").write_text(DEFAULT_KEY_TEXT)
+        (files / "plain.pgm").write_bytes(write_image(PlainImage.from_array(GOLDEN_PLAIN)))
+        assert main(["encrypt", "--key", str(files / "key.txt"), "--in", str(files / "plain.pgm"),
+                     "--out", str(files / "c.cse")]) == 0
+        assert (files / "c.cse").read_bytes() == GOLDEN_ENVELOPE
+    finally:
+        kernel.library.cache_clear()
+    assert list(private.iterdir()) == []
+
+
 def cached_kernel(directory, mode):
     """A copy of this process's kernel in `directory`, made with `mode`."""
     directory.mkdir(parents=True)
@@ -362,9 +396,27 @@ def test_kernel_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def orbit_stress(cc, flags, tmp_path, env=None):
+    """Build tests/orbit_stress.c, 1,000 start/take/join cycles of the
+    kernel's orbit thread with the kernel compiled in, with `flags`, and
+    run it."""
+    stress = tmp_path / "stress"
+    made = subprocess.run([cc, *flags, "-I", str(kernel.SOURCE.parent),
+                           str(Path(__file__).with_name("orbit_stress.c")), "-o", str(stress),
+                           "-lm"], capture_output=True, text=True, timeout=120)
+    assert made.returncode == 0, made.stderr
+    return subprocess.run([str(stress)], capture_output=True, text=True, timeout=300, env=env)
+
+
+def test_orbit_stress_runs_with_the_kernels_flags(tmp_path):
+    # on every host with a compiler, so that a driver which drifts from the
+    # kernel's API fails where ThreadSanitizer is missing too
+    flags = [f for f in kernel.FLAGS if f not in ("-shared", "-fPIC")]
+    done = orbit_stress(compiler(), [*flags, "-Wall", "-Wextra", "-Werror"], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
 def test_orbit_thread_is_race_free_under_thread_sanitizer(tmp_path):
-    # tests/orbit_stress.c runs 1,000 start/give/take/join cycles with the
-    # kernel compiled in, under ThreadSanitizer
     cc, sanitize = compiler(), ["-fsanitize=thread", "-g", "-O1", "-pthread"]
     probe = tmp_path / "probe"
     made = subprocess.run([cc, *sanitize, "-x", "c", "-", "-o", str(probe)],
@@ -372,13 +424,8 @@ def test_orbit_thread_is_race_free_under_thread_sanitizer(tmp_path):
                           timeout=120)
     if made.returncode != 0 or subprocess.run([str(probe)], capture_output=True).returncode:
         pytest.skip("no ThreadSanitizer (libtsan) that builds and runs here")
-    stress = tmp_path / "stress"
-    made = subprocess.run([cc, *sanitize, "-ffp-contract=off", "-I", str(kernel.SOURCE.parent),
-                           str(Path(__file__).with_name("orbit_stress.c")), "-o", str(stress),
-                           "-lm"], capture_output=True, text=True, timeout=120)
-    assert made.returncode == 0, made.stderr
-    done = subprocess.run([str(stress)], capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "TSAN_OPTIONS": "halt_on_error=1"})
+    done = orbit_stress(cc, [*sanitize, "-ffp-contract=off"], tmp_path,
+                        {**os.environ, "TSAN_OPTIONS": "halt_on_error=1"})
     assert done.returncode == 0 and "ThreadSanitizer" not in done.stderr, done.stderr
 
 
