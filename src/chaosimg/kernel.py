@@ -4,7 +4,8 @@ At first use the source is compiled with the system C compiler into a
 private cache directory and loaded with ctypes. The library is named by
 the SHA-256 of the source, the flags and the platform, so a changed
 source builds a new one; a build writes a temporary file and renames it
-into place, so concurrent first runs are safe.
+into place, so concurrent first runs are safe, and so is the rebuild of a
+cached file that does not load (say, one that a crash cut short).
 
 `library()` serves twelve loops: `chaos_fill`, through which `maps.fill`
 iterates a map for the key schedule, the phase points and the Lyapunov
@@ -182,11 +183,13 @@ def library():
     path = directory / f"kernel-{tag[:32]}.so"
     if not path.exists() and (cc is None or not _build(cc, source, path)):
         return None
-    try:
-        lib = ctypes.CDLL(str(path))
-        for name, (restype, argtypes) in _SIGNATURES.items():
-            fn = getattr(lib, name)
-            fn.restype, fn.argtypes = restype, argtypes
-    except (OSError, AttributeError):
-        return None
-    return lib
+    for cc in (cc, None):  # a cached file that does not load is built anew, once
+        try:
+            lib = ctypes.CDLL(str(path))
+            for name, (restype, argtypes) in _SIGNATURES.items():
+                fn = getattr(lib, name)
+                fn.restype, fn.argtypes = restype, argtypes
+            return lib
+        except (OSError, AttributeError):
+            if cc is None or not _build(cc, source, path):
+                return None

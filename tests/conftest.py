@@ -1,4 +1,7 @@
+import errno
 import math
+import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -55,16 +58,68 @@ def compiled():
 
 
 @pytest.fixture
-def python_only(monkeypatch, tmp_path):
+def reload():
+    """Looks the kernel up anew, as a new process would under the test's
+    environment and patches; the next test looks it up anew as well."""
+    def reloaded():
+        kernel.library.cache_clear()
+        return kernel.library()
+    yield reloaded
+    kernel.library.cache_clear()
+
+
+@pytest.fixture
+def python_only(monkeypatch, tmp_path, reload):
     """No compiler and an empty cache, so the one cached loader,
     `kernel.library`, finds no kernel: `fill` and `lyapunov_exponent` run
     their Python loops, and the CSV writers format in Python."""
     monkeypatch.setattr(kernel, "_compiler", lambda: None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    kernel.library.cache_clear()
-    assert kernel.library() is None
-    yield
-    kernel.library.cache_clear()
+    assert reload() is None
+
+
+def no_thread_starts(monkeypatch):
+    """Refuse every thread that a build asks for, as at the process's
+    thread limit: the kernel's `chaos_orbit_start` returns EAGAIN, and
+    `threading.Thread.start` raises on any thread but the test's own (which
+    starts `run_bounded`'s helper)."""
+    caller, start = threading.current_thread(), threading.Thread.start
+
+    def refused(thread):
+        if threading.current_thread() is not caller:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", refused)
+    lib = kernel.library()
+    if lib is not None:
+        monkeypatch.setattr(lib, "chaos_orbit_start", lambda *args: errno.EAGAIN)
+
+
+@pytest.fixture(params=["compiled", "python_only"])
+def path(request, monkeypatch):
+    """The one switch between the kernel and its fallback: runs a test on
+    the kernel ("compiled") and on the Python loops that are its oracle and
+    fallback ("python_only"). "serial-compiled", given as an indirect
+    parameter, is the kernel with every thread start refused
+    (`no_thread_starts`), so the key schedule iterates Map 1 on the caller;
+    the fallback starts no thread, so it has no serial twin."""
+    fixture = {"compiled": "compiled", "python_only": "python_only",
+               "serial-compiled": "compiled"}[request.param]
+    request.getfixturevalue(fixture)
+    if request.param == "serial-compiled":
+        no_thread_starts(monkeypatch)
+    return request.param
+
+
+def traced_peak(run, *args):
+    """`run(*args)`'s result and the peak in bytes of what tracemalloc saw
+    it allocate."""
+    tracemalloc.start()
+    try:
+        return run(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture
@@ -84,6 +139,13 @@ def random_image(rng, max_side=64):
     return PlainImage.from_array(
         rng.integers(0, 256, size=(d, h, w), dtype=np.uint8)
     )
+
+
+def cipher_as_image(envelope):
+    """The envelope's body as an image, its pad byte dropped, for statistics."""
+    d = envelope.dims
+    body = np.frombuffer(envelope.body, dtype=np.uint8)[:d.pixel_count]
+    return PlainImage.from_array(body.reshape(d.depth, d.height, d.width))
 
 
 def structured_image(size=256):

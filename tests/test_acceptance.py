@@ -7,7 +7,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from chaosimg.analysis import (
     adjacent_correlation,
@@ -28,13 +27,14 @@ from chaosimg.cipher import (
     default_keys,
     encrypt,
 )
-from chaosimg.maps import MapId, MapParams, default_map1, default_map2, fill, step_function
+from chaosimg.maps import MapId, MapParams, default_map1, fill, step_function
 from chaosimg.netpbm import read_image, write_image
 from conftest import (
     CHI2_CRIT_DF255_P05,
     GOLDEN_BODY,
     GOLDEN_ENVELOPE,
     GOLDEN_PLAIN,
+    cipher_as_image,
     perturbed,
     random_image,
     structured_image,
@@ -65,14 +65,6 @@ def random_key_material(rng) -> KeyMaterial:
             y0=float(rng.uniform(-1, 1)),
             transient=transient,
         ),
-    )
-
-
-def cipher_as_image(envelope: CipherEnvelope) -> PlainImage:
-    body = np.frombuffer(envelope.body, dtype=np.uint8)
-    d = envelope.dims
-    return PlainImage.from_array(
-        body[: d.pixel_count].reshape(d.depth, d.height, d.width)
     )
 
 

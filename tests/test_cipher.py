@@ -1,4 +1,4 @@
-import errno
+import functools
 import hashlib
 import itertools
 import os
@@ -43,7 +43,8 @@ from chaosimg.maps import (
     quantize_to_bytes,
 )
 from chaosimg.netpbm import read_image, write_image
-from conftest import GOLDEN_BODY, GOLDEN_ENVELOPE, GOLDEN_PLAIN, perturbed, random_image
+from conftest import (GOLDEN_BODY, GOLDEN_ENVELOPE, GOLDEN_PLAIN, no_thread_starts, perturbed,
+                      random_image, traced_peak)
 
 # SHA-256 of encrypt(...).to_bytes(), recorded from the pure-Python keystream
 # path; a faster map kernel must reproduce them bit for bit. The images use
@@ -268,6 +269,23 @@ def run_bounded(build, *args):
     return result
 
 
+def run_concurrently(runs):
+    """Each of `runs` on its own daemon thread, at a 10 µs switch interval
+    so that the threads interleave often; all must end within 60 s."""
+    helpers = [threading.Thread(target=run, daemon=True) for run in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for helper in helpers:
+            helper.start()
+        deadline = time.monotonic() + 60  # for all helpers, not each
+        for helper in helpers:
+            helper.join(timeout=deadline - time.monotonic())
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(helper.is_alive() for helper in helpers)
+
+
 TASKS = "/proc/self/task"
 
 
@@ -288,22 +306,9 @@ def assert_no_thread_left(before):
     assert not os_threads() - before
 
 
-def no_thread_starts(monkeypatch):
-    """Refuse every thread that a build asks for, as at the process's
-    thread limit: the kernel's `chaos_orbit_start` returns EAGAIN, and
-    `threading.Thread.start` raises on any thread but the test's own (which
-    starts `run_bounded`'s helper)."""
-    caller, start = threading.current_thread(), threading.Thread.start
-
-    def refused(thread):
-        if threading.current_thread() is not caller:
-            raise RuntimeError("can't start new thread")
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", refused)
-    lib = kernel.library()
-    if lib is not None:
-        monkeypatch.setattr(lib, "chaos_orbit_start", lambda *args: errno.EAGAIN)
+# the three builds of a key schedule (conftest's `path`)
+every_build = pytest.mark.parametrize("path", ["compiled", "python_only", "serial-compiled"],
+                                      indirect=True)
 
 
 class TestKeySchedule:
@@ -344,6 +349,10 @@ class TestKeySchedule:
                     run_bounded(encrypt, img, default_keys())
                 assert cipher._held == (None, None)
 
+    def test_maps_in_the_wrong_order_raise(self):
+        with pytest.raises(ValueError, match="requires"):
+            KeyMaterial(default_map2(), default_map1())
+
     def test_refuses_2_to_the_31_bytes_before_allocating(self):
         # R is int32, so a padded vector of 2**31 bytes is refused up front
         tracemalloc.start()
@@ -355,46 +364,26 @@ class TestKeySchedule:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @staticmethod
-    def assert_peak_allocation():
-        # the two orbit buffers (one serial), both maps' keys
-        # and one argsort's result and BLOCK-value temporaries, then the
-        # pair; buffers that piled up would show here. At 2*BLOCK (a 512²
-        # gray image) each temporary is twice as large a share of n.
+    @every_build
+    def test_peak_allocation(self, path):
+        # the two orbit buffers (one serial), both maps' keys and one
+        # argsort's result and BLOCK-value temporaries, then the pair;
+        # buffers that piled up would show here, and with Map 1 on the
+        # caller ("serial-compiled") a y buffer that outlived its fold. At
+        # 2*BLOCK (a 512² gray image) each temporary is twice as large a
+        # share of n.
         for blocks, bound in ((2, 50), (4, 45)):
             n = blocks * maps.BLOCK
-            tracemalloc.start()
-            try:
-                run_bounded(build_key_schedule, default_keys(), ImageDims(1, 512, 2 * n // 512))
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(run_bounded, build_key_schedule, default_keys(),
+                                  ImageDims(1, 512, 2 * n // 512))
             assert peak <= bound * n, f"{peak / n:.1f}n at n = {blocks}*BLOCK"
-
-    def test_peak_allocation(self, compiled):
-        self.assert_peak_allocation()
-
-    def test_peak_allocation_on_the_fallback(self, python_only):
-        self.assert_peak_allocation()
-
-    def test_peak_allocation_on_the_serial_path(self, compiled, monkeypatch):
-        # Map 1 on the caller too, as when no thread can start: a y buffer
-        # that outlived its fold would still be held when the pair is built
-        # (the fallback starts no thread: test_peak_allocation_on_the_fallback)
-        no_thread_starts(monkeypatch)
-        self.assert_peak_allocation()
 
     def test_cold_encrypt_peak_allocation(self, compiled):
         # the build of the pair (R, K) that `encrypt` holds, and the gather
         n = 4 * maps.BLOCK
         img = PlainImage.from_array(np.random.default_rng(4).integers(
             0, 256, (1, 512, 2 * n // 512), dtype=np.uint8))
-        tracemalloc.start()
-        try:
-            run_bounded(encrypt, img, default_keys())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(run_bounded, encrypt, img, default_keys())
         assert cipher._held[1][0].size == 2 * n
         assert peak <= 45 * n
 
@@ -420,17 +409,8 @@ LATE_DIVERGING_MAP1 = MapParams(MapId.MAP1, 1e307, transient=0)
 class TestTwoMaps:
     """With the kernel ("compiled"), Map 1's orbit is iterated on the
     kernel's thread and everything else on the caller; without it
-    ("python_only"), the caller iterates both. The "serial-" paths refuse
-    every thread start (`no_thread_starts`), so the kernel's fill runs Map 1
-    on the caller, and the fallback shows that it needs no thread."""
-
-    @pytest.fixture(params=["compiled", "python_only", "serial-compiled", "serial-python_only"])
-    def path(self, request, monkeypatch):
-        serial, _, fill_path = request.param.rpartition("-")
-        request.getfixturevalue(fill_path)
-        if serial:
-            no_thread_starts(monkeypatch)
-        return request.param
+    ("python_only"), the caller iterates both. "serial-compiled" refuses
+    every thread start, so the kernel's fill runs Map 1 on the caller."""
 
     @staticmethod
     def divergence(map1, map2):
@@ -441,18 +421,20 @@ class TestTwoMaps:
             return exc.iteration
         return None
 
+    @every_build
     def test_success(self, path):
         assert self.divergence(default_map1(), default_map2()) is None
 
+    @every_build
     def test_map1_error_wins(self, path):
         assert self.divergence(DIVERGING_MAP1, DIVERGING_MAP2) == 253
 
+    @every_build
     def test_map2_error_alone(self, path):
         assert self.divergence(default_map1(), DIVERGING_MAP2) == 0
         assert self.divergence(DIVERGING_MAP1, default_map2()) == 253
 
-    @pytest.mark.parametrize("path", ["compiled", "serial-compiled", "python_only"],
-                             indirect=True)
+    @every_build
     def test_map1_reads_no_a_or_b(self, path):
         # Map 1's step reads neither, so its thread is not given them
         keys, dims = default_keys(), ImageDims(1, 64, 128)
@@ -530,8 +512,7 @@ class TestTwoMaps:
         for (R, K), want in zip([got, run_bounded(build_key_schedule, slow, dims)], expected):
             assert np.array_equal(R, want[0]) and np.array_equal(K, want[1])
 
-    @pytest.mark.parametrize("path", ["python_only", "serial-compiled", "serial-python_only"],
-                             indirect=True)
+    @pytest.mark.parametrize("path", ["python_only", "serial-compiled"], indirect=True)
     def test_all_on_the_caller(self, path, monkeypatch):
         building, threads, started = self.threads(monkeypatch)
         assert threads == {
@@ -539,6 +520,7 @@ class TestTwoMaps:
         }
         assert started == set()
 
+    @every_build
     def test_concurrent_schedules(self, path):
         # more threads than cores and a short switch interval: a buffer
         # that went back to the worker before its keys were made would
@@ -550,18 +532,7 @@ class TestTwoMaps:
             for _ in range(5):
                 results.append(build_key_schedule(keys, dims))
 
-        helpers = [threading.Thread(target=run, daemon=True) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for helper in helpers:
-                helper.start()
-            deadline = time.monotonic() + 60  # for all helpers, not each
-            for helper in helpers:
-                helper.join(timeout=deadline - time.monotonic())
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(helper.is_alive() for helper in helpers)
+        run_concurrently([run] * 4)
         assert len(results) == 20
         for R, K in results:
             assert np.array_equal(R, expected[0])
@@ -575,6 +546,7 @@ class TestTwoMaps:
         return info.value
 
     @pytest.mark.parametrize("map2, index", [(DIVERGING_MAP2, 0), (LATE_DIVERGING_MAP2, 6496)])
+    @every_build
     def test_map2_diverges_while_map1_runs(self, path, map2, index):
         error = self.failure(KeyMaterial(default_map1(), map2))
         assert isinstance(error, DivergenceError) and error.iteration == index
@@ -593,6 +565,7 @@ class TestTwoMaps:
         monkeypatch.setattr(cipher, "permutation_from_sequence", argsort)
 
     @pytest.mark.parametrize("failing_call", range(1, 9))
+    @every_build
     def test_argsort_fails_on_the_caller(self, path, monkeypatch, failing_call):
         self.fail_argsort(monkeypatch, failing_call)
         error = self.failure(default_keys())
@@ -611,6 +584,7 @@ class TestTwoMaps:
         assert_no_thread_left(before)
 
     @pytest.mark.parametrize("failing_call", [1, 2, 3])
+    @every_build
     def test_map1_error_wins_over_an_earlier_caller_failure(self, path, monkeypatch,
                                                              failing_call):
         # the caller fails in segment 1 or 2, and Map 1 diverges later, at
@@ -618,6 +592,7 @@ class TestTwoMaps:
         self.fail_argsort(monkeypatch, failing_call)
         assert self.divergence(LATE_DIVERGING_MAP1, default_map2()) == 253
 
+    @every_build
     def test_no_os_thread_is_left(self, path, monkeypatch):
         # after a build that succeeds, whose either map diverges, or whose
         # caller fails or is interrupted
@@ -700,15 +675,12 @@ def fused_oracle(keys, dims):
     return np.append(layout, np.arange(count, perm.size))[perm], key
 
 
+@pytest.mark.usefixtures("path")
 class TestScheduleMemo:
     """`encrypt` and `decrypt` take their pair (R, K) from cipher._schedule,
     which holds the most recent one; on the kernel and on the fallback."""
 
     DIMS = ImageDims(1, 10, 10)
-
-    @pytest.fixture(autouse=True, params=["compiled", "python_only"])
-    def path(self, request):
-        request.getfixturevalue(request.param)
 
     def test_hit_returns_the_held_schedule(self):
         img = PlainImage.from_array(np.arange(100, dtype=np.uint8).reshape(10, 10))
@@ -802,19 +774,7 @@ class TestScheduleMemo:
                 results.append((env.body == expected[i, k],
                                 np.array_equal(decrypt(env, key_sets[k]).pixels, images[i].pixels)))
 
-        helpers = [threading.Thread(target=run, args=(cases[t:] + cases[:t],), daemon=True)
-                   for t in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for helper in helpers:
-                helper.start()
-            deadline = time.monotonic() + 60  # for all helpers, not each
-            for helper in helpers:
-                helper.join(timeout=deadline - time.monotonic())
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(helper.is_alive() for helper in helpers)
+        run_concurrently([functools.partial(run, cases[t:] + cases[:t]) for t in range(4)])
         assert results == [(True, True)] * 16
 
 
@@ -826,15 +786,12 @@ def shape_id(shape):
     return "x".join(map(str, shape))
 
 
+@pytest.mark.usefixtures("path")
 class TestFusedPath:
     """`encrypt` gathers from the raster and `decrypt` scatters into it, on
     the kernel and on the fallback, from pixels that are a view of a Netpbm
     raster (`read_image`) and from a C-contiguous (d, h, w) copy
     (`PlainImage.from_array`)."""
-
-    @pytest.fixture(autouse=True, params=["compiled", "python_only"])
-    def path(self, request):
-        request.getfixturevalue(request.param)
 
     @pytest.mark.parametrize("shape", FUSED_SHAPES, ids=shape_id)
     def test_matches_reference_and_round_trips(self, shape):
@@ -872,12 +829,7 @@ class TestFusedPath:
         img = read_image(write_image(PlainImage.from_array(np.random.default_rng(8).integers(
             0, 256, (3, 128, 128), dtype=np.uint8))))
         encrypt(img, default_keys())
-        tracemalloc.start()
-        try:
-            encrypt(img, default_keys())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(encrypt, img, default_keys())
         assert peak <= 3 * img.dims.pixel_count
 
     @pytest.mark.parametrize("shape", [(1, 4, 6), (3, 4, 6)], ids=shape_id)
@@ -938,6 +890,11 @@ class TestEncryptDecrypt:
         with pytest.raises(ValueError, match="whole numbers in 0..255"):
             PlainImage(ImageDims(1, *np.shape(pixels)), pixels)
 
+    def test_pixel_arrays_of_other_ranks_raise(self):
+        for shape in [(4,), (1, 1, 2, 2)]:
+            with pytest.raises(DimensionError, match="2D or 3D"):
+                PlainImage.from_array(np.zeros(shape, dtype=np.uint8))
+
     def test_odd_length_pad_recorded(self):
         img = PlainImage.from_array(np.array([[1, 2, 3]], dtype=np.uint8))
         env = encrypt(img, default_keys())
@@ -955,18 +912,14 @@ class TestEncryptDecrypt:
 
 class TestGoldenDigests:
     @pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
-    def test_ciphertext_digest(self, name):
+    def test_ciphertext_digest(self, path, name):
+        # the autouse cold_schedule_memo makes encrypt build the schedule
         image, key_set = name.split("/")
-        if key_set == "default":
-            keys = default_keys()
-        else:
-            keys = golden_keys(GOLDEN_KEY_SETS[key_set])
+        keys = default_keys() if key_set == "default" else golden_keys(GOLDEN_KEY_SETS[key_set])
         env = encrypt(PlainImage.from_array(GOLDEN_IMAGES[image]()), keys)
         assert hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS[name]
 
-    @pytest.mark.parametrize("path", ["compiled", "python_only"])
-    def test_lyapunov_exact(self, request, path):
-        request.getfixturevalue(path)
+    def test_lyapunov_exact(self, path):
         assert repr(lyapunov_exponent(default_map1(), steps=5000)) == "0.9034388567141849"
         assert repr(lyapunov_exponent(default_map2(), steps=5000)) == "0.5127690037197709"
 

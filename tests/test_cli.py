@@ -360,6 +360,9 @@ class TestMetricsCommand:
         assert main(["metrics", "--a", str(golden_pgm), "--b", str(other)]) == 1
 
 
+R_GRID = ["--r-min", "1", "--r-max", "2", "--r-step", "1"]
+
+
 class TestAnalyzeCommand:
     def test_bifurcate_row_count(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -493,6 +496,19 @@ class TestAnalyzeCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "count must be >= 1" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lyapunov", "--r", "nan"], "parameter r must be finite"),
+        (["lyapunov", "--x0", "inf"], "parameter x0 must be finite"),
+        (["bifurcate", "--map", "2", "--a", "nan", *R_GRID], "parameter a must be finite"),
+        (["bifurcate", "--samples", "0", *R_GRID], "samples must be >= 1"),
+        (["lyapunov", "--steps", "999"], "steps must be >= 1000"),
+    ], ids=["r-nan", "x0-inf", "a-nan", "samples-0", "steps-999"])
+    def test_refused_number_exit_2(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "a.csv"
+        assert main(["analyze", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"chaosimg: error: {message}\n"
         assert not out.exists()
 
     def test_phase_transient_bounded_exit_2(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ import shutil
 import stat
 import subprocess
 import tempfile
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -25,13 +24,12 @@ from hypothesis import strategies as st
 
 from chaosimg import analysis, cipher, kernel, maps
 from chaosimg.cli import main
-from chaosimg.cipher import (ImageDims, KeyMaterial, PlainImage, build_key_schedule,
-                             default_keys, encrypt)
+from chaosimg.cipher import ImageDims, KeyMaterial, PlainImage, build_key_schedule, encrypt
 from chaosimg.analysis import bifurcation_sweep, lyapunov_exponent
 from chaosimg.errors import DivergenceError, TrajectoryCollapseError
 from chaosimg.maps import MapId, MapParams, default_map1, default_map2, fill, step_function
 from chaosimg.netpbm import write_image
-from conftest import DEFAULT_KEY_TEXT, GOLDEN_ENVELOPE, GOLDEN_PLAIN
+from conftest import DEFAULT_KEY_TEXT, GOLDEN_ENVELOPE, GOLDEN_PLAIN, traced_peak
 from test_cipher import GOLDEN_DIGESTS, GOLDEN_IMAGES, GOLDEN_KEY_SETS, golden_keys
 
 
@@ -120,10 +118,9 @@ DIVERGING = [
 ]
 
 
-@pytest.mark.parametrize("path", ["compiled", "python_only"])
+@pytest.mark.parametrize("path", ["compiled", "python_only"], indirect=True)
 @pytest.mark.parametrize("r, transient, half_len", DIVERGING)
-def test_divergence_index_counts_from_seed(request, path, r, transient, half_len):
-    request.getfixturevalue(path)
+def test_divergence_index_counts_from_seed(path, r, transient, half_len):
     params = MapParams(MapId.MAP1, r, transient=transient)
     keys = KeyMaterial(map1=params, map2=default_map2())
     with pytest.raises(DivergenceError) as info:
@@ -233,78 +230,69 @@ def test_lyapunov_failures_match_oracle(compiled, params, expected):
     assert lyapunov_outcome(params, 3000) == lyapunov_oracle(params, 3000) == expected
 
 
-@pytest.mark.parametrize("name", list(GOLDEN_DIGESTS))
-def test_fallback_reproduces_golden_digests(python_only, monkeypatch, name):
-    calls, fill_orbit = [], maps._fill_orbit
-
-    def counted(*args):
-        calls.append(args[0].map_id)
-        return fill_orbit(*args)
-
-    monkeypatch.setattr(maps, "_fill_orbit", counted)
-    image, key_set = name.split("/")
-    keys = default_keys() if key_set == "default" else golden_keys(GOLDEN_KEY_SETS[key_set])
-    env = encrypt(PlainImage.from_array(GOLDEN_IMAGES[image]()), keys)
-    assert hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS[name]
-    assert calls  # the schedule was built by the Python loop, not taken as held
-
-
 def test_fallback_fill_without_ys_allocates_no_y_buffer(python_only):
     params, n = default_map2(), maps.BLOCK
     xs, xs_with_ys = np.empty(n), np.empty(n)
-    tracemalloc.start()
-    try:
-        last = fill(params, (0.1, 0.1), xs, skip=10)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    last, peak = traced_peak(lambda: fill(params, (0.1, 0.1), xs, skip=10))
     assert peak < 0.01 * 8 * n
     assert last == fill(params, (0.1, 0.1), xs_with_ys, np.empty(n), skip=10)
     assert xs.tobytes() == xs_with_ys.tobytes()
 
 
 def test_kernel_active_when_a_compiler_is_on_path():
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
-    assert kernel.library() is not None
+    assert compiler() and kernel.library() is not None
 
 
-def test_cache_is_private_and_reused(compiled, monkeypatch, tmp_path):
+def encrypts_golden_k1() -> bool:
+    env = encrypt(PlainImage.from_array(GOLDEN_IMAGES["gray64x48"]()),
+                  golden_keys(GOLDEN_KEY_SETS["k1"]))
+    return hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS["gray64x48/k1"]
+
+
+def test_cache_is_private_and_reused(compiled, monkeypatch, tmp_path, reload):
     shared = tmp_path / "xdg" / "chaosimg"
     shared.mkdir(parents=True, mode=0o755)
     shared.chmod(0o755)
     monkeypatch.setenv("XDG_CACHE_HOME", str(shared.parent))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
-    try:
-        kernel.library.cache_clear()
-        assert kernel.library() is not None  # built in the fallback dir
-        assert list(shared.iterdir()) == []
-        private = tmp_path / "tmp" / f"chaosimg-{os.getuid()}"
-        assert stat.S_IMODE(private.stat().st_mode) == 0o700
-        [lib] = private.iterdir()  # no temporary file left behind
-        assert lib.name.startswith("kernel-") and lib.suffix == ".so"
-        monkeypatch.setattr(kernel, "_compiler", lambda: None)
-        kernel.library.cache_clear()
-        assert kernel.library() is not None  # loaded, not built
-    finally:
-        kernel.library.cache_clear()
+    assert reload() is not None  # built in the fallback dir
+    assert list(shared.iterdir()) == []
+    private = tmp_path / "tmp" / f"chaosimg-{os.getuid()}"
+    assert stat.S_IMODE(private.stat().st_mode) == 0o700
+    [lib] = private.iterdir()  # no temporary file left behind
+    assert lib.name.startswith("kernel-") and lib.suffix == ".so"
+    monkeypatch.setattr(kernel, "_compiler", lambda: None)
+    assert reload() is not None  # loaded, not built
 
 
-def test_no_compiler_makes_no_cache_directory(monkeypatch, tmp_path):
+def test_cache_home_that_is_a_file_builds_in_the_temporary_directory(compiled, monkeypatch,
+                                                                      tmp_path, reload):
+    (tmp_path / "file").touch()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    lib = reload()
+    assert lib is not None
+    assert Path(lib._name).parent == tmp_path / "tmp" / f"chaosimg-{os.getuid()}"
+
+
+def test_no_compiler_makes_no_cache_directory(monkeypatch, tmp_path, reload):
     for name in ("xdg", "tmp"):
         (tmp_path / name).mkdir()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     monkeypatch.setattr(kernel, "_compiler", lambda: None)
-    kernel.library.cache_clear()
-    try:
-        assert kernel.library() is None
-    finally:
-        kernel.library.cache_clear()
+    assert reload() is None
     assert list(tmp_path.glob("*/*")) == []
 
 
-def test_cache_that_takes_no_file_falls_back_to_python(monkeypatch, tmp_path):
+def test_failing_compiler_leaves_no_file(monkeypatch, tmp_path, reload):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(kernel, "_compiler", lambda: shutil.which("false", path=os.defpath))
+    assert reload() is None
+    assert list((tmp_path / "chaosimg").iterdir()) == []
+
+
+def test_cache_that_takes_no_file_falls_back_to_python(monkeypatch, tmp_path, reload):
     # a private cache directory on a read-only mount: the build fails, and
     # the library and the CLI run the Python loops
     private = tmp_path / "chaosimg"
@@ -316,21 +304,14 @@ def test_cache_that_takes_no_file_falls_back_to_python(monkeypatch, tmp_path):
         raise OSError(errno.EROFS, os.strerror(errno.EROFS))
 
     monkeypatch.setattr(tempfile, "mkstemp", read_only)
-    kernel.library.cache_clear()
-    try:
-        assert kernel.library() is None
-        env = encrypt(PlainImage.from_array(GOLDEN_IMAGES["gray64x48"]()),
-                      golden_keys(GOLDEN_KEY_SETS["k1"]))
-        assert hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS["gray64x48/k1"]
-        files = tmp_path / "files"
-        files.mkdir()
-        (files / "key.txt").write_text(DEFAULT_KEY_TEXT)
-        (files / "plain.pgm").write_bytes(write_image(PlainImage.from_array(GOLDEN_PLAIN)))
-        assert main(["encrypt", "--key", str(files / "key.txt"), "--in", str(files / "plain.pgm"),
-                     "--out", str(files / "c.cse")]) == 0
-        assert (files / "c.cse").read_bytes() == GOLDEN_ENVELOPE
-    finally:
-        kernel.library.cache_clear()
+    assert reload() is None and encrypts_golden_k1()
+    files = tmp_path / "files"
+    files.mkdir()
+    (files / "key.txt").write_text(DEFAULT_KEY_TEXT)
+    (files / "plain.pgm").write_bytes(write_image(PlainImage.from_array(GOLDEN_PLAIN)))
+    assert main(["encrypt", "--key", str(files / "key.txt"), "--in", str(files / "plain.pgm"),
+                 "--out", str(files / "c.cse")]) == 0
+    assert (files / "c.cse").read_bytes() == GOLDEN_ENVELOPE
     assert list(private.iterdir()) == []
 
 
@@ -339,31 +320,40 @@ def cached_kernel(directory, mode):
     directory.mkdir(parents=True)
     directory.chmod(mode)
     built = Path(kernel.library()._name)
-    shutil.copy(built, directory / built.name)
+    return shutil.copy(built, directory / built.name)
 
 
-def test_cached_kernel_loads_without_a_compiler(compiled, monkeypatch, tmp_path):
+def test_cached_kernel_loads_without_a_compiler(compiled, monkeypatch, tmp_path, reload):
     cached_kernel(tmp_path / "chaosimg", 0o700)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     monkeypatch.setattr(kernel, "_compiler", lambda: None)
-    kernel.library.cache_clear()
-    try:
-        lib = kernel.library()
-        assert lib is not None and Path(lib._name).parent == tmp_path / "chaosimg"
-    finally:
-        kernel.library.cache_clear()
+    lib = reload()
+    assert lib is not None and Path(lib._name).parent == tmp_path / "chaosimg"
 
 
-def test_cached_kernel_in_a_shared_directory_is_refused(compiled, monkeypatch, tmp_path):
+def test_cached_kernel_that_does_not_load_is_built_anew(compiled, monkeypatch, tmp_path, reload):
+    # a zero-length file under the kernel's name, as a crash can leave one
+    # (not this process's own kernel: it is mapped). Without a compiler the
+    # Python loops run; with one, a build replaces the file by a rename,
+    # never by a write into it, which kills a process that maps it (SIGBUS)
+    cached = Path(cached_kernel(tmp_path / "chaosimg", 0o700))
+    cached.write_bytes(b"")
+    inode = cached.stat().st_ino
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "_compiler", lambda: None)
+        assert reload() is None and encrypts_golden_k1()
+    lib = reload()
+    assert lib is not None and Path(lib._name) == cached
+    assert cached.stat().st_ino != inode and list(cached.parent.iterdir()) == [cached]
+
+
+def test_cached_kernel_in_a_shared_directory_is_refused(compiled, monkeypatch, tmp_path, reload):
     cached_kernel(tmp_path / "xdg" / "chaosimg", 0o755)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
     monkeypatch.setattr(kernel, "_compiler", lambda: None)
-    kernel.library.cache_clear()
-    try:
-        assert kernel.library() is None
-    finally:
-        kernel.library.cache_clear()
+    assert reload() is None
     assert not (tmp_path / "tmp").exists()
 
 
@@ -433,9 +423,7 @@ def test_sha256_matches_hashlib():
     assert kernel._sha256(b"chaos") == hashlib.sha256(b"chaos").hexdigest()
 
 
-@pytest.mark.parametrize("path", ["compiled", "python_only"])
-def test_fill_rejects_bad_arguments(request, path):
-    request.getfixturevalue(path)
+def test_fill_rejects_bad_arguments(path):
     params = default_map2()
     for skip in (-1, 2**63, 2**64 + 5):  # 2**64 + 5 would wrap to 5 in C
         with pytest.raises(ValueError):
@@ -520,31 +508,23 @@ def test_every_export_is_typed(compiled):
         assert (fn.restype, fn.argtypes) == (restype, argtypes)
 
 
-def test_kernel_without_128_bit_integers_formats_no_row(compiled, monkeypatch, tmp_path):
+def test_kernel_without_128_bit_integers_formats_no_row(compiled, monkeypatch, tmp_path, reload):
     # built as by a compiler without unsigned __int128: every other loop is
     # there and gives the same bytes, and the CSV writers format in Python
     monkeypatch.setattr(kernel, "FLAGS", (*kernel.FLAGS, "-U__SIZEOF_INT128__"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    kernel.library.cache_clear()
-    try:
-        lib = kernel.library()
-        assert lib is not None  # it has every function in _SIGNATURES
-        pairs, out = np.full((1, 2), 0.5), bytearray(analysis.ROW_BYTES)
-        assert lib.chaos_format_rows(kernel.address(pairs), 1, kernel.address(out)) == -1
-        env = encrypt(PlainImage.from_array(GOLDEN_IMAGES["gray64x48"]()),
-                      golden_keys(GOLDEN_KEY_SETS["k1"]))
-        assert hashlib.sha256(env.to_bytes()).hexdigest() == GOLDEN_DIGESTS["gray64x48/k1"]
-        points = analysis.phase_points(default_map1(), 100)
-        analysis.write_phase_csv(tmp_path / "got.csv", points)
-        oracle = b"x,y\r\n" + analysis._lines(points.tolist()).encode()
-        assert (tmp_path / "got.csv").read_bytes() == oracle
-    finally:
-        kernel.library.cache_clear()
+    lib = reload()
+    assert lib is not None  # it has every function in _SIGNATURES
+    pairs, out = np.full((1, 2), 0.5), bytearray(analysis.ROW_BYTES)
+    assert lib.chaos_format_rows(kernel.address(pairs), 1, kernel.address(out)) == -1
+    assert encrypts_golden_k1()
+    points = analysis.phase_points(default_map1(), 100)
+    analysis.write_phase_csv(tmp_path / "got.csv", points)
+    oracle = b"x,y\r\n" + analysis._lines(points.tolist()).encode()
+    assert (tmp_path / "got.csv").read_bytes() == oracle
 
 
-@pytest.mark.parametrize("path", ["compiled", "python_only"])
-def test_gather_and_scatter_refuse_what_the_kernel_does_not_check(request, path):
-    request.getfixturevalue(path)
+def test_gather_and_scatter_refuse_what_the_kernel_does_not_check(path):
     src, key, index = np.zeros(8, np.uint8), np.zeros(8, np.uint8), np.arange(8, dtype=np.int32)
     bad = [(src[:7], index, key), (src, index, key[:7]), (src, index[:7], key),
            (np.zeros(16, np.uint8)[::2], index, key), (src, np.arange(16, dtype=np.int32)[::2], key),

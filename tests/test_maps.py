@@ -21,6 +21,7 @@ from chaosimg.maps import (
     quantize_to_bytes,
     step_function,
 )
+from conftest import traced_peak
 
 
 class TestStepMap1:
@@ -302,12 +303,7 @@ class TestPermutationFromSequence:
         # int64 temporaries
         for vals in (np.random.default_rng(15).uniform(-4, 4, 8 * BLOCK),
                      prefix_run_cases()["low-bits"]):
-            tracemalloc.start()
-            try:
-                permutation_from_sequence(vals)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(permutation_from_sequence, vals)
             assert peak <= 4 * vals.size + 2 * 8 * BLOCK
 
     def test_tied_temporaries_bounded(self):
@@ -316,12 +312,7 @@ class TestPermutationFromSequence:
         # the temporaries stay a few BLOCK values instead of growing with n
         vals = np.random.default_rng(17).integers(0, 50, 8 * BLOCK).astype(float)
         expected = np.argsort(vals, kind="stable")
-        tracemalloc.start()
-        try:
-            perm = permutation_from_sequence(vals)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        perm, peak = traced_peak(permutation_from_sequence, vals)
         assert np.array_equal(perm, expected)
         assert peak <= 4 * vals.size + 6 * 8 * BLOCK
 
@@ -378,13 +369,6 @@ def test_quantize_matches_the_integer_reference(vals):
     assert list(quantize_to_bytes(vals)) == [quantize_reference(v) for v in vals.tolist()]
 
 
-@pytest.fixture(params=["compiled", "python_only"])
-def loops(request):
-    """Runs a test on the kernel's quantizer and argsort loops, and on the
-    numpy lines that are their oracle and fallback."""
-    request.getfixturevalue(request.param)
-
-
 # lengths just below, at and just above each 2**k, where the argsort's b grows
 around_powers_of_two = st.integers(0, 12).flatmap(
     lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1])).filter(bool)
@@ -393,18 +377,18 @@ around_powers_of_two = st.integers(0, 12).flatmap(
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_loops_match_on_clustered_values(loops, data):
+def test_loops_match_on_clustered_values(path, data):
     vals = data.draw(arrays(np.float64, data.draw(around_powers_of_two), elements=clustered))
     assert np.array_equal(permutation_from_sequence(vals.copy()), np.argsort(vals, kind="stable"))
     assert list(quantize_to_bytes(vals)) == [quantize_reference(v) for v in vals.tolist()]
 
 
-def test_one_run_of_equal_values(loops):
+def test_one_run_of_equal_values(path):
     vals = np.full(8 * BLOCK, -0.75)
     assert np.array_equal(permutation_from_sequence(vals), np.arange(8 * BLOCK))
 
 
-def test_long_runs_of_a_shared_prefix(loops):
+def test_long_runs_of_a_shared_prefix(path):
     # 8*BLOCK = 2**19 values, half of them within 2**19 ulps above 1.5 and
     # half below -1.5, with repeats, shuffled: two runs of 2**18 words
     # that share their key's prefix and differ in its low 19 bits
@@ -432,7 +416,7 @@ def weak_orbit():
     return xs, ys
 
 
-def test_weak_key_orbit(loops, weak_orbit):
+def test_weak_key_orbit(path, weak_orbit):
     xs, ys = weak_orbit
     assert [np.unique(x).size for x in xs] == [393, 71]
     for x in xs:
@@ -441,7 +425,7 @@ def test_weak_key_orbit(loops, weak_orbit):
         assert list(quantize_to_bytes(v)) == [quantize_reference(u) for u in v.tolist()]
 
 
-def test_quantizer_bounds(loops):
+def test_quantizer_bounds(path):
     # the clamp's edges; +-0.5e-12, which rounds half away from zero; and
     # |1e12 * v| from 2**52 on, where adding 0.5 rounds the rounded product
     # (a fused multiply-add would round the exact one)
@@ -454,7 +438,7 @@ def test_quantizer_bounds(loops):
 
 @pytest.mark.parametrize("at", [0, 500, 1000])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_loops_reject_nonfinite(loops, at, bad):
+def test_loops_reject_nonfinite(path, at, bad):
     vals = np.linspace(-1, 1, 1001)
     vals[at] = bad
     with pytest.raises(InvalidStateError):
@@ -463,7 +447,7 @@ def test_loops_reject_nonfinite(loops, at, bad):
         permutation_from_sequence(vals)
 
 
-def test_quantize_takes_lists_and_strided_arrays(loops):
+def test_quantize_takes_lists_and_strided_arrays(path):
     vals = np.random.default_rng(19).uniform(-1e4, 1e4, 2 * BLOCK + 6)
     expected = np.array([quantize_reference(v) for v in vals.tolist()], dtype=np.uint8)
     read_only = vals.copy()

@@ -1,6 +1,7 @@
 """Every public top-level name in the package has a caller in the package,
-every test that README cites exists, and so does every `module.name` that
-the package's source or README cites.
+every test that README cites exists, so does every `module.name` that the
+package's source or README cites, and conftest's `path` is the one switch
+between the kernel and the fallback.
 
 A def, class or constant that only tests reach is library code without a
 library use: it belongs in the tests, or gets a caller, or goes. A figure
@@ -123,3 +124,38 @@ def test_source_cites_only_names_that_exist(tmp_path):
     assert stale_attribute_citations([probe]) == ["probe.c: analysis._no_such_name"]
     stale = stale_attribute_citations([*sorted(SRC.glob("*.py")), SRC / "_kernel.c", README])
     assert not stale, f"citations of names that do not exist: {', '.join(stale)}"
+
+
+FALLBACK = "python_only"
+SERIAL_FALLBACK = "serial-" + FALLBACK  # the fallback starts no thread to refuse
+
+
+def path_switches(source: str) -> list[int]:
+    """The lines of `source` that switch between the kernel and the
+    fallback apart from conftest's `path`: a `getfixturevalue` of either
+    fixture or of a name, which may hold either; a fixture that names the
+    fallback; and a serial fallback, which reruns the fallback's code."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        called = getattr(getattr(node, "func", None), "attr", None)
+        strings = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)} if called else ()
+        if (called == "getfixturevalue" and (not strings or {"compiled", FALLBACK} & strings)
+                or called == "fixture" and FALLBACK in strings
+                or isinstance(node, ast.Constant) and SERIAL_FALLBACK in str(node.value)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_one_switch_between_the_kernel_and_the_fallback():
+    probe = f"""\
+@pytest.fixture(params=["compiled", "{FALLBACK}"])
+def loops(request):
+    request.getfixturevalue(request.param)
+@pytest.mark.parametrize("path", ["serial-compiled", "{SERIAL_FALLBACK}"], indirect=True)
+def test_probe(path, compiled, {FALLBACK}, request):
+    request.getfixturevalue("compiled"), request.getfixturevalue("monkeypatch")
+"""
+    assert path_switches(probe) == [1, 3, 4, 6]
+    switches = {path.name: lines for path in sorted(TESTS.glob("*.py"))
+                if path.name != "conftest.py" and (lines := path_switches(path.read_text()))}
+    assert not switches, f"switches other than conftest's `path` fixture, by line: {switches}"
