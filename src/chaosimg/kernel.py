@@ -7,21 +7,9 @@ source builds a new one; a build writes a temporary file and renames it
 into place, so concurrent first runs are safe, and so is the rebuild of a
 cached file that does not load (say, one that a crash cut short).
 
-`library()` serves twelve loops: `chaos_fill`, through which `maps.fill`
-iterates a map for the key schedule, the phase points and the Lyapunov
-transient; `chaos_sweep`, which makes every row of
-`analysis.bifurcation_sweep` in one call; `chaos_lyapunov`, which
-`analysis.lyapunov_exponent` runs for the Lyapunov steps;
-`chaos_gather_xor` and `chaos_scatter_xor`, the one pass over the image
-of `cipher.encrypt` and `cipher.decrypt`; `chaos_gather_in_place` and
-`chaos_slot`, the index passes of `cipher.build_key_schedule`;
-`chaos_quantize`, the byte pass of `maps.quantize_to_bytes`;
-`chaos_pack` and `chaos_unpack`, the passes of
-`maps.permutation_from_sequence` before and after numpy's sort;
-`chaos_format_rows`, which formats the bifurcation, phase and Lyapunov CSVs;
-and a thread's, which iterates Map 1 as `chaos_fill` does while
-`cipher.build_key_schedule` keys Map 2 (`chaos_orbit_start`, one `_take`
-per segment, and `_join`, on a handle of `chaos_orbit_size` bytes).
+`library()` serves the twelve loops that `_kernel.c`'s header comment
+lists, each with the Python code it stands in for, and types each export
+from its definition there (`_signatures`).
 Without a compiler, or when the build or the cache directory fails,
 `library()` returns None and the callers run Python loops over
 `maps.step_function`, numpy's gathers, scatter, quantizer and argsort
@@ -38,6 +26,7 @@ import ctypes
 import functools
 import importlib
 import os
+import re
 import shutil
 import stat
 import tempfile
@@ -51,45 +40,30 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 # the threads library, which glibc before 2.34 keeps apart from libc
 FLAGS = ("-O2", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 
-# the map's number (1 or 2), r, a*r and b, which both map loops take first
-_MAP = [ctypes.c_int, ctypes.c_double, ctypes.c_double, ctypes.c_double]
-# src, index, key, out, n
-_BYTE_LOOP = (None, [ctypes.c_void_p] * 4 + [ctypes.c_longlong])
-# name -> (return type, argument types) of every function that the kernel
-# exports: an untyped one would take and return C ints, which truncate
-# 64-bit pointers
-_SIGNATURES = {
-    # state, skip, xs, ys, n
-    "chaos_fill": (ctypes.c_longlong, [*_MAP, ctypes.c_void_p, ctypes.c_longlong,
-                                       ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong]),
-    # rs, count, a, b, x0, y0, skip, xs, n
-    "chaos_sweep": (None, [ctypes.c_int, ctypes.c_void_p, ctypes.c_longlong,
-                           *[ctypes.c_double] * 4, ctypes.c_longlong, ctypes.c_void_p,
-                           ctypes.c_longlong]),
-    # x, y, d0, steps, out
-    "chaos_lyapunov": (ctypes.c_longlong, [*_MAP, ctypes.c_double, ctypes.c_double,
-                                           ctypes.c_double, ctypes.c_longlong, ctypes.c_void_p]),
-    "chaos_gather_xor": _BYTE_LOOP,
-    "chaos_scatter_xor": _BYTE_LOOP,
-    # src, index, n
-    "chaos_gather_in_place": (None, [ctypes.c_void_p] * 2 + [ctypes.c_longlong]),
-    # c, s0, x, y, layout, r, k, seen, n
-    "chaos_slot": (None, [ctypes.c_void_p] * 8 + [ctypes.c_longlong]),
-    # src, out, n
-    "chaos_quantize": (ctypes.c_longlong, [ctypes.c_void_p] * 2 + [ctypes.c_longlong]),
-    # words, perm, n, b
-    "chaos_pack": (ctypes.c_longlong, [ctypes.c_void_p] * 2 + [ctypes.c_longlong, ctypes.c_int]),
-    "chaos_unpack": (None, [ctypes.c_void_p] * 2 + [ctypes.c_longlong, ctypes.c_int]),
-    "chaos_orbit_size": (ctypes.c_longlong, []),
-    # handle, Map 1's r, x0, y0, skip, ys, the two orbit buffers, n
-    "chaos_orbit_start": (ctypes.c_longlong, [ctypes.c_void_p, *[ctypes.c_double] * 3,
-                          ctypes.c_longlong, *[ctypes.c_void_p] * 3, ctypes.c_longlong]),
-    "chaos_orbit_take": (ctypes.c_longlong, [ctypes.c_void_p]),
-    "chaos_orbit_join": (None, [ctypes.c_void_p]),
-    # pairs, n, out
-    "chaos_format_rows": (ctypes.c_longlong, [ctypes.c_void_p, ctypes.c_longlong,
-                                              ctypes.c_void_p]),
-}
+# ctypes types of what an export returns and takes by value; a pointer
+# argument is a c_void_p, and an untyped function would take and return C
+# ints, which truncate 64-bit pointers
+_RETURNS = {b"void": None, b"long long": ctypes.c_longlong}
+_ARGUMENTS = {b"int": ctypes.c_int, b"double": ctypes.c_double, b"long long": ctypes.c_longlong}
+# the definition of each function that the kernel exports: not static, at
+# the start of a line
+_EXPORT = re.compile(rb"^(?!static\b)(\w[\w *]*?) *\b(chaos_\w+)\(([^)]*)\)", re.M)
+
+
+def _signatures(source: bytes) -> dict[str, tuple]:
+    """Name -> (return type, argument types) of each `chaos_*` function that
+    `source` exports, from its definition; a type without a ctypes twin in
+    `_RETURNS` or `_ARGUMENTS` raises ValueError."""
+    signatures = {}
+    for ret, name, params in _EXPORT.findall(source):
+        args = [] if params.strip() == b"void" else params.split(b",")
+        try:
+            signatures[name.decode()] = (_RETURNS[ret], [
+                ctypes.c_void_p if b"*" in arg else _ARGUMENTS[b" ".join(arg.split()[:-1])]
+                for arg in args])
+        except KeyError as exc:
+            raise ValueError(f"{name.decode()}: no ctypes type for {exc.args[0]!r}") from None
+    return signatures
 
 
 def address(array) -> int:
@@ -163,8 +137,8 @@ def _build(cc: str, source: bytes, target: Path) -> bool:
 
 @functools.cache
 def library():
-    """The kernel as a ctypes library whose functions in `_SIGNATURES` are
-    typed, or None if it cannot be built or loaded here."""
+    """The kernel as a ctypes library whose exports are typed
+    (`_signatures`), or None if it cannot be built or loaded here."""
     if not hasattr(os, "getuid"):
         return None
     import sysconfig
@@ -181,12 +155,11 @@ def library():
     if directory is None:
         return None
     path = directory / f"kernel-{tag[:32]}.so"
-    if not path.exists() and (cc is None or not _build(cc, source, path)):
-        return None
-    for cc in (cc, None):  # a cached file that does not load is built anew, once
+    signatures = _signatures(source)
+    for cc in (cc, None):  # a file that is missing or does not load is built, once
         try:
             lib = ctypes.CDLL(str(path))
-            for name, (restype, argtypes) in _SIGNATURES.items():
+            for name, (restype, argtypes) in signatures.items():
                 fn = getattr(lib, name)
                 fn.restype, fn.argtypes = restype, argtypes
             return lib

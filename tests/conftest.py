@@ -3,6 +3,7 @@ import math
 import threading
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,6 +77,13 @@ def python_only(monkeypatch, tmp_path, reload):
     monkeypatch.setattr(kernel, "_compiler", lambda: None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert reload() is None
+
+
+def on_the_fallback():
+    """A context in which `kernel.library` finds no kernel, so that a block
+    runs the Python loops: the switch for a test that compares the paths
+    within one call, where `path` runs a whole test on each."""
+    return mock.patch.object(kernel, "library", lambda: None)
 
 
 def no_thread_starts(monkeypatch):

@@ -222,6 +222,10 @@ class TestLyapunov:
             lyapunov_exponent(p, steps=1000)
         assert lyap_info.value.iteration == seq_info.value.iteration == 208
 
+    def test_steps_below_one_raise(self):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            lyapunov_from_step(step_function(default_map2()), (0.1, 0.1), steps=0)
+
     def test_divergence_of_the_companion_is_named(self):
         # the reference stays at 0 while the companion overflows to inf
         with pytest.raises(DivergenceError) as info:

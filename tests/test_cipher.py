@@ -43,8 +43,8 @@ from chaosimg.maps import (
     quantize_to_bytes,
 )
 from chaosimg.netpbm import read_image, write_image
-from conftest import (GOLDEN_BODY, GOLDEN_ENVELOPE, GOLDEN_PLAIN, no_thread_starts, perturbed,
-                      random_image, traced_peak)
+from conftest import (GOLDEN_BODY, GOLDEN_ENVELOPE, GOLDEN_PLAIN, no_thread_starts,
+                      on_the_fallback, perturbed, random_image, traced_peak)
 
 # SHA-256 of encrypt(...).to_bytes(), recorded from the pure-Python keystream
 # path; a faster map kernel must reproduce them bit for bit. The images use
@@ -648,8 +648,8 @@ class TestSerialSchedule:
         with monkeypatch.context() as patch:
             no_thread_starts(patch)
             serial = run_bounded(build_key_schedule, keys, dims)
-            patch.setattr(kernel, "library", lambda: None)
-            fallback = run_bounded(build_key_schedule, keys, dims)
+            with on_the_fallback():
+                fallback = run_bounded(build_key_schedule, keys, dims)
         for pair in (serial, fallback):
             for s, t in zip(pair, threaded, strict=True):
                 assert np.array_equal(s, t)

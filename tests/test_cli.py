@@ -31,7 +31,7 @@ from chaosimg.keyfile import load_key_file, parse_key_text
 from chaosimg.maps import default_map2
 from chaosimg.netpbm import read_image, write_image
 from chaosimg.outfile import open_over
-from conftest import DEFAULT_KEY_TEXT, GOLDEN_ENVELOPE
+from conftest import DEFAULT_KEY_TEXT, GOLDEN_ENVELOPE, GOLDEN_PLAIN
 
 
 @pytest.fixture
@@ -43,9 +43,8 @@ def keyfile(tmp_path):
 
 @pytest.fixture
 def golden_pgm(tmp_path):
-    img = PlainImage.from_array(np.array([[1, 2], [3, 4]], dtype=np.uint8))
     p = tmp_path / "plain.pgm"
-    p.write_bytes(write_image(img))
+    p.write_bytes(GOLDEN_PGM)
     return p
 
 
@@ -65,23 +64,6 @@ class TestKeyFile:
         with pytest.raises(KeyFileError, match="map2.b"):
             parse_key_text(text)
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(KeyFileError, match="unknown"):
-            parse_key_text(DEFAULT_KEY_TEXT + "map3.r=1.0\n")
-
-    def test_duplicate_rejected(self):
-        with pytest.raises(KeyFileError, match="duplicate"):
-            parse_key_text(DEFAULT_KEY_TEXT + "map1.r=17.0\n")
-
-    def test_bad_number_rejected(self):
-        with pytest.raises(KeyFileError):
-            parse_key_text(DEFAULT_KEY_TEXT.replace("17.0", "seventeen"))
-        with pytest.raises(KeyFileError):
-            parse_key_text(DEFAULT_KEY_TEXT.replace("transient=1000", "transient=-1"))
-        with pytest.raises(KeyFileError):
-            parse_key_text(DEFAULT_KEY_TEXT.replace("17.0", "inf"))
-
-
     # a byte that starts no character, a Latin-1 comment, a cut-off euro sign
     @pytest.mark.parametrize("head, tail, byte, offset", [
         (b"\xff\xfe", b"", 0xFF, 0),
@@ -94,6 +76,173 @@ class TestKeyFile:
         with pytest.raises(KeyFileError) as info:
             load_key_file(p)
         assert str(info.value) == f"key file is not utf-8 text: byte {byte:#04x} at offset {offset}"
+
+
+def padded_key(size: int) -> bytes:
+    """A valid key file of `size` bytes: comment lines, then blank ones, before the key."""
+    pad = size - len(DEFAULT_KEY_TEXT)
+    return (b"#" * 63 + b"\n") * (pad // 64) + b"\n" * (pad % 64) + DEFAULT_KEY_TEXT.encode()
+
+
+def envelope(version=1, depth=1, side=2, pad=0, body=GOLDEN_ENVELOPE[15:]) -> bytes:
+    return struct.pack(">4sBBIIB", b"CSE1", version, depth, side, side, pad) + body
+
+
+GOLDEN_PGM = write_image(PlainImage.from_array(GOLDEN_PLAIN))
+ENCRYPT, DECRYPT = (f"{c} --key {{key}} --in {{in}} --out {{out}}" for c in ("encrypt", "decrypt"))
+ARGV = {"encrypt": ENCRYPT, "decrypt": DECRYPT,
+        "histogram": "analyze histogram --in {in} --out {out}"}
+NO_FILE = "[Errno 2] No such file or directory: '{missing}'"
+USAGE = "usage"  # argparse's SystemExit(2): its usage line, then "prog: error: message"
+# (name, key file, message) of each key file that encrypt refuses with exit 2
+KEY_FILES = [
+    ("missing-name", DEFAULT_KEY_TEXT.replace("map2.b=0.3\n", ""),
+     "missing required key(s): map2.b"),
+    ("unknown-name", DEFAULT_KEY_TEXT + "map3.r=1.0\n", "line 10: unknown key 'map3.r'"),
+    ("duplicate-name", DEFAULT_KEY_TEXT + "map1.r=17.0\n", "line 10: duplicate key 'map1.r'"),
+    ("not-a-decimal", DEFAULT_KEY_TEXT.replace("0.3", "abc"), "key 'map2.b': not a decimal: 'abc'"),
+    ("not-finite", DEFAULT_KEY_TEXT.replace("17.0", "inf"), "key 'map1.r': value must be finite"),
+    ("transient-1e3", DEFAULT_KEY_TEXT.replace("1000", "1e3"),
+     "key 'transient': not an integer: '1e3'"),
+    *((f"transient-{t}", DEFAULT_KEY_TEXT.replace("1000", str(t)),
+       f"transient must be in [0, 10,000,000], got {t}") for t in (-1, 10**12, 2**64)),
+    ("not-utf8", b"\xff\xfe" + DEFAULT_KEY_TEXT.encode(),
+     "key file is not utf-8 text: byte 0xff at offset 0"),
+    ("over-64-kib", padded_key(65_537), "key file is longer than 65,536 bytes"),
+]
+# (name, --in bytes, message) of each Netpbm file that encrypt and histogram refuse with exit 1
+NETPBM = [
+    ("bad-magic", b"P2 2 2 255\n" + bytes(4), "bad magic b'P2', want P5 or P6 (byte offset 0)"),
+    ("maxval-65535", b"P5 2 2 65535\n" + bytes(8),
+     "unsupported maxval 65535 (only 8-bit) (byte offset 12)"),
+    ("truncated-raster", b"P5 2 2 255\n" + bytes(3),
+     "truncated raster: have 3 of 4 bytes (byte offset 14)"),
+    ("width-0", b"P5 0 2 255\n" + bytes(4), "bad dimensions 0x2 (byte offset 2)"),
+    ("no-whitespace-before-raster", b"P5 2 2 255#\n" + bytes(4),
+     "expected single whitespace before raster (byte offset 10)"),
+]
+# (name, --in bytes, message) of each envelope that decrypt refuses with exit 1
+ENVELOPES = [
+    ("bad-magic", b"XXXX" + GOLDEN_ENVELOPE[4:], "bad magic b'XXXX'"),
+    ("version-2", envelope(version=2), "unsupported version 2"),
+    ("depth-2", envelope(depth=2), "bad depth byte 2"),
+    ("10-byte-header", GOLDEN_ENVELOPE[:10], "truncated header"),
+    ("wrong-pad", envelope(pad=1), "pad 1 is wrong for 4 pixels"),
+    ("short-body", GOLDEN_ENVELOPE[:-1], "body length 3 != expected 4"),
+    *((f"{n}-bytes-past-the-body", GOLDEN_ENVELOPE + bytes(n),
+       "envelope is longer than the 19 bytes its header states") for n in (1, 5000)),
+    # 3 (2**32 - 1)**2 + 1 bytes stated and 5 given: read no further than the file
+    ("huge-stated-body", envelope(depth=3, side=2**32 - 1, pad=1, body=bytes(5)),
+     f"body length 5 != expected {3 * (2**32 - 1)**2 + 1}"),
+]
+R_GRID = "--r-min 1 --r-max 2 --r-step 1"
+# (name, argv after "analyze" less --out, message) of each analysis refused with exit 2
+ANALYSES = [
+    ("bifurcate-r-min-above-r-max", "bifurcate --r-min 18 --r-max 17 --r-step 1",
+     "r_min must be <= r_max"),
+    ("bifurcate-r-step-0", "bifurcate --r-min 1 --r-max 2 --r-step 0", "r_step must be positive"),
+    # refused before the grid is allocated
+    ("bifurcate-2e16-r-values", "bifurcate --r-min 0 --r-max 20 --r-step 1e-15 --samples 10",
+     "200,000,000,000,000,010 bifurcation sweep values requested; the limit is 10,000,000"),
+    ("bifurcate-samples-5000001", "bifurcate --r-min 0 --r-max 1 --r-step 1 --samples 5000001",
+     "10,000,002 bifurcation sweep values requested; the limit is 10,000,000"),
+    # (r_max - r_min) / r_step overflows to inf
+    ("bifurcate-r-grid-overflows", "bifurcate --r-min=-1e308 --r-max 1e308 --r-step 1 --samples 1",
+     "inf bifurcation sweep values requested; the limit is 10,000,000"),
+    # one value per r, but 10^7 transient iterates for each of 10^6 r
+    ("bifurcate-transient-iterates",
+     "bifurcate --map 2 --r-min 0 --r-max 1000000 --r-step 1 --samples 1 --transient 10000000",
+     "10,000,011,000,001 bifurcation sweep iterates requested; the limit is 100,000,000"),
+    ("bifurcate-a-nan", f"bifurcate --map 2 --a nan {R_GRID}", "parameter a must be finite"),
+    ("bifurcate-samples-0", f"bifurcate --samples 0 {R_GRID}", "samples must be >= 1"),
+    # Map 1 has no a or b: a flag it would ignore is refused
+    ("lyapunov-map-1-a-and-b", "lyapunov --map 1 --a 7 --b 9", "Map 1 has no --a or --b"),
+    ("phase-map-1-b", "phase --map 1 --b 9", "Map 1 has no --b"),
+    ("bifurcate-map-1-a", "bifurcate --map 1 --a 7 --r-min 17 --r-max 17 --r-step 1",
+     "Map 1 has no --a"),
+    # at r = 1e308 the a*r offset swallows x + y^2, so both trajectories land
+    # on the same state and their distance is exactly 0
+    ("lyapunov-collapse", "lyapunov --map 2 --r 1e308", "companion trajectory collapsed onto"
+     " the reference at step 1; the Lyapunov exponent is undefined"),
+    ("lyapunov-steps-10-12", "lyapunov --map 2 --steps 1000000000000",
+     "1,000,000,000,000 Lyapunov steps requested; the limit is 10,000,000"),
+    ("lyapunov-steps-999", "lyapunov --steps 999", "steps must be >= 1000"),
+    ("lyapunov-r-nan", "lyapunov --r nan", "parameter r must be finite"),
+    ("lyapunov-x0-inf", "lyapunov --x0 inf", "parameter x0 must be finite"),
+    ("phase-count-5000001", "phase --map 2 --count 5000001",
+     "10,000,002 phase run values requested; the limit is 10,000,000"),
+    *((f"phase-count-{c}", f"phase --map 2 --count {c}", "count must be >= 1") for c in (0, -1)),
+    ("phase-transient-10000001", "phase --map 2 --transient 10000001",
+     "transient must be in [0, 10,000,000], got 10000001"),
+]
+
+
+def refusal(id, argv, code, message, key=DEFAULT_KEY_TEXT, data=GOLDEN_PGM):
+    """A row of REFUSALS: `argv`, split at spaces, and `message` name its files as {key}
+    (holding `key`), {in} (`data`), {b} (a 3x3 image), and {out} and {missing} (never made)."""
+    return pytest.param(argv, code, message, key, data, id=id)
+
+
+# every refusal that README's "Exit codes" names, but for running out of
+# memory and the endless inputs, which the tests below check
+REFUSALS = [
+    *(refusal(f"encrypt-key-{name}", ENCRYPT, 2, why, key=key) for name, key, why in KEY_FILES),
+    refusal("encrypt-key-missing-file", ENCRYPT.replace("{key}", "{missing}"), 1, NO_FILE),
+    # Map 2's a*r overflows at iteration 0, and Map 1 at r = 1e307 diverges
+    # at 253, whose error wins, as in the split-half reference
+    *(refusal(f"{command}-key-diverging-map1-r-{r}", ARGV[command], 1,
+              f"non-finite value at iteration {i}",
+              key=DEFAULT_KEY_TEXT.replace("17.0", r).replace("2.35", "1e308").replace("0.5", "10"),
+              data=data)
+      for command, data in (("encrypt", GOLDEN_PGM), ("decrypt", GOLDEN_ENVELOPE))
+      for r, i in (("17.0", 0), ("1e307", 253))),
+    *(refusal(f"{command}-netpbm-{name}", ARGV[command], 1, why, data=data)
+      for command in ("encrypt", "histogram") for name, data, why in NETPBM),
+    refusal("encrypt-netpbm-width-of-5000-digits", ENCRYPT, 1,
+            "width is above 4,294,967,295 (byte offset 3)",
+            data=b"P5 " + b"9" * 5000 + b" 1 255\n"),
+    refusal("encrypt-netpbm-header-over-1-mib", ENCRYPT, 1,
+            "header does not end within 1,048,576 bytes (byte offset 1048576)",
+            data=b"P5" + b" " * cli._MAX_HEADER + b"2 2 255\n" + bytes(4)),
+    *(refusal(f"decrypt-{name}", DECRYPT, 1, why, data=data) for name, data, why in ENVELOPES),
+    *(refusal(f"{command}-{what}-in", argv.replace("{in}", path), 1, message)
+      for command, argv in ARGV.items() for what, path, message in (
+          ("missing", "{missing}", NO_FILE), ("directory", ".", "[Errno 21] Is a directory: '.'"))),
+    refusal("metrics-missing-b", "metrics --a {in} --b {missing}", 1, NO_FILE),
+    refusal("metrics-dims-differ", "metrics --a {in} --b {b}", 1, "dims differ: ImageDims(depth=1,"
+            " height=2, width=2) vs ImageDims(depth=1, height=3, width=3)"),
+    *(refusal(name, f"analyze {argv} --out {{out}}", 2, why) for name, argv, why in ANALYSES),
+    # the sweep takes r from its grid, so bifurcate has no --r flag
+    refusal("bifurcate-r", "analyze bifurcate --r 99 --r-min 17 --r-max 17 --r-step 1 --out {out}",
+            USAGE, "ambiguous option: --r could match --r-min, --r-max, --r-step"),
+    refusal("lyapunov-steps-x", "analyze lyapunov --steps x --out {out}", USAGE,
+            "argument --steps: invalid int value: 'x'"),
+    refusal("encrypt-no-key", "encrypt --in {in} --out {out}", USAGE,
+            "the following arguments are required: --key"),
+    refusal("encrypt-extra-token", f"{ENCRYPT} extra", USAGE, "unrecognized arguments: extra"),
+]
+
+
+@pytest.mark.parametrize("argv, code, message, key, data", REFUSALS)
+def test_refusal(tmp_path, capsys, argv, code, message, key, data):
+    """The row's exit code and one exact line on stderr; no stdout, no --out, and within 5 s."""
+    paths = {name: tmp_path / name for name in ("key", "in", "b", "out", "missing")}
+    paths["key"].write_bytes(key if isinstance(key, bytes) else key.encode())
+    paths["in"].write_bytes(data)
+    paths["b"].write_bytes(write_image(PlainImage.from_array(np.zeros((3, 3), np.uint8))))
+    args = [token.format(**paths) for token in argv.split()]
+    start = time.monotonic()
+    try:
+        got = main(args)
+    except SystemExit as exc:
+        got = USAGE if exc.code == 2 else exc.code
+    elapsed = time.monotonic() - start
+    want = f"chaosimg: error: {message.format(**paths)}\n"
+    if code == USAGE:
+        parser = cli._parsers()[1][tuple(args[:2] if args[0] == "analyze" else args[:1])]
+        want = want.replace("chaosimg:", f"{parser.format_usage()}{parser.prog}:", 1)
+    assert (got, *capsys.readouterr()) == (code, "", want)
+    assert not paths["out"].exists() and elapsed < 5
 
 
 class TestEncryptDecryptCommands:
@@ -111,25 +260,13 @@ class TestEncryptDecryptCommands:
         assert code == 2
         assert "map2.b" in capsys.readouterr().err
 
-    def test_non_utf8_key_file_exit_2(self, tmp_path, golden_pgm, capsys):
-        bad = tmp_path / "bad.txt"
-        bad.write_bytes(b"\xff\xfe" + DEFAULT_KEY_TEXT.encode())
-        code = main(["encrypt", "--key", str(bad), "--in", str(golden_pgm),
-                     "--out", str(tmp_path / "c.cse")])
-        assert code == 2
-        assert "utf-8" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("size, code", [(65_536, 0), (65_537, 2)])
-    def test_key_file_over_64_kib_exit_2(self, tmp_path, golden_pgm, capsys, size, code):
-        key = DEFAULT_KEY_TEXT.encode()
-        pad = size - len(key)  # comment lines, then blank ones, before a valid key
-        p = tmp_path / "k.txt"
-        p.write_bytes((b"#" * 63 + b"\n") * (pad // 64) + b"\n" * (pad % 64) + key)
-        assert p.stat().st_size == size
-        assert main(["encrypt", "--key", str(p), "--in", str(golden_pgm),
-                     "--out", str(tmp_path / "c.cse")]) == code
-        if code:
-            assert "key file is longer than 65,536 bytes" in capsys.readouterr().err
+    def test_inputs_at_their_limits_are_read(self, tmp_path, golden_pgm):
+        # a 64 KiB key file and a header 20 bytes short of 1 MiB: REFUSALS has longer ones
+        key, src, env = tmp_path / "k.txt", tmp_path / "p.pgm", tmp_path / "c.cse"
+        key.write_bytes(padded_key(65_536))
+        src.write_bytes(b"P5" + b" " * (cli._MAX_HEADER - 20) + b"2 2 255\n" + bytes([1, 2, 3, 4]))
+        assert main(["encrypt", "--key", str(key), "--in", str(src), "--out", str(env)]) == 0
+        assert key.stat().st_size == 65_536 and env.read_bytes() == GOLDEN_ENVELOPE
 
     def test_out_of_memory_exit_1(self, tmp_path, keyfile, golden_pgm, capsys, monkeypatch):
         def exhausted(data):
@@ -140,49 +277,11 @@ class TestEncryptDecryptCommands:
         assert code == 1
         assert capsys.readouterr().err == "chaosimg: error: out of memory\n"
 
-    def test_transient_beyond_64_bits_exit_2(self, tmp_path, golden_pgm, capsys):
-        p = tmp_path / "k.txt"
-        p.write_text(DEFAULT_KEY_TEXT.replace("transient=1000", f"transient={2**64}"))
-        code = main(["encrypt", "--key", str(p), "--in", str(golden_pgm),
-                     "--out", str(tmp_path / "c.cse")])
-        assert code == 2
-        assert "transient" in capsys.readouterr().err
-
-    def test_huge_transient_exit_2_at_once(self, tmp_path, golden_pgm, capsys):
-        p = tmp_path / "k.txt"
-        p.write_text(DEFAULT_KEY_TEXT.replace("transient=1000", f"transient={10**12}"))
-        start = time.monotonic()
-        code = main(["encrypt", "--key", str(p), "--in", str(golden_pgm),
-                     "--out", str(tmp_path / "c.cse")])
-        assert code == 2 and time.monotonic() - start < 5
-        assert "transient" in capsys.readouterr().err
-
     def test_deterministic_output(self, tmp_path, keyfile, golden_pgm):
         out1, out2 = tmp_path / "c1.cse", tmp_path / "c2.cse"
         main(["encrypt", "--key", str(keyfile), "--in", str(golden_pgm), "--out", str(out1)])
         main(["encrypt", "--key", str(keyfile), "--in", str(golden_pgm), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
-
-    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
-    @pytest.mark.parametrize("map1_r, index", [("17.0", 0), ("1e307", 253)])
-    def test_diverging_key_exit_1(self, tmp_path, keyfile, capsys, command, map1_r, index):
-        # an untrusted key file whose orbits diverge: Map 2's a*r overflows
-        # at iteration 0, and Map 1 at r = 1e307 diverges at 253, whose
-        # error wins, as in the split-half reference; no --out is written
-        plain, envelope, out = tmp_path / "p.pgm", tmp_path / "c.cse", tmp_path / "out"
-        plain.write_bytes(write_image(PlainImage.from_array(
-            np.random.default_rng(7).integers(0, 256, (40, 50), dtype=np.uint8))))
-        assert main(["encrypt", "--key", str(keyfile), "--in", str(plain),
-                     "--out", str(envelope)]) == 0
-        key = tmp_path / "diverging.txt"
-        key.write_text(DEFAULT_KEY_TEXT.replace("map1.r=17.0", f"map1.r={map1_r}")
-                       .replace("map2.r=2.35", "map2.r=1e308").replace("map2.a=0.5", "map2.a=10"))
-        source = plain if command == "encrypt" else envelope
-        capsys.readouterr()
-        assert main([command, "--key", str(key), "--in", str(source), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == (
-            f"chaosimg: error: non-finite value at iteration {index}\n")
-        assert not out.exists()
 
     def test_decrypt_golden(self, tmp_path, keyfile, golden_pgm):
         env = tmp_path / "c.cse"
@@ -191,14 +290,6 @@ class TestEncryptDecryptCommands:
         assert main(["decrypt", "--key", str(keyfile), "--in", str(env),
                      "--out", str(out)]) == 0
         assert out.read_bytes() == golden_pgm.read_bytes()
-
-    def test_netpbm_number_too_long_exit_1(self, tmp_path, keyfile, capsys):
-        src = tmp_path / "huge.pgm"
-        src.write_bytes(b"P5 " + b"9" * 5000 + b" 1 255\n")
-        code = main(["encrypt", "--key", str(keyfile), "--in", str(src),
-                     "--out", str(tmp_path / "c.cse")])
-        assert code == 1
-        assert "width is above 4,294,967,295" in capsys.readouterr().err
 
     @pytest.mark.parametrize("chunk", [1, 3])
     def test_reads_in_chunks(self, tmp_path, keyfile, monkeypatch, chunk):
@@ -212,15 +303,6 @@ class TestEncryptDecryptCommands:
         assert main(["decrypt", "--key", str(keyfile), "--in", str(env), "--out", str(out)]) == 0
         assert out.read_bytes() == b"P5\n2 2\n255\n" + bytes([1, 2, 3, 4])
 
-    def test_header_longer_than_the_limit_exit_1(self, tmp_path, keyfile, capsys):
-        src, env = tmp_path / "p.pgm", tmp_path / "c.cse"
-        src.write_bytes(b"P5" + b" " * (cli._MAX_HEADER - 20) + b"2 2 255\n" + bytes([1, 2, 3, 4]))
-        assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(env)]) == 0
-        assert env.read_bytes() == GOLDEN_ENVELOPE
-        src.write_bytes(b"P5" + b" " * cli._MAX_HEADER + b"2 2 255\n" + bytes([1, 2, 3, 4]))
-        assert main(["encrypt", "--key", str(keyfile), "--in", str(src), "--out", str(env)]) == 1
-        assert "header does not end within 1,048,576 bytes" in capsys.readouterr().err
-
     @pytest.mark.parametrize("limit", [16, 112, 113, 123, 124, 1 << 20])
     def test_raster_read_past_the_header_limit(self, tmp_path, monkeypatch, limit):
         # a 113-byte image, then 10 bytes of another: the first read ends in
@@ -230,27 +312,6 @@ class TestEncryptDecryptCommands:
         src.write_bytes(write_image(PlainImage.from_array(pixels)) + b"next image")
         monkeypatch.setattr(cli, "_MAX_HEADER", limit)
         np.testing.assert_array_equal(cli._load_image(src).pixels[0], pixels)
-
-    def test_envelope_longer_than_its_header_exit_1(self, tmp_path, keyfile, capsys):
-        env = tmp_path / "c.cse"
-        for extra in (b"\0", bytes(5000)):
-            env.write_bytes(GOLDEN_ENVELOPE + extra)
-            code = main(["decrypt", "--key", str(keyfile), "--in", str(env),
-                         "--out", str(tmp_path / "d.pgm")])
-            assert code == 1
-            err = capsys.readouterr().err
-            assert "envelope is longer than the 19 bytes its header states" in err
-
-    def test_huge_stated_body_on_a_short_file_exit_1(self, tmp_path, keyfile, capsys):
-        side = 2**32 - 1
-        count = 3 * side * side
-        env = tmp_path / "c.cse"
-        env.write_bytes(struct.pack(">4sBBIIB", b"CSE1", 1, 3, side, side, count % 2) + bytes(5))
-        assert env.stat().st_size == 20
-        code = main(["decrypt", "--key", str(keyfile), "--in", str(env),
-                     "--out", str(tmp_path / "d.pgm")])
-        assert code == 1
-        assert f"body length 5 != expected {count + 1}" in capsys.readouterr().err
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_endless_stream_read_only_as_far_as_its_header_says(self, tmp_path, keyfile, capsys):
@@ -263,13 +324,6 @@ class TestEncryptDecryptCommands:
             assert main(["decrypt", "--key", str(keyfile), "--in", str(src),
                          "--out", str(tmp_path / "d.pgm")]) == 1
         assert "envelope is longer than the 19 bytes" in capsys.readouterr().err
-
-    def test_decrypt_bad_magic_exit_1(self, tmp_path, keyfile):
-        env = tmp_path / "c.cse"
-        env.write_bytes(b"XXXX" + GOLDEN_ENVELOPE[4:])
-        code = main(["decrypt", "--key", str(keyfile), "--in", str(env),
-                     "--out", str(tmp_path / "d.pgm")])
-        assert code == 1
 
     def test_wrong_key_garbles_but_writes(self, tmp_path, keyfile, golden_pgm):
         # file-level key-sensitivity check at a size where it is decisive
@@ -354,14 +408,6 @@ class TestMetricsCommand:
         one_pixel = dict(self.run_metrics(tmp_path, capsys, [[7]]))
         assert one_pixel["corr_h"] == one_pixel["corr_v"] == "nan"
 
-    def test_dim_mismatch_exit_1(self, tmp_path, golden_pgm):
-        other = tmp_path / "o.pgm"
-        other.write_bytes(write_image(PlainImage.from_array(np.zeros((3, 3), np.uint8))))
-        assert main(["metrics", "--a", str(golden_pgm), "--b", str(other)]) == 1
-
-
-R_GRID = ["--r-min", "1", "--r-max", "2", "--r-step", "1"]
-
 
 class TestAnalyzeCommand:
     def test_bifurcate_row_count(self, tmp_path):
@@ -373,56 +419,11 @@ class TestAnalyzeCommand:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["r", "x"] and len(rows) == 6
 
-    def test_bifurcate_bad_range_exit_2(self, tmp_path):
-        code = main(["analyze", "bifurcate", "--map", "1", "--r-min", "18",
-                     "--r-max", "17", "--r-step", "1", "--out", str(tmp_path / "b.csv")])
-        assert code == 2
-        code = main(["analyze", "bifurcate", "--map", "1", "--r-min", "1",
-                     "--r-max", "2", "--r-step", "0", "--out", str(tmp_path / "b.csv")])
-        assert code == 2
-
-    def test_bifurcate_too_large_exit_2(self, tmp_path, capsys):
-        # 2e16 r values: refused before the grid is allocated
-        out = tmp_path / "b.csv"
-        code = main(["analyze", "bifurcate", "--map", "1", "--r-min", "0",
-                     "--r-max", "20", "--r-step", "1e-15", "--samples", "10",
-                     "--out", str(out)])
-        assert code == 2
-        assert "limit is 10,000,000" in capsys.readouterr().err
-        assert not out.exists()
-        code = main(["analyze", "bifurcate", "--map", "1", "--r-min", "0",
-                     "--r-max", "1", "--r-step", "1", "--samples", "5000001",
-                     "--out", str(out)])
-        assert code == 2
-        # (r_max - r_min) / r_step overflows to inf
-        code = main(["analyze", "bifurcate", "--map", "1", "--r-min=-1e308",
-                     "--r-max", "1e308", "--r-step", "1", "--samples", "1",
-                     "--out", str(out)])
-        assert code == 2
-
-    def test_bifurcate_refuses_r(self, tmp_path, capsys):
-        # the sweep takes r from its grid, so bifurcate has no --r flag
-        out = tmp_path / "b.csv"
-        with pytest.raises(SystemExit) as info:
-            main(["analyze", "bifurcate", "--map", "1", "--r", "99", "--r-min", "17",
-                  "--r-max", "17", "--r-step", "1", "--out", str(out)])
-        assert info.value.code == 2
-        assert "--r could match" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("analysis, flags", [
-        ("lyapunov", ["--a", "7", "--b", "9"]),
-        ("phase", ["--b", "9"]),
-        ("bifurcate", ["--a", "7", "--r-min", "17", "--r-max", "17", "--r-step", "1"]),
-    ])
-    def test_map1_refuses_a_and_b_exit_2(self, tmp_path, capsys, analysis, flags):
-        # Map 1 has no a or b: a flag it would ignore is refused
-        out = tmp_path / "x.csv"
-        assert main(["analyze", analysis, "--map", "1", *flags, "--out", str(out)]) == 2
-        named = " or ".join(flag for flag in flags if flag in ("--a", "--b"))
-        assert capsys.readouterr().err == f"chaosimg: error: Map 1 has no {named}\n"
-        assert not out.exists()
-        assert main(["analyze", analysis, "--map", "2", *flags, "--out", str(out)]) == 0
+    @pytest.mark.parametrize("argv", ["lyapunov --a 7 --b 9", "phase --b 9",
+                                      "bifurcate --a 7 --r-min 17 --r-max 17 --r-step 1"],
+                             ids=["lyapunov", "phase", "bifurcate"])
+    def test_map2_takes_a_and_b(self, tmp_path, argv):
+        assert main(["analyze", *argv.split(), "--map", "2", "--out", str(tmp_path / "x")]) == 0
 
     def test_lyapunov_positive_at_r17(self, tmp_path):
         out = tmp_path / "l.csv"
@@ -432,37 +433,6 @@ class TestAnalyzeCommand:
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["r", "lambda"] and len(rows) == 2
         assert float(rows[1][1]) > 0
-
-    def test_lyapunov_collapse_exit_2(self, tmp_path, capsys):
-        # at r = 1e308 the a*r offset swallows x + y^2, so both trajectories
-        # land on the same state and their distance is exactly 0
-        code = main(["analyze", "lyapunov", "--map", "2", "--r", "1e308",
-                     "--out", str(tmp_path / "l.csv")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "collapsed" in err and "undefined" in err
-
-    def test_lyapunov_steps_bounded_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "l.csv"
-        t0 = time.monotonic()
-        code = main(["analyze", "lyapunov", "--map", "2", "--r", "2.35",
-                     "--steps", "1000000000000", "--out", str(out)])
-        assert code == 2
-        assert time.monotonic() - t0 < 5
-        assert "limit is 10,000,000" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_bifurcate_iterates_bounded_exit_2(self, tmp_path, capsys):
-        # one value per r, but 10^7 transient iterates for each of 10^6 r
-        out = tmp_path / "b.csv"
-        t0 = time.monotonic()
-        code = main(["analyze", "bifurcate", "--map", "2", "--r-min", "0",
-                     "--r-max", "1000000", "--r-step", "1", "--samples", "1",
-                     "--transient", "10000000", "--out", str(out)])
-        assert code == 2
-        assert time.monotonic() - t0 < 5
-        assert "iterates requested; the limit is 100,000,000" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_lyapunov_r_defaults_to_the_map_default(self, tmp_path):
         out, ref = tmp_path / "l.csv", tmp_path / "ref.csv"
@@ -479,43 +449,6 @@ class TestAnalyzeCommand:
         assert code == 0
         rows = list(csv.reader(out.read_text().splitlines()))
         assert rows[0] == ["x", "y"] and len(rows) == 11
-
-    def test_phase_too_large_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "p.csv"
-        code = main(["analyze", "phase", "--map", "2", "--count", "5000001",
-                     "--out", str(out)])
-        assert code == 2
-        assert "limit is 10,000,000" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("count", ["0", "-1"])
-    def test_phase_count_below_one_exit_2(self, tmp_path, capsys, count):
-        out = tmp_path / "p.csv"
-        code = main(["analyze", "phase", "--map", "2", "--count", count,
-                     "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "count must be >= 1" in err and "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv, message", [
-        (["lyapunov", "--r", "nan"], "parameter r must be finite"),
-        (["lyapunov", "--x0", "inf"], "parameter x0 must be finite"),
-        (["bifurcate", "--map", "2", "--a", "nan", *R_GRID], "parameter a must be finite"),
-        (["bifurcate", "--samples", "0", *R_GRID], "samples must be >= 1"),
-        (["lyapunov", "--steps", "999"], "steps must be >= 1000"),
-    ], ids=["r-nan", "x0-inf", "a-nan", "samples-0", "steps-999"])
-    def test_refused_number_exit_2(self, tmp_path, capsys, argv, message):
-        out = tmp_path / "a.csv"
-        assert main(["analyze", *argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"chaosimg: error: {message}\n"
-        assert not out.exists()
-
-    def test_phase_transient_bounded_exit_2(self, tmp_path, capsys):
-        code = main(["analyze", "phase", "--map", "2", "--transient", "10000001",
-                     "--out", str(tmp_path / "p.csv")])
-        assert code == 2
-        assert "transient" in capsys.readouterr().err
 
     def test_map_flags_default_to_the_map_defaults(self, tmp_path):
         out, ref = tmp_path / "p.csv", tmp_path / "ref.csv"

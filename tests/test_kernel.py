@@ -3,6 +3,7 @@
 for the map loops, numpy's gather and scatter for the cipher's byte loops;
 and the build flags that make the two paths round alike."""
 
+import contextlib
 import ctypes
 import errno
 import hashlib
@@ -12,10 +13,10 @@ import re
 import shutil
 import stat
 import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from chaosimg.analysis import bifurcation_sweep, lyapunov_exponent
 from chaosimg.errors import DivergenceError, TrajectoryCollapseError
 from chaosimg.maps import MapId, MapParams, default_map1, default_map2, fill, step_function
 from chaosimg.netpbm import write_image
-from conftest import DEFAULT_KEY_TEXT, GOLDEN_ENVELOPE, GOLDEN_PLAIN, traced_peak
+from conftest import (DEFAULT_KEY_TEXT, GOLDEN_ENVELOPE, GOLDEN_PLAIN, on_the_fallback,
+                      traced_peak)
 from test_cipher import GOLDEN_DIGESTS, GOLDEN_IMAGES, GOLDEN_KEY_SETS, golden_keys
 
 
@@ -139,7 +141,7 @@ def sweep_outcome(params, r_min, r_max, r_step, samples):
 
 def sweep_oracle(*args):
     """`sweep_outcome` with no kernel: the Python loop over `_fill_orbit`."""
-    with mock.patch.object(kernel, "library", lambda: None):
+    with on_the_fallback():
         return sweep_outcome(*args)
 
 
@@ -196,7 +198,7 @@ def lyapunov_outcome(params, steps):
 def lyapunov_oracle(params, steps):
     """`lyapunov_outcome` with no kernel: the transient through the Python
     `fill` loop, the steps through `lyapunov_from_step` over `step_function`."""
-    with mock.patch.object(kernel, "library", lambda: None):
+    with on_the_fallback():
         return lyapunov_outcome(params, steps)
 
 
@@ -348,6 +350,38 @@ def test_cached_kernel_that_does_not_load_is_built_anew(compiled, monkeypatch, t
     assert cached.stat().st_ino != inode and list(cached.parent.iterdir()) == [cached]
 
 
+def test_library_that_never_loads_is_built_once(monkeypatch, tmp_path, reload):
+    # a compiler that succeeds but writes no library: one build, then the
+    # Python loops
+    cc = tmp_path / "cc"
+    cc.write_text('#!/bin/sh\nwhile [ "$1" != -o ]; do shift; done\necho junk > "$2"\n')
+    cc.chmod(0o755)
+    builds, build = [], kernel._build
+    monkeypatch.setattr(kernel, "_build", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(kernel, "_compiler", lambda: str(cc))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert reload() is None and len(builds) == 1
+
+
+@pytest.mark.parametrize("refusal", ["no-getuid", "no-source", "no-private-directory"])
+def test_no_kernel_where_it_cannot_be_looked_up(monkeypatch, tmp_path, reload, refusal):
+    # no os.getuid (as on Windows), a source that cannot be read, or both
+    # cache directories shared: no kernel, no new directory, and encrypt
+    # runs on the Python loops
+    for cache in (tmp_path / "xdg" / "chaosimg", tmp_path / "tmp" / f"chaosimg-{os.getuid()}"):
+        cache.mkdir(parents=True)
+        cache.chmod(0o755 if refusal == "no-private-directory" else 0o700)
+    made = sorted(tmp_path.rglob("*"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    if refusal == "no-getuid":
+        monkeypatch.delattr(os, "getuid")
+    if refusal == "no-source":
+        monkeypatch.setattr(kernel, "SOURCE", tmp_path / "missing.c")
+    assert reload() is None and encrypts_golden_k1()
+    assert sorted(tmp_path.rglob("*")) == made
+
+
 def test_cached_kernel_in_a_shared_directory_is_refused(compiled, monkeypatch, tmp_path, reload):
     cached_kernel(tmp_path / "xdg" / "chaosimg", 0o755)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
@@ -379,13 +413,6 @@ def compiler() -> str:
     return cc
 
 
-def test_kernel_compiles_without_warnings(tmp_path):
-    done = subprocess.run([compiler(), *kernel.FLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c",
-                           str(kernel.SOURCE), "-o", str(tmp_path / "kernel.so"), "-lm"],
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-
-
 def orbit_stress(cc, flags, tmp_path, env=None):
     """Build tests/orbit_stress.c, 1,000 start/take/join cycles of the
     kernel's orbit thread with the kernel compiled in, with `flags`, and
@@ -400,7 +427,8 @@ def orbit_stress(cc, flags, tmp_path, env=None):
 
 def test_orbit_stress_runs_with_the_kernels_flags(tmp_path):
     # on every host with a compiler, so that a driver which drifts from the
-    # kernel's API fails where ThreadSanitizer is missing too
+    # kernel's API fails where ThreadSanitizer is missing too; it includes
+    # all of _kernel.c, which so compiles without a warning
     flags = [f for f in kernel.FLAGS if f not in ("-shared", "-fPIC")]
     done = orbit_stress(compiler(), [*flags, "-Wall", "-Wextra", "-Werror"], tmp_path)
     assert done.returncode == 0, done.stderr
@@ -419,7 +447,10 @@ def test_orbit_thread_is_race_free_under_thread_sanitizer(tmp_path):
     assert done.returncode == 0 and "ThreadSanitizer" not in done.stderr, done.stderr
 
 
-def test_sha256_matches_hashlib():
+def test_sha256_matches_hashlib(monkeypatch):
+    assert kernel._sha256(b"chaos") == hashlib.sha256(b"chaos").hexdigest()
+    for module in ("_sha2", "_sha256"):  # neither built in: hashlib's
+        monkeypatch.setitem(sys.modules, module, None)
     assert kernel._sha256(b"chaos") == hashlib.sha256(b"chaos").hexdigest()
 
 
@@ -458,7 +489,7 @@ def test_gather_and_scatter_loops_match_numpy(compiled, size):
     expected = np.empty_like(src)
     expected[index] = src ^ key
     assert scattered.tobytes() == expected.tobytes()
-    with mock.patch.object(kernel, "library", lambda: None):
+    with on_the_fallback():
         assert cipher._gather_xor(src, index, key).tobytes() == gathered.tobytes()
         assert cipher._scatter_xor(src, index, key).tobytes() == scattered.tobytes()
     assert cipher._scatter_xor(gathered, index, key).tobytes() == src.tobytes()
@@ -479,8 +510,8 @@ def test_index_loops_match_numpy(compiled, size):
     expected_seen = np.zeros(size, np.uint8)
     expected_seen[p] = 1
     expected = [src[index], layout[p], x[p] ^ y[c], expected_seen]
-    for library in (kernel.library, lambda: None):
-        with mock.patch.object(kernel, "library", library):
+    for context in (contextlib.nullcontext, on_the_fallback):
+        with context():
             composed = index.copy()
             cipher._compose(src, composed)
             r, (k, seen) = np.zeros(size, np.int32), np.zeros((2, size), np.uint8)
@@ -489,23 +520,30 @@ def test_index_loops_match_numpy(compiled, size):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-def exported_functions(source: str) -> dict[str, str]:
-    """Name -> return type of each function that `source` defines at file
-    scope without `static`."""
-    pattern = re.compile(r"^(?!static\b)([A-Za-z_][\w ]*?[\w*])\s*\**\s*\b(\w+)\(", re.M)
-    return {name: ret for ret, name in pattern.findall(source)}
-
-
 def test_every_export_is_typed(compiled):
-    # an untyped function would take and return C ints, which truncate
-    # 64-bit pointers
-    exports = exported_functions(kernel.SOURCE.read_text())
-    restypes = {"long long": ctypes.c_longlong, "void": None}
-    assert {name: restypes[ret] for name, ret in exports.items()} == {
-        name: restype for name, (restype, _) in kernel._SIGNATURES.items()}
-    for name, (restype, argtypes) in kernel._SIGNATURES.items():
-        fn = getattr(kernel.library(), name)
+    # the names typed from _kernel.c's definitions are the chaos_* symbols
+    # that the built library exports
+    lib, signatures = kernel.library(), kernel._signatures(kernel.SOURCE.read_bytes())
+    for name, (restype, argtypes) in signatures.items():
+        fn = getattr(lib, name)
         assert (fn.restype, fn.argtypes) == (restype, argtypes)
+    if (nm := shutil.which("nm")) is None:
+        pytest.skip("no nm on PATH")
+    listed = subprocess.run([nm, "-D", "--defined-only", lib._name], capture_output=True,
+                            text=True, timeout=60, check=True).stdout
+    assert sorted(signatures) == sorted(re.findall(r"\s(chaos_\w+)$", listed, re.M))
+
+
+def test_fill_is_typed_from_its_definition():
+    # int map, double r, ar, b, double *state, long long skip, double *xs, *ys, long long n
+    assert kernel._signatures(kernel.SOURCE.read_bytes())["chaos_fill"] == (
+        ctypes.c_longlong, [ctypes.c_int, *[ctypes.c_double] * 3, ctypes.c_void_p,
+                            ctypes.c_longlong, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_longlong])
+
+
+def test_export_of_a_type_without_a_ctypes_twin_raises():
+    with pytest.raises(ValueError, match="chaos_half: no ctypes type for b'float'"):
+        kernel._signatures(b"void chaos_half(double *out, float x)\n{\n}\n")
 
 
 def test_kernel_without_128_bit_integers_formats_no_row(compiled, monkeypatch, tmp_path, reload):
@@ -514,7 +552,7 @@ def test_kernel_without_128_bit_integers_formats_no_row(compiled, monkeypatch, t
     monkeypatch.setattr(kernel, "FLAGS", (*kernel.FLAGS, "-U__SIZEOF_INT128__"))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     lib = reload()
-    assert lib is not None  # it has every function in _SIGNATURES
+    assert lib is not None  # it has every function that _kernel.c exports
     pairs, out = np.full((1, 2), 0.5), bytearray(analysis.ROW_BYTES)
     assert lib.chaos_format_rows(kernel.address(pairs), 1, kernel.address(out)) == -1
     assert encrypts_golden_k1()

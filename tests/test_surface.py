@@ -132,15 +132,19 @@ SERIAL_FALLBACK = "serial-" + FALLBACK  # the fallback starts no thread to refus
 
 def path_switches(source: str) -> list[int]:
     """The lines of `source` that switch between the kernel and the
-    fallback apart from conftest's `path`: a `getfixturevalue` of either
-    fixture or of a name, which may hold either; a fixture that names the
-    fallback; and a serial fallback, which reruns the fallback's code."""
+    fallback apart from conftest's `path` and `on_the_fallback`: a
+    `getfixturevalue` of either fixture or of a name, which may hold either;
+    a fixture that names the fallback; a patch of `kernel.library`; and a
+    serial fallback, which reruns the fallback's code."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         called = getattr(getattr(node, "func", None), "attr", None)
         strings = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)} if called else ()
+        args = node.args[:2] if called else []
+        target = [getattr(arg, "id", getattr(arg, "value", None)) for arg in args]
         if (called == "getfixturevalue" and (not strings or {"compiled", FALLBACK} & strings)
                 or called == "fixture" and FALLBACK in strings
+                or called in ("setattr", "object") and target == ["kernel", "library"]
                 or isinstance(node, ast.Constant) and SERIAL_FALLBACK in str(node.value)):
             lines.append(node.lineno)
     return sorted(lines)
@@ -154,8 +158,11 @@ def loops(request):
 @pytest.mark.parametrize("path", ["serial-compiled", "{SERIAL_FALLBACK}"], indirect=True)
 def test_probe(path, compiled, {FALLBACK}, request):
     request.getfixturevalue("compiled"), request.getfixturevalue("monkeypatch")
+    monkeypatch.setattr(kernel, "library", lambda: None)
+    mock.patch.object(kernel, "library"), monkeypatch.setattr(kernel, "_compiler", None)
 """
-    assert path_switches(probe) == [1, 3, 4, 6]
+    assert path_switches(probe) == [1, 3, 4, 6, 7, 8]
     switches = {path.name: lines for path in sorted(TESTS.glob("*.py"))
                 if path.name != "conftest.py" and (lines := path_switches(path.read_text()))}
-    assert not switches, f"switches other than conftest's `path` fixture, by line: {switches}"
+    assert not switches, (
+        f"switches other than conftest's `path` and `on_the_fallback`, by line: {switches}")
